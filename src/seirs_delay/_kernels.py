@@ -23,9 +23,15 @@ EXCURSION = 3
 
 
 @maybe_jit
-def ode_rk4(s, e, i, rc, h, n_steps, beta, mu, gamma, kr, sum_tol, neg_tol):
-    """Classical RK4 for the nondelayed system. Returns (nodes, status, bad_node)."""
-    out = np.empty((n_steps + 1, 4))
+def _rk4_steps(out, s, e, i, rc, delayed, e_hist, h, n_steps, beta, mu,
+               gamma, kr, sum_tol, neg_tol):
+    """Classical RK4 from the node (s, e, i, rc) over n_steps steps, storing
+    nodes 0..n_steps in out.
+
+    The exposed source E(t - r) of every stage is the constant history e_hist
+    when delayed (all stage times lie in [0, r]), else the stage's own E (the
+    nondelayed system). Returns (status, bad_node).
+    """
     out[0, 0] = s
     out[0, 1] = e
     out[0, 2] = i
@@ -33,36 +39,40 @@ def ode_rk4(s, e, i, rc, h, n_steps, beta, mu, gamma, kr, sum_tol, neg_tol):
     h2 = 0.5 * h
     h6 = h / 6.0
     for k in range(n_steps):
+        ed = e_hist if delayed else e
         a1s = -beta * s * i + gamma * rc
-        a1e = beta * s * i - e / kr
-        a1i = e / kr - mu * i
+        a1e = beta * s * i - ed / kr
+        a1i = ed / kr - mu * i
         a1r = mu * i - gamma * rc
 
         ts = s + h2 * a1s
         te = e + h2 * a1e
         ti = i + h2 * a1i
         tr = rc + h2 * a1r
+        ed = e_hist if delayed else te
         a2s = -beta * ts * ti + gamma * tr
-        a2e = beta * ts * ti - te / kr
-        a2i = te / kr - mu * ti
+        a2e = beta * ts * ti - ed / kr
+        a2i = ed / kr - mu * ti
         a2r = mu * ti - gamma * tr
 
         ts = s + h2 * a2s
         te = e + h2 * a2e
         ti = i + h2 * a2i
         tr = rc + h2 * a2r
+        ed = e_hist if delayed else te
         a3s = -beta * ts * ti + gamma * tr
-        a3e = beta * ts * ti - te / kr
-        a3i = te / kr - mu * ti
+        a3e = beta * ts * ti - ed / kr
+        a3i = ed / kr - mu * ti
         a3r = mu * ti - gamma * tr
 
         ts = s + h * a3s
         te = e + h * a3e
         ti = i + h * a3i
         tr = rc + h * a3r
+        ed = e_hist if delayed else te
         a4s = -beta * ts * ti + gamma * tr
-        a4e = beta * ts * ti - te / kr
-        a4i = te / kr - mu * ti
+        a4e = beta * ts * ti - ed / kr
+        a4i = ed / kr - mu * ti
         a4r = mu * ti - gamma * tr
 
         s = s + h6 * (a1s + 2.0 * (a2s + a3s) + a4s)
@@ -72,156 +82,80 @@ def ode_rk4(s, e, i, rc, h, n_steps, beta, mu, gamma, kr, sum_tol, neg_tol):
 
         d = ((s + e) + i) + rc - 1.0
         if d > sum_tol or -d > sum_tol:
-            return out, SUM_BREACH, k + 1
+            return SUM_BREACH, k + 1
         if s < neg_tol or e < neg_tol or i < neg_tol or rc < neg_tol:
-            return out, NEGATIVE, k + 1
+            return NEGATIVE, k + 1
         out[k + 1, 0] = s
         out[k + 1, 1] = e
         out[k + 1, 2] = i
         out[k + 1, 3] = rc
-    return out, OK, -1
+    return OK, -1
+
+
+@maybe_jit
+def ode_rk4(s, e, i, rc, h, n_steps, beta, mu, gamma, kr, sum_tol, neg_tol):
+    """Classical RK4 for the nondelayed system. Returns (nodes, status, bad_node)."""
+    out = np.empty((n_steps + 1, 4))
+    status, node = _rk4_steps(out, s, e, i, rc, False, 0.0, h, n_steps, beta,
+                              mu, gamma, kr, sum_tol, neg_tol)
+    return out, status, node
 
 
 @maybe_jit
 def dde_rk4_abm4(s, e, i, rc, e_hist, h, n_steps, m, beta, mu, gamma, kr,
                  sum_tol, neg_tol):
-    """Method of steps for the delayed system.
+    """Method of steps for the delayed system (m = r/h >= 3).
 
     On [0, r] the delayed exposed value is the constant history, so classical
-    RK4 applies unchanged and keeps full order. Past r the scheme switches to
-    an Adams-Bashforth/Adams-Moulton predictor-corrector (PECE) over stored
-    node derivatives, order 4 once four nodes exist (the order ramps 2..4 for
-    the first steps only when m < 3). The corrector is interpolation-free:
-    the delayed value at t_{k+1} is itself a stored node.
+    RK4 applies unchanged and keeps full order; it also supplies the m + 1 >= 4
+    starting nodes of the order-4 Adams-Bashforth/Adams-Moulton
+    predictor-corrector (PECE) that runs past r over stored node derivatives.
+    The corrector is interpolation-free: the delayed value at t_{k+1} is
+    itself a stored node.
     """
     out = np.empty((n_steps + 1, 4))
-    fv = np.empty((n_steps + 1, 4))
-    out[0, 0] = s
-    out[0, 1] = e
-    out[0, 2] = i
-    out[0, 3] = rc
-    # node derivatives are needed by the AB stage; delayed value at node j is
-    # the constant history while j <= m, afterwards the stored node j - m
-    fv[0, 0] = -beta * s * i + gamma * rc
-    fv[0, 1] = beta * s * i - e_hist / kr
-    fv[0, 2] = e_hist / kr - mu * i
-    fv[0, 3] = mu * i - gamma * rc
-
-    h2 = 0.5 * h
-    h6 = h / 6.0
     n1 = m if m < n_steps else n_steps
-    for k in range(n1):
-        # all four stage times lie in [t_k, t_k + h] <= r, so the delayed
-        # exposed value is e_hist for every stage
-        a1s = -beta * s * i + gamma * rc
-        a1e = beta * s * i - e_hist / kr
-        a1i = e_hist / kr - mu * i
-        a1r = mu * i - gamma * rc
+    status, node = _rk4_steps(out, s, e, i, rc, True, e_hist, h, n1, beta, mu,
+                              gamma, kr, sum_tol, neg_tol)
+    if status != OK:
+        return out, status, node
 
-        ts = s + h2 * a1s
-        te = e + h2 * a1e
-        ti = i + h2 * a1i
-        tr = rc + h2 * a1r
-        a2s = -beta * ts * ti + gamma * tr
-        a2e = beta * ts * ti - e_hist / kr
-        a2i = e_hist / kr - mu * ti
-        a2r = mu * ti - gamma * tr
+    # node derivatives for the Adams stages; the delayed value at node j is
+    # the constant history while j < m, afterwards the stored node j - m
+    fv = np.empty((n_steps + 1, 4))
+    for j in range(n1 + 1):
+        ed = e_hist if j < m else out[j - m, 1]
+        fv[j, 0] = -beta * out[j, 0] * out[j, 2] + gamma * out[j, 3]
+        fv[j, 1] = beta * out[j, 0] * out[j, 2] - ed / kr
+        fv[j, 2] = ed / kr - mu * out[j, 2]
+        fv[j, 3] = mu * out[j, 2] - gamma * out[j, 3]
 
-        ts = s + h2 * a2s
-        te = e + h2 * a2e
-        ti = i + h2 * a2i
-        tr = rc + h2 * a2r
-        a3s = -beta * ts * ti + gamma * tr
-        a3e = beta * ts * ti - e_hist / kr
-        a3i = e_hist / kr - mu * ti
-        a3r = mu * ti - gamma * tr
-
-        ts = s + h * a3s
-        te = e + h * a3e
-        ti = i + h * a3i
-        tr = rc + h * a3r
-        a4s = -beta * ts * ti + gamma * tr
-        a4e = beta * ts * ti - e_hist / kr
-        a4i = e_hist / kr - mu * ti
-        a4r = mu * ti - gamma * tr
-
-        s = s + h6 * (a1s + 2.0 * (a2s + a3s) + a4s)
-        e = e + h6 * (a1e + 2.0 * (a2e + a3e) + a4e)
-        i = i + h6 * (a1i + 2.0 * (a2i + a3i) + a4i)
-        rc = rc + h6 * (a1r + 2.0 * (a2r + a3r) + a4r)
-
-        d = ((s + e) + i) + rc - 1.0
-        if d > sum_tol or -d > sum_tol:
-            return out, SUM_BREACH, k + 1
-        if s < neg_tol or e < neg_tol or i < neg_tol or rc < neg_tol:
-            return out, NEGATIVE, k + 1
-        out[k + 1, 0] = s
-        out[k + 1, 1] = e
-        out[k + 1, 2] = i
-        out[k + 1, 3] = rc
-
-        j = k + 1
-        if j < m:
-            ed = e_hist
-        else:
-            ed = out[j - m, 1]
-        fv[j, 0] = -beta * s * i + gamma * rc
-        fv[j, 1] = beta * s * i - ed / kr
-        fv[j, 2] = ed / kr - mu * i
-        fv[j, 3] = mu * i - gamma * rc
-
+    s = out[n1, 0]
+    e = out[n1, 1]
+    i = out[n1, 2]
+    rc = out[n1, 3]
+    c = h / 24.0
     for k in range(n1, n_steps):
         j = k + 1
-        if j < m:
-            ed = e_hist
-        else:
-            ed = out[j - m, 1]
-        if k >= 3:
-            c = h / 24.0
-            ps = s + c * (55.0 * fv[k, 0] - 59.0 * fv[k - 1, 0]
-                          + 37.0 * fv[k - 2, 0] - 9.0 * fv[k - 3, 0])
-            pi = i + c * (55.0 * fv[k, 2] - 59.0 * fv[k - 1, 2]
-                          + 37.0 * fv[k - 2, 2] - 9.0 * fv[k - 3, 2])
-            pr = rc + c * (55.0 * fv[k, 3] - 59.0 * fv[k - 1, 3]
-                           + 37.0 * fv[k - 2, 3] - 9.0 * fv[k - 3, 3])
-            gs = -beta * ps * pi + gamma * pr
-            ge = beta * ps * pi - ed / kr
-            gi = ed / kr - mu * pi
-            gr = mu * pi - gamma * pr
-            s = s + c * (9.0 * gs + 19.0 * fv[k, 0] - 5.0 * fv[k - 1, 0]
-                         + fv[k - 2, 0])
-            e = e + c * (9.0 * ge + 19.0 * fv[k, 1] - 5.0 * fv[k - 1, 1]
-                         + fv[k - 2, 1])
-            i = i + c * (9.0 * gi + 19.0 * fv[k, 2] - 5.0 * fv[k - 1, 2]
-                         + fv[k - 2, 2])
-            rc = rc + c * (9.0 * gr + 19.0 * fv[k, 3] - 5.0 * fv[k - 1, 3]
-                           + fv[k - 2, 3])
-        elif k == 2:
-            c = h / 12.0
-            ps = s + c * (23.0 * fv[k, 0] - 16.0 * fv[k - 1, 0] + 5.0 * fv[k - 2, 0])
-            pi = i + c * (23.0 * fv[k, 2] - 16.0 * fv[k - 1, 2] + 5.0 * fv[k - 2, 2])
-            pr = rc + c * (23.0 * fv[k, 3] - 16.0 * fv[k - 1, 3] + 5.0 * fv[k - 2, 3])
-            gs = -beta * ps * pi + gamma * pr
-            ge = beta * ps * pi - ed / kr
-            gi = ed / kr - mu * pi
-            gr = mu * pi - gamma * pr
-            s = s + c * (5.0 * gs + 8.0 * fv[k, 0] - fv[k - 1, 0])
-            e = e + c * (5.0 * ge + 8.0 * fv[k, 1] - fv[k - 1, 1])
-            i = i + c * (5.0 * gi + 8.0 * fv[k, 2] - fv[k - 1, 2])
-            rc = rc + c * (5.0 * gr + 8.0 * fv[k, 3] - fv[k - 1, 3])
-        else:
-            c = 0.5 * h
-            ps = s + c * (3.0 * fv[k, 0] - fv[k - 1, 0])
-            pi = i + c * (3.0 * fv[k, 2] - fv[k - 1, 2])
-            pr = rc + c * (3.0 * fv[k, 3] - fv[k - 1, 3])
-            gs = -beta * ps * pi + gamma * pr
-            ge = beta * ps * pi - ed / kr
-            gi = ed / kr - mu * pi
-            gr = mu * pi - gamma * pr
-            s = s + c * (gs + fv[k, 0])
-            e = e + c * (ge + fv[k, 1])
-            i = i + c * (gi + fv[k, 2])
-            rc = rc + c * (gr + fv[k, 3])
+        ed = out[j - m, 1]
+        ps = s + c * (55.0 * fv[k, 0] - 59.0 * fv[k - 1, 0]
+                      + 37.0 * fv[k - 2, 0] - 9.0 * fv[k - 3, 0])
+        pi = i + c * (55.0 * fv[k, 2] - 59.0 * fv[k - 1, 2]
+                      + 37.0 * fv[k - 2, 2] - 9.0 * fv[k - 3, 2])
+        pr = rc + c * (55.0 * fv[k, 3] - 59.0 * fv[k - 1, 3]
+                       + 37.0 * fv[k - 2, 3] - 9.0 * fv[k - 3, 3])
+        gs = -beta * ps * pi + gamma * pr
+        ge = beta * ps * pi - ed / kr
+        gi = ed / kr - mu * pi
+        gr = mu * pi - gamma * pr
+        s = s + c * (9.0 * gs + 19.0 * fv[k, 0] - 5.0 * fv[k - 1, 0]
+                     + fv[k - 2, 0])
+        e = e + c * (9.0 * ge + 19.0 * fv[k, 1] - 5.0 * fv[k - 1, 1]
+                     + fv[k - 2, 1])
+        i = i + c * (9.0 * gi + 19.0 * fv[k, 2] - 5.0 * fv[k - 1, 2]
+                     + fv[k - 2, 2])
+        rc = rc + c * (9.0 * gr + 19.0 * fv[k, 3] - 5.0 * fv[k - 1, 3]
+                       + fv[k - 2, 3])
 
         d = ((s + e) + i) + rc - 1.0
         if d > sum_tol or -d > sum_tol:
@@ -242,41 +176,28 @@ def dde_rk4_abm4(s, e, i, rc, e_hist, h, n_steps, m, beta, mu, gamma, kr,
 
 @maybe_jit
 def scalar_dde(f0, kcoef, h, n_steps, m):
-    """Pure-delay test equation F'(t) = -k F(t - r) with constant history F = f0.
+    """Pure-delay test equation F'(t) = -k F(t - r) with constant history F = f0
+    (m = r/h >= 3).
 
     On [0, r] the derivative is the constant -k*f0, so the update is exact;
     afterwards 4-step Adams-Bashforth with stored-node delayed lookups.
     """
     vals = np.empty(n_steps + 1)
     der = np.empty(n_steps + 1)
+    d0 = -kcoef * f0
     vals[0] = f0
-    der[0] = -kcoef * f0
+    der[0] = d0
     v = f0
     n1 = m if m < n_steps else n_steps
     for k in range(n1):
-        v = v + h * (-kcoef * f0)
+        v = v + h * d0
         vals[k + 1] = v
-        j = k + 1
-        if j < m:
-            der[j] = -kcoef * f0
-        else:
-            der[j] = -kcoef * vals[j - m]
+        der[k + 1] = d0
     for k in range(n1, n_steps):
-        if k >= 3:
-            v = v + (h / 24.0) * (55.0 * der[k] - 59.0 * der[k - 1]
-                                  + 37.0 * der[k - 2] - 9.0 * der[k - 3])
-        elif k == 2:
-            v = v + (h / 12.0) * (23.0 * der[k] - 16.0 * der[k - 1] + 5.0 * der[k - 2])
-        elif k == 1:
-            v = v + 0.5 * h * (3.0 * der[k] - der[k - 1])
-        else:
-            v = v + h * der[k]
+        v = v + (h / 24.0) * (55.0 * der[k] - 59.0 * der[k - 1]
+                              + 37.0 * der[k - 2] - 9.0 * der[k - 3])
         vals[k + 1] = v
-        j = k + 1
-        if j < m:
-            der[j] = -kcoef * f0
-        else:
-            der[j] = -kcoef * vals[j - m]
+        der[k + 1] = -kcoef * vals[k + 1 - m]
     return vals
 
 

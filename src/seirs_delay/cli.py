@@ -22,12 +22,15 @@ document with dotted sections::
     init.r0 = 0.0
 
     run.horizon = 100.0
-    run.step = 0.01       # optional; default min(0.01, r/50) made to divide r
+    run.step = 0.01       # optional; must divide r into >= 3 steps (r > 0)
+                          # or divide run.horizon (r = 0); default
+                          # min(0.01, r/50) made to divide r
     run.trajectory = out.csv   # optional CSV destination
 
     ensemble.n_rep = 200
     ensemble.seed = 0
-    ensemble.rho_grid = 0.01, 0.02, 0.05   # optional
+    ensemble.rho_grid = 0.01, 0.02, 0.05   # optional; default: quantiles
+                                           # of the sup deviations
 
 Reports are deterministic "key = value" lines (floats with 17 significant
 digits) so byte-level golden comparisons work. Exit codes: 0 ok, 2 parse
@@ -52,7 +55,7 @@ from .delay_margin import (NoCrossingError, deg2_crossing, deg2_instability_poss
                            deg3_abc, deg3_crossing, deg3_instability_possible,
                            free_disease_margin)
 from .det_integrator import (IntegrationError, Trajectory, default_step,
-                             integrate_dde, integrate_ode)
+                             integrate_dde, integrate_ode, step_grid)
 from .equilibria import equilibrium_residual, equilibrium_set
 from .linear_stability import (char_poly_delay_coexistence, char_poly_delay_free,
                                free_disease_eigenvalues_closed_form,
@@ -98,9 +101,9 @@ class RunConfig:
     """Everything one command invocation needs.
 
     step = None means "pick the default": the largest step <= min(0.01, r/50)
-    that divides the delay exactly. Explicit steps are checked for
-    divisibility at parse time. warnings carries unknown-key notices and is
-    excluded from equality so round-trips compare clean.
+    that divides the delay exactly. Explicit steps are checked against the
+    step_grid rule at parse time. warnings carries unknown-key notices and
+    is excluded from equality so round-trips compare clean.
     """
 
     params: Params
@@ -230,7 +233,7 @@ def parse_config(text: str) -> RunConfig:
     if step is not None:
         if not (math.isfinite(step) and step > 0.0):
             raise ValidationError(f"run.step: must be a positive finite step, got {step!r}")
-        _check_divisibility(params, horizon, step)
+        step_grid(params.r, horizon, step)
     trajectory = entries["run.trajectory"][0] if "run.trajectory" in entries else None
 
     n_rep = _as_int(entries, "ensemble.n_rep")
@@ -250,22 +253,6 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(params=params, initial=initial, horizon=horizon,
                      step=step, trajectory=trajectory, n_rep=n_rep, seed=seed,
                      rho_grid=rho_grid, warnings=warnings)
-
-
-def _check_divisibility(params: Params, horizon: float, step: float) -> None:
-    if params.r > 0.0:
-        k = params.r / step
-        if abs(k - round(k)) > 1e-12 * max(1.0, abs(k)) or round(k) < 1:
-            raise ValidationError(
-                f"run.step: {step!r} does not divide the delay r={params.r!r}")
-        if horizon < params.r:
-            raise ValidationError(
-                f"run.horizon: {horizon!r} must be at least the delay r={params.r!r}")
-    else:
-        k = horizon / step
-        if abs(k - round(k)) > 1e-12 * max(1.0, abs(k)) or round(k) < 1:
-            raise ValidationError(
-                f"run.step: {step!r} does not divide run.horizon={horizon!r}")
 
 
 def _fnum(x: float) -> str:
@@ -344,8 +331,13 @@ def _echo(rep: Report, cfg: RunConfig, with_run: bool = False,
     for name in ("e0", "s0", "i0", "r0"):
         rep.add(f"init.{name}", getattr(ic, name))
     if with_run:
+        h = cfg.resolved_step()
         rep.add("run.horizon", cfg.horizon)
-        rep.add("run.step", cfg.resolved_step())
+        rep.add("run.step", h)
+        _, _, t_last = step_grid(p.r, cfg.horizon, h)
+        if t_last != cfg.horizon:
+            rep.warn(f"run.horizon = {cfg.horizon!r} is not a whole number "
+                     f"of steps; the last node is t = {t_last!r}")
     if with_ensemble:
         rep.add("ensemble.n_rep", cfg.n_rep)
         rep.add("ensemble.seed", cfg.seed)
@@ -494,17 +486,10 @@ def _cmd_delay_margin(cfg: RunConfig) -> Report:
 def _cmd_concentration(cfg: RunConfig) -> Report:
     rep = Report("concentration")
     _echo(rep, cfg, with_run=True, with_ensemble=True)
-    p = cfg.params
-    if cfg.rho_grid is not None:
-        grid = cfg.rho_grid
-    else:
-        # sup deviations scale roughly linearly in epsilon; cover the bulk
-        # and the tail of that range
-        grid = tuple(p.epsilon * f for f in (0.5, 0.75, 1.0, 1.5, 2.0, 3.0)) \
-            if p.epsilon > 0.0 else (0.01,)
-    rep.add("rho_grid", ", ".join(_fmt(v) for v in grid))
-    out = concentration_check(p, cfg.initial, cfg.horizon, cfg.resolved_step(),
-                              cfg.n_rep, grid, Seed(cfg.seed))
+    out = concentration_check(cfg.params, cfg.initial, cfg.horizon,
+                              cfg.resolved_step(), cfg.n_rep, cfg.rho_grid,
+                              Seed(cfg.seed))
+    rep.add("rho_grid", ", ".join(_fmt(v) for v in out.rho_grid) or None)
     rep.add("degenerate", out.degenerate)
     for j, rho in enumerate(out.rho_grid):
         rep.add(f"tail.{j}.rho", rho)

@@ -164,7 +164,7 @@ def deg2_crossing(q: QuasiPolynomial) -> CrossingReport:
                               "frequency equation")
     w2 = 0.5 * (gap + math.sqrt(gap * gap - 4.0 * c))
     if not w2 > 0.0:
-        raise NoCrossingError(f"no crossing: omega^2 = {w2!r} is not positive")
+        raise NoCrossingError(f"no crossing: omega^2 = {float(w2)!r} is not positive")
     omega = math.sqrt(w2)
     den = b1 * b1 * w2 + b0 * b0
     cos_t = -(a1 * b1 * w2 + (a0 - w2) * b0) / den
@@ -298,7 +298,7 @@ def deg3_crossing(q: QuasiPolynomial) -> Optional[CrossingReport]:
         w2 = roots[0]
     if not w2 > 0.0:
         raise NoCrossingError(
-            f"no crossing: the real root omega^2 = {w2!r} is not positive")
+            f"no crossing: the real root omega^2 = {float(w2)!r} is not positive")
     omega = math.sqrt(w2)
     pdel = b0 - b2 * w2
     den = b1 * b1 * w2 + pdel * pdel

@@ -3,12 +3,12 @@
 Three routes:
 
 * :func:`integrate_ode`: classical RK4 for the nondelayed system (r = 0).
-* :func:`integrate_dde`: method of steps for r > 0. The step is required to
-  divide the delay exactly, so the delayed term is always a stored node and
-  no history interpolation happens. On [0, r] the delayed value is the
-  constant initial history and RK4 keeps full order; afterwards an
-  Adams-Bashforth/Adams-Moulton predictor-corrector of order 4 runs over
-  stored node derivatives.
+* :func:`integrate_dde`: method of steps for r > 0 on the grid of
+  :func:`step_grid`, whose step divides the delay, so the delayed term is
+  always a stored node and no history interpolation happens. On [0, r] the
+  delayed value is the constant initial history and RK4 keeps full order;
+  afterwards an Adams-Bashforth/Adams-Moulton predictor-corrector of order 4
+  runs over stored node derivatives.
 * :func:`integrate_dde_cascade`: interval-by-interval evaluation of the exact
   integral representations (integrating factors for I, R, S; a direct
   integral for E) with composite Simpson quadrature. Slower and
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .model_core import (NEGATIVITY_TOL, PROPAGATION_SUM_TOL, InitialCondition,
 __all__ = [
     "IntegrationError",
     "Trajectory",
+    "step_grid",
     "default_step",
     "integrate_ode",
     "integrate_dde",
@@ -79,27 +81,49 @@ class Trajectory:
         return float(self.states.min())
 
 
-def _exact_steps(total: float, h: float, what: str) -> int:
-    """Number of steps when h must divide total (within 1e-12, relative)."""
+# relative tolerance within which a step divides the delay or the horizon
+GRID_RTOL = 1e-12
+
+
+def step_grid(r: float, t_end: float, h: float) -> tuple[int, int, float]:
+    """Step count n, delay offset m = r/h (0 when r = 0) and last node time
+    n*h of a stepped run with delay r, horizon t_end and step h.
+
+    For r > 0, h must divide r into at least 3 steps (delayed values are then
+    stored nodes and the 4-step Adams methods have their starting values) and
+    t_end >= r; the nodes cover [0, t_end], rounding up when t_end is not a
+    whole number of steps. For r = 0, h must divide t_end. The rules differ
+    because with r > 0 the step is pinned by the delay, so the horizon cannot
+    always be a multiple of it; with r = 0 the step is free. "Divides" holds
+    within GRID_RTOL, relative.
+    """
     if not (h > 0.0 and math.isfinite(h)):
         raise ValidationError(f"h: must be a positive finite step, got {h!r}")
+    m = 0
+    if r > 0.0:
+        m = _whole_steps(r, h)
+        if m is None:
+            raise ValidationError(f"step h={h!r} does not divide the delay r={r!r}")
+        if m < 3:
+            raise ValidationError(
+                f"step h={h!r} gives r/h = {m}: the delay must span at least 3 steps")
+        if t_end < r:
+            raise ValidationError(f"t_end={t_end!r} must be at least the delay r={r!r}")
+    n = _whole_steps(t_end, h)
+    if n is None:
+        if r == 0.0:
+            raise ValidationError(
+                f"t_end={t_end!r} is not an integer multiple of the step h={h!r} "
+                "(required when r = 0)")
+        n = math.ceil(t_end / h)
+    return n, m, n * h
+
+
+def _whole_steps(total: float, h: float) -> Optional[int]:
+    """total/h when it is a positive whole number within GRID_RTOL, else None."""
     k = total / h
-    n = int(round(k))
-    if n < 1 or abs(k - n) > 1e-12 * max(1.0, abs(k)):
-        raise ValidationError(
-            f"{what}: {total!r} is not an integer multiple of h={h!r}")
-    return n
-
-
-def _horizon_steps(t_end: float, h: float) -> int:
-    """Steps covering [0, t_end]; exact multiple preferred, else round up."""
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValidationError(f"h: must be a positive finite step, got {h!r}")
-    k = t_end / h
-    n = int(round(k))
-    if n >= 1 and abs(k - n) <= 1e-9 * max(1.0, abs(k)):
-        return n
-    return max(1, int(math.ceil(k)))
+    n = round(k)
+    return n if n >= 1 and abs(k - n) <= GRID_RTOL * max(1.0, k) else None
 
 
 def default_step(r: float) -> float:
@@ -123,14 +147,14 @@ def _status_error(status: int, node: int) -> IntegrationError:
 def integrate_ode(p: Params, x0: State, t_end: float, h: float) -> Trajectory:
     """Integrate the nondelayed system (p.r must be 0) with classical RK4.
 
-    h must divide t_end within 1e-12 and t_end >= h. Simplex-sum drift
-    beyond 1e-10 or a component below -1e-9 aborts with the node index.
+    h must divide t_end (see step_grid). Simplex-sum drift beyond 1e-10 or
+    a component below -1e-9 aborts with the node index.
     """
     p.require_valid()
     if p.r != 0.0:
         raise ValidationError("integrate_ode requires r = 0; "
                               "use integrate_dde for a delayed run")
-    n = _exact_steps(t_end, h, "t_end")
+    n, _, _ = step_grid(0.0, t_end, h)
     out, status, node = _kernels.ode_rk4(
         x0.s, x0.e, x0.i, x0.rcv, h, n, p.beta, p.mu, p.gamma, p.k_r,
         PROPAGATION_SUM_TOL, NEGATIVITY_TOL)
@@ -143,18 +167,15 @@ def integrate_dde(p: Params, ic: InitialCondition, t_end: float,
                   h: float) -> Trajectory:
     """Integrate the delayed system (p.r > 0) by the method of steps.
 
-    r/h must be an integer (within 1e-12) so delayed lookups hit stored
-    nodes, and t_end >= r. Invariant breaches abort with the node index.
+    The grid is step_grid's: r/h is a whole number >= 3, so delayed lookups
+    hit stored nodes, and t_end >= r. Invariant breaches abort with the
+    node index.
     """
     p.require_valid()
     if not p.r > 0.0:
         raise ValidationError("integrate_dde requires r > 0; "
                               "use integrate_ode for the nondelayed system")
-    m = _exact_steps(p.r, h, "delay r")
-    if t_end < p.r:
-        raise ValidationError(
-            f"t_end={t_end!r} must be at least the delay r={p.r!r}")
-    n = _horizon_steps(t_end, h)
+    n, m, _ = step_grid(p.r, t_end, h)
     out, status, node = _kernels.dde_rk4_abm4(
         ic.s0, ic.e0, ic.i0, ic.r0, ic.e0, h, n, m,
         p.beta, p.mu, p.gamma, p.k_r, PROPAGATION_SUM_TOL, NEGATIVITY_TOL)
@@ -208,7 +229,7 @@ def integrate_dde_cascade(p: Params, ic: InitialCondition, t_end: float,
         raise ValidationError(
             f"t_end={t_end!r} must be at least the delay r={p.r!r}")
     beta, mu, gamma, kr, r = p.beta, p.mu, p.gamma, p.k_r, p.r
-    n_int = max(1, int(math.ceil(t_end / r - 1e-12)))
+    n_int = max(1, int(math.ceil(t_end / r - GRID_RTOL)))
     hq = r / quad_n
     tloc = np.arange(quad_n + 1) * hq
     exp_mu = np.exp(mu * tloc)
@@ -265,6 +286,5 @@ def integrate_scalar_comparison(k: float, r: float, f0: float, t_end: float,
         raise ValidationError(f"r: must be > 0, got {r!r}")
     if not (math.isfinite(f0) and f0 >= 0.0):
         raise ValidationError(f"f0: must be >= 0, got {f0!r}")
-    m = _exact_steps(r, h, "delay r")
-    n = _horizon_steps(t_end, h)
+    n, m, _ = step_grid(r, t_end, h)
     return _kernels.scalar_dde(f0, k, h, n, m)

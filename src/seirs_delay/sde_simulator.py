@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .det_integrator import IntegrationError, Trajectory, _horizon_steps, _exact_steps
+from .det_integrator import IntegrationError, Trajectory, step_grid
 from .model_core import (InitialCondition, Params, State, ValidationError,
                          make_run_state)
 
@@ -87,9 +87,8 @@ def _noise_path(p: Params, h: float, n: int, seed: Seed,
     return seed.rng(replica).normal(0.0, math.sqrt(h), n)
 
 
-def _run_path(p: Params, ic: InitialCondition, t_end: float, h: float,
+def _run_path(p: Params, ic: InitialCondition, h: float, m: int,
               dw: np.ndarray, replica: int) -> Trajectory:
-    m = _exact_steps(p.r, h, "delay r") if p.r > 0.0 else 0
     n = len(dw)
     out, status, node, comp = _kernels.euler_maruyama(
         ic.s0, ic.e0, ic.i0, ic.r0, ic.e0, h, n, m,
@@ -99,7 +98,7 @@ def _run_path(p: Params, ic: InitialCondition, t_end: float, h: float,
         name = _COMP_NAMES[comp]
         tag = f" (replica {replica})" if replica >= 0 else ""
         raise ExcursionError(
-            f"excursion: component {name} = {out[node, comp]!r} left "
+            f"excursion: component {name} = {float(out[node, comp])!r} left "
             f"[-{EXCURSION_BAND}, {1.0 + EXCURSION_BAND}] at step {node}{tag}",
             node, name, replica)
     return Trajectory(times=np.arange(n + 1) * h, states=out, step=h)
@@ -111,14 +110,14 @@ def simulate_sde(p: Params, ic: InitialCondition, t_end: float, h: float,
 
     A single Gaussian increment per step enters S with sign - and E with
     sign +; I and R are drift-only. The delayed exposed value is read from
-    stored nodes exactly as in the deterministic integrator (r/h must be an
-    integer when r > 0). Components leaving [-0.05, 1.05] abort with an
-    excursion diagnostic naming the step and component.
+    stored nodes exactly as in the deterministic integrator, on the same
+    step_grid. Components leaving [-0.05, 1.05] abort with an excursion
+    diagnostic naming the step and component.
     """
     p.require_valid()
-    n = _horizon_steps(t_end, h)
+    n, m, _ = step_grid(p.r, t_end, h)
     dw = _noise_path(p, h, n, seed, replica)
-    return _run_path(p, ic, t_end, h, dw, replica)
+    return _run_path(p, ic, h, m, dw, replica)
 
 
 def deterministic_euler(p: Params, ic: InitialCondition, t_end: float,
@@ -127,8 +126,7 @@ def deterministic_euler(p: Params, ic: InitialCondition, t_end: float,
     as the stochastic step, so the eps = 0 stochastic path matches it
     bitwise."""
     p.require_valid()
-    n = _horizon_steps(t_end, h)
-    m = _exact_steps(p.r, h, "delay r") if p.r > 0.0 else 0
+    n, m, _ = step_grid(p.r, t_end, h)
     out = np.empty((n + 1, 4))
     s, e, i, rc = ic.s0, ic.e0, ic.i0, ic.r0
     out[0] = (s, e, i, rc)
@@ -185,15 +183,14 @@ def ensemble(p: Params, ic: InitialCondition, t_end: float, h: float,
     p.require_valid()
     if n_rep < 1:
         raise ValidationError(f"n_rep: must be >= 1, got {n_rep!r}")
-    n = _horizon_steps(t_end, h)
-    zeros = np.zeros(n)
-    ref = _run_path(replace(p, epsilon=0.0), ic, t_end, h, zeros, -1)
+    n, m, _ = step_grid(p.r, t_end, h)
+    ref = _run_path(replace(p, epsilon=0.0), ic, h, m, np.zeros(n), -1)
     sups = np.empty(n_rep)
     finals = np.empty((n_rep, 4))
     for j in range(n_rep):
         idx = replica_base + j
         dw = _noise_path(p, h, n, seed, idx)
-        traj = _run_path(p, ic, t_end, h, dw, idx)
+        traj = _run_path(p, ic, h, m, dw, idx)
         sups[j] = np.max(np.abs(traj.states - ref.states))
         finals[j] = traj.states[-1]
     mf = finals.mean(axis=0)
@@ -235,8 +232,9 @@ MIN_EXCEEDANCES = 5
 
 
 def concentration_check(p: Params, ic: InitialCondition, t_end: float,
-                        h: float, n_rep: int, rho_grid: Sequence[float],
-                        seed: Seed, transfer_factor: float = 2.0,
+                        h: float, n_rep: int,
+                        rho_grid: Optional[Sequence[float]], seed: Seed,
+                        transfer_factor: float = 2.0,
                         safety: float = 3.0) -> ConcentrationReport:
     """Estimate the tail-decay constant and test it at a larger noise level.
 
@@ -246,14 +244,18 @@ def concentration_check(p: Params, ic: InitialCondition, t_end: float,
     exceedances". The decay constants of the underlying bound are
     existential; this estimates, never asserts, their values. With the
     fitted c the tail of a second ensemble at eps' = transfer_factor*eps is
-    compared against exp(-c*rho^2/eps'^2)*safety pointwise.
+    compared against exp(-c*rho^2/eps'^2)*safety pointwise. rho_grid = None
+    takes the quantile grid that ensemble derives from the reference
+    ensemble's sup deviations (empty when eps = 0).
     """
     p.require_valid()
-    grid = tuple(float(v) for v in np.sort(np.asarray(rho_grid, dtype=float)))
-    if len(grid) == 0:
-        raise ValidationError("rho_grid: must be nonempty")
-    if any(v <= 0.0 for v in grid):
-        raise ValidationError("rho_grid: entries must be > 0")
+    grid = ()
+    if rho_grid is not None:
+        grid = tuple(float(v) for v in np.sort(np.asarray(rho_grid, dtype=float)))
+        if len(grid) == 0:
+            raise ValidationError("rho_grid: must be nonempty")
+        if any(v <= 0.0 for v in grid):
+            raise ValidationError("rho_grid: entries must be > 0")
     if p.epsilon == 0.0:
         zeros = tuple(0.0 for _ in grid)
         return ConcentrationReport(
@@ -262,7 +264,9 @@ def concentration_check(p: Params, ic: InitialCondition, t_end: float,
             eps_transfer=None, transfer_tail=(), transfer_bound=(),
             transfer_ok=None, safety=safety, degenerate=True)
 
-    ens = ensemble(p, ic, t_end, h, n_rep, seed, rho_grid=grid)
+    ens = ensemble(p, ic, t_end, h, n_rep, seed,
+                   rho_grid=None if rho_grid is None else grid)
+    grid = tuple(rho for rho, _ in ens.tail)
     tail = tuple(pr for _, pr in ens.tail)
     counts = tuple(int(round(pr * n_rep)) for pr in tail)
     xs, ys = [], []
@@ -415,11 +419,11 @@ def stochastic_stability_experiment(p: Params, ic: InitialCondition,
         raise ValidationError("nondelayed analysis only: r must be 0")
     if n_rep < 1:
         raise ValidationError(f"n_rep: must be >= 1, got {n_rep!r}")
-    n = _horizon_steps(t_end, h)
+    n, _, _ = step_grid(0.0, t_end, h)
     eir = np.empty(n_rep)
     for j in range(n_rep):
         dw = _noise_path(p, h, n, seed, j)
-        traj = _run_path(p, ic, t_end, h, dw, j)
+        traj = _run_path(p, ic, h, 0, dw, j)
         eir[j] = float(traj.states[-1, 1:].sum())
     return StochasticStabilityReport(
         n_rep=n_rep,

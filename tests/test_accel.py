@@ -1,9 +1,11 @@
 """The JIT flag and bitwise agreement of the compiled and pure kernel paths."""
+import importlib.util
 import os
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 DRIVER = """\
 import sys
@@ -32,6 +34,9 @@ def run_driver(flag, dest):
                           capture_output=True, text=True, env=env)
 
 
+@pytest.mark.skipif(importlib.util.find_spec("numba") is None,
+                    reason="numba is not installed: there is no compiled path "
+                           "to compare with the pure-Python one")
 def test_compiled_and_pure_paths_bitwise_identical(tmp_path):
     arrays = {}
     for flag in ("0", "1"):

@@ -46,6 +46,8 @@ from seirs_delay.cli import EXIT_OK, main as cli_main
 GOLDEN = Path(__file__).parent / "golden"
 CLI_COMMANDS = ("equilibria", "simulate", "simulate-sde", "stability",
                 "delay-margin", "concentration", "lyapunov")
+# golden file stem -> command; simulate-ode is simulate on the r = 0 RK4 path
+GOLDEN_RUNS = {cmd: cmd for cmd in CLI_COMMANDS} | {"simulate-ode": "simulate"}
 
 IC_MAIN = make_initial_condition(e0=0.05, s0=0.9, i0=0.05, r0=0.0)
 P_NOISY = Params(0.1, 0.2, 0.3, 2.0, r=0.0, epsilon=0.1)
@@ -332,15 +334,16 @@ def test_criterion_09_lyapunov_certificate():
 
 
 def test_criterion_10_cli_determinism(tmp_path):
-    for cmd in CLI_COMMANDS:
-        cfg = GOLDEN / f"{cmd}.cfg"
+    for name, cmd in GOLDEN_RUNS.items():
+        cfg = GOLDEN / f"{name}.cfg"
         outs = []
         for run_idx in (0, 1):
-            dest = tmp_path / f"{cmd}.{run_idx}.txt"
+            dest = tmp_path / f"{name}.{run_idx}.txt"
             rc = cli_main([cmd, "--config", str(cfg), "--out", str(dest)])
             assert rc == EXIT_OK
             outs.append(dest.read_bytes())
         assert outs[0] == outs[1]
-        assert outs[0] == (GOLDEN / f"{cmd}.report.txt").read_bytes()
-    print("criterion 10: PASS - all 7 commands byte-identical across runs "
-          "and equal to their golden reports")
+        assert outs[0] == (GOLDEN / f"{name}.report.txt").read_bytes()
+    print(f"criterion 10: PASS - all {len(GOLDEN_RUNS)} golden runs of the 7 "
+          "commands byte-identical across runs and equal to their golden "
+          "reports")

@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -122,10 +123,14 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="k_r"):
             parse_config(MINIMAL + "params.r = 1.0\n")
 
-    def test_step_must_divide_delay(self):
+    def test_step_must_divide_delay(self, tmp_path, capsys):
         with pytest.raises(ValidationError, match="does not divide the delay"):
             parse_config(ENDEMIC.replace("run.step = 0.01",
                                          "run.step = 0.03"))
+        cfg = tmp_path / "coarse.cfg"
+        cfg.write_text(ENDEMIC.replace("run.step = 0.01", "run.step = 0.25"))
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_VALIDATION
+        assert "at least 3 steps" in capsys.readouterr().err
 
     def test_horizon_must_cover_delay(self):
         with pytest.raises(ValidationError, match="at least the delay"):
@@ -133,7 +138,7 @@ class TestParseConfig:
                                          "run.horizon = 0.25"))
 
     def test_step_must_divide_horizon_without_delay(self):
-        with pytest.raises(ValidationError, match="does not divide run.horizon"):
+        with pytest.raises(ValidationError, match="not an integer multiple of the step"):
             parse_config(MINIMAL + "run.horizon = 1.0\nrun.step = 0.3\n")
 
     def test_nonpositive_horizon(self):
@@ -355,6 +360,31 @@ class TestMain:
         assert lines[1].startswith("0.0,")
         for row in lines[1:]:
             assert row.split(",")[1:] == ["1.0", "0.0", "0.0", "0.0"]
+
+    def test_off_grid_horizon_reports_last_node(self, tmp_path, capsys):
+        dest = tmp_path / "traj.csv"
+        text = (ENDEMIC.replace("run.horizon = 20.0", "run.horizon = 20.005")
+                + f"run.trajectory = {dest}\n")
+        rc = main(["simulate", "--config", self.write(tmp_path, text)])
+        assert rc == EXIT_OK
+        warning = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("warning.")]
+        assert len(warning) == 1 and "not a whole number of steps" in warning[0]
+        last_t = float(dest.read_text().splitlines()[-1].split(",")[0])
+        assert last_t == 20.01
+        assert float(warning[0].rsplit("t = ", 1)[1]) == last_t
+
+    def test_concentration_default_rho_grid(self, tmp_path, capsys):
+        golden = Path(__file__).parent / "golden" / "concentration.cfg"
+        text = "".join(line for line in golden.read_text().splitlines(True)
+                       if not line.startswith("ensemble.rho_grid"))
+        rc = main(["concentration", "--config", self.write(tmp_path, text),
+                   "--reps", "200"])
+        assert rc == EXIT_OK
+        out = capsys.readouterr().out
+        assert "transfer_ok = true\n" in out
+        grid = [line for line in out.splitlines() if line.startswith("rho_grid = ")]
+        assert len(grid) == 1 and len(grid[0].split(",")) >= 2
 
     def test_warnings_echoed_in_report(self, tmp_path, capsys):
         cfg = self.write(tmp_path, MINIMAL + "params.bogus = 1\n")

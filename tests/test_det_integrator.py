@@ -10,15 +10,18 @@ import pytest
 from seirs_delay import (
     IntegrationError,
     Params,
+    Seed,
     ValidationError,
     coexistence_equilibrium,
     default_step,
+    deterministic_euler,
     integrate_dde,
     integrate_dde_cascade,
     integrate_ode,
     integrate_scalar_comparison,
     make_initial_condition,
     make_state,
+    simulate_sde,
 )
 
 X0 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -107,6 +110,12 @@ class TestIntegrateOde:
         p = Params(0.1, 0.2, 0.3, 2.0)
         with pytest.raises(ValidationError, match="multiple"):
             integrate_ode(p, make_state(0.9, 0.05, 0.05, 0.0), 10.0, 0.3)
+        # the Euler routes share this grid: no rounding up when r = 0
+        ic = make_initial_condition(e0=0.05, s0=0.9, i0=0.05, r0=0.0)
+        with pytest.raises(ValidationError, match="multiple"):
+            simulate_sde(p, ic, 10.005, 0.01, Seed(0))
+        with pytest.raises(ValidationError, match="multiple"):
+            deterministic_euler(p, ic, 10.005, 0.01)
 
     def test_invariant_breach_aborts_with_node(self):
         # oversized step drives a stiff decay negative on the first update
@@ -177,6 +186,8 @@ class TestIntegrateDde:
         ic = make_initial_condition(e0=0.1, s0=0.8, i0=0.1, r0=0.0)
         with pytest.raises(ValidationError, match="r"):
             integrate_dde(p, ic, 10.0, 0.03)
+        with pytest.raises(ValidationError, match="at least 3 steps"):
+            integrate_dde(p, ic, 10.0, 0.25)
 
     def test_requires_positive_delay_and_covering_horizon(self):
         ic = make_initial_condition(e0=0.1, s0=0.8, i0=0.1, r0=0.0)

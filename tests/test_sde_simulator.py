@@ -121,6 +121,7 @@ class TestSimulateSde:
         assert exc.value.component == "E"
         assert exc.value.replica == 0
         assert "excursion" in str(exc.value)
+        assert "np.float64" not in str(exc.value)
 
 
 class TestEnsemble:
@@ -185,6 +186,10 @@ class TestConcentrationCheck:
         assert out.tail == (0.0, 0.0)
         assert out.c_hat is None
         assert out.transfer_ok is None
+        # at eps = 0 there is no tail to fit and no grid to derive
+        out = concentration_check(p, IC, 5.0, 0.01, 20, None, Seed(1))
+        assert out.degenerate
+        assert out.rho_grid == () and out.tail == ()
 
     def test_fitted_exponent_positive_and_transferable(self):
         out = concentration_check(P_NOISY, IC, 20.0, 0.01, 800, self.GRID,
