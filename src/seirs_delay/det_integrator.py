@@ -99,6 +99,8 @@ def step_grid(r: float, t_end: float, h: float) -> tuple[int, int, float]:
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise ValidationError(f"h: must be a positive finite step, got {h!r}")
+    if not math.isfinite(t_end):
+        raise ValidationError(f"t_end: must be finite, got {t_end!r}")
     m = 0
     if r > 0.0:
         m = _whole_steps(r, h)

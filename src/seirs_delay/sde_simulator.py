@@ -80,11 +80,14 @@ class InsufficientExceedances(RuntimeError):
     """Too few tail points with enough exceedances to fit the decay constant."""
 
 
-def _noise_path(p: Params, h: float, n: int, seed: Seed,
-                replica: int) -> np.ndarray:
-    if p.epsilon == 0.0:
-        return np.zeros(n)
-    return seed.rng(replica).normal(0.0, math.sqrt(h), n)
+def _excursion_error(node: int, comp: int, value: float,
+                     replica: int) -> ExcursionError:
+    name = _COMP_NAMES[comp]
+    tag = f" (replica {replica})" if replica >= 0 else ""
+    return ExcursionError(
+        f"excursion: component {name} = {float(value)!r} left "
+        f"[-{EXCURSION_BAND}, {1.0 + EXCURSION_BAND}] at step {node}{tag}",
+        node, name, replica)
 
 
 def _run_path(p: Params, ic: InitialCondition, h: float, m: int,
@@ -95,13 +98,91 @@ def _run_path(p: Params, ic: InitialCondition, h: float, m: int,
         p.beta, p.mu, p.gamma, p.k_r, p.epsilon, dw,
         -EXCURSION_BAND, 1.0 + EXCURSION_BAND)
     if status == _kernels.EXCURSION:
-        name = _COMP_NAMES[comp]
-        tag = f" (replica {replica})" if replica >= 0 else ""
-        raise ExcursionError(
-            f"excursion: component {name} = {float(out[node, comp])!r} left "
-            f"[-{EXCURSION_BAND}, {1.0 + EXCURSION_BAND}] at step {node}{tag}",
-            node, name, replica)
+        raise _excursion_error(node, comp, out[node, comp], replica)
     return Trajectory(times=np.arange(n + 1) * h, states=out, step=h)
+
+
+# Replicas step together over a replica axis in blocks of at most
+# _REPLICA_BLOCK; each block draws its noise _NOISE_CHUNK steps at a time.
+# Memory per ensemble is then bounded independently of n and n_rep.
+_REPLICA_BLOCK = 1024
+_NOISE_CHUNK = 64
+
+
+def _run_replicas(p: Params, ic: InitialCondition, h: float, n: int, m: int,
+                  seed: Seed, base: int, n_rep: int,
+                  ref: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Replicas base .. base + n_rep - 1, reduced as they step.
+
+    Returns (sups, finals): sups[j] is the max over nodes and components of
+    |x_j - ref| against the (n + 1, 4) reference path ref (all zero when ref
+    is None), finals the (n_rep, 4) last nodes. Replica j draws its increments
+    from seed.rng(base + j) and follows the update of _kernels.euler_maruyama
+    operation for operation, so both agree bitwise with simulate_sde. The
+    lowest-index replica that leaves the band raises its ExcursionError, as a
+    loop over the replicas in index order would.
+    """
+    sups = np.empty(n_rep)
+    finals = np.empty((n_rep, 4))
+    for start in range(0, n_rep, _REPLICA_BLOCK):
+        stop = min(start + _REPLICA_BLOCK, n_rep)
+        sups[start:stop], finals[start:stop] = _replica_block(
+            p, ic, h, n, m, seed, base + start, stop - start, ref)
+    return sups, finals
+
+
+def _replica_block(p: Params, ic: InitialCondition, h: float, n: int, m: int,
+                   seed: Seed, base: int, width: int,
+                   ref: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    lo, hi = -EXCURSION_BAND, 1.0 + EXCURSION_BAND
+    beta, mu, gamma, kr, eps = p.beta, p.mu, p.gamma, p.k_r, p.epsilon
+    x = np.empty((4, width))        # rows S, E, I, R; one column per replica
+    x.T[:] = (ic.s0, ic.e0, ic.i0, ic.r0)
+    sup = np.zeros((4, width))
+    dw = np.zeros((_NOISE_CHUNK, width))
+    gens = [] if eps == 0.0 else [seed.rng(base + j) for j in range(width)]
+    sd = math.sqrt(h)
+    # E at nodes k - m .. k; node j sits in row j % (m + 1)
+    hist = np.empty((m + 1, width))
+    hist[0] = ic.e0
+    first = None                    # (replica, node, component, value)
+    for k in range(n):
+        row = k % _NOISE_CHUNK
+        if row == 0 and gens:
+            size = min(_NOISE_CHUNK, n - k)
+            for j, gen in enumerate(gens):
+                dw[:size, j] = gen.normal(0.0, sd, size)
+        # the update of _kernels.euler_maruyama, with the same grouping
+        s, e, i, rc = x
+        ed = e if m == 0 else ic.e0 if k < m else hist[(k - m) % (m + 1)]
+        a = h * (beta * s * i)
+        b = h * (ed / kr)
+        c = h * (mu * i)
+        d = h * (gamma * rc)
+        w = eps * (s * i) * dw[row]
+        x[0] = s - a + d - w
+        x[1] = e + a - b + w
+        x[2] = i + b - c
+        x[3] = rc + c - d
+        if m:
+            hist[(k + 1) % (m + 1)] = e
+        if x.min() < lo or x.max() > hi:
+            # drop every replica from the first one out of the band on: only
+            # a lower-index excursion can change what is raised
+            out = (x < lo) | (x > hi)
+            j = int(np.argmax(out.any(axis=0)))
+            comp = int(np.argmax(out[:, j]))
+            first = (base + j, k + 1, comp, x[comp, j])
+            if j == 0:
+                break
+            x, sup, dw, hist = x[:, :j], sup[:, :j], dw[:, :j], hist[:, :j]
+            gens = gens[:j]
+        if ref is not None:
+            np.maximum(sup, np.abs(x - ref[k + 1, :, None]), out=sup)
+    if first is not None:
+        replica, node, comp, value = first
+        raise _excursion_error(node, comp, value, replica)
+    return sup.max(axis=0), x.T
 
 
 def simulate_sde(p: Params, ic: InitialCondition, t_end: float, h: float,
@@ -116,7 +197,8 @@ def simulate_sde(p: Params, ic: InitialCondition, t_end: float, h: float,
     """
     p.require_valid()
     n, m, _ = step_grid(p.r, t_end, h)
-    dw = _noise_path(p, h, n, seed, replica)
+    dw = np.zeros(n) if p.epsilon == 0.0 else \
+        seed.rng(replica).normal(0.0, math.sqrt(h), n)
     return _run_path(p, ic, h, m, dw, replica)
 
 
@@ -178,21 +260,19 @@ def ensemble(p: Params, ic: InitialCondition, t_end: float, h: float,
     rho_grid supplies the tail abscissas; when omitted a quantile-derived
     grid of the observed sup deviations is used. replica_base offsets the
     stream indices so disjoint ensembles can share one master seed. Replica
-    failures propagate with the replica index attached.
+    failures propagate with the replica index attached; when several
+    replicas leave the band, the lowest index is reported.
     """
     p.require_valid()
     if n_rep < 1:
         raise ValidationError(f"n_rep: must be >= 1, got {n_rep!r}")
+    if replica_base < 0:
+        raise ValidationError(
+            f"replica_base: must be >= 0, got {replica_base!r}")
     n, m, _ = step_grid(p.r, t_end, h)
     ref = _run_path(replace(p, epsilon=0.0), ic, h, m, np.zeros(n), -1)
-    sups = np.empty(n_rep)
-    finals = np.empty((n_rep, 4))
-    for j in range(n_rep):
-        idx = replica_base + j
-        dw = _noise_path(p, h, n, seed, idx)
-        traj = _run_path(p, ic, h, m, dw, idx)
-        sups[j] = np.max(np.abs(traj.states - ref.states))
-        finals[j] = traj.states[-1]
+    sups, finals = _run_replicas(p, ic, h, n, m, seed, replica_base, n_rep,
+                                 ref.states)
     mf = finals.mean(axis=0)
     grid = _default_rho_grid(sups) if rho_grid is None else \
         np.sort(np.asarray(rho_grid, dtype=float))
@@ -420,11 +500,8 @@ def stochastic_stability_experiment(p: Params, ic: InitialCondition,
     if n_rep < 1:
         raise ValidationError(f"n_rep: must be >= 1, got {n_rep!r}")
     n, _, _ = step_grid(0.0, t_end, h)
-    eir = np.empty(n_rep)
-    for j in range(n_rep):
-        dw = _noise_path(p, h, n, seed, j)
-        traj = _run_path(p, ic, h, 0, dw, j)
-        eir[j] = float(traj.states[-1, 1:].sum())
+    _, finals = _run_replicas(p, ic, h, n, 0, seed, 0, n_rep, None)
+    eir = finals[:, 1:].sum(axis=1)
     return StochasticStabilityReport(
         n_rep=n_rep,
         mean_eir=float(eir.mean()),

@@ -3,6 +3,7 @@ the history-buffer scheme for the delayed system, the interval-by-interval
 integral-representation construction used as a cross-oracle, and the scalar
 comparison equation behind the positivity threshold k_r >= r*e."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from seirs_delay import (
     coexistence_equilibrium,
     default_step,
     deterministic_euler,
+    ensemble,
     integrate_dde,
     integrate_dde_cascade,
     integrate_ode,
@@ -116,6 +118,21 @@ class TestIntegrateOde:
             simulate_sde(p, ic, 10.005, 0.01, Seed(0))
         with pytest.raises(ValidationError, match="multiple"):
             deterministic_euler(p, ic, 10.005, 0.01)
+
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf])
+    def test_horizon_must_be_finite(self, t_end):
+        # the stepped routes share step_grid, which names the bad horizon
+        p = Params(0.1, 0.2, 0.3, 2.0, epsilon=0.1)
+        ic = make_initial_condition(e0=0.05, s0=0.9, i0=0.05, r0=0.0)
+        calls = (
+            lambda: integrate_ode(p, make_state(0.9, 0.05, 0.05, 0.0), t_end,
+                                  0.01),
+            lambda: simulate_sde(p, ic, t_end, 0.01, Seed(0)),
+            lambda: ensemble(replace(p, r=0.5), ic, t_end, 0.01, 4, Seed(0)),
+        )
+        for call in calls:
+            with pytest.raises(ValidationError, match="t_end"):
+                call()
 
     def test_invariant_breach_aborts_with_node(self):
         # oversized step drives a stiff decay negative on the first update

@@ -2,6 +2,7 @@
 exact conservation, the zero-noise reduction, ensemble tails, the fitted
 concentration exponent, and the quadratic Lyapunov certificate."""
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from seirs_delay import (
     lyapunov_certificate,
     lyapunov_condition,
     make_initial_condition,
+    make_run_state,
     simulate_sde,
     stochastic_stability_experiment,
 )
@@ -145,6 +147,39 @@ class TestEnsemble:
         assert np.array_equal(np.asarray(full.sup_deviations)[5:8],
                               np.asarray(tail_part.sup_deviations))
 
+    def test_replica_base_must_be_nonnegative(self):
+        for p in (P_NOISY, replace(P_NOISY, epsilon=0.0)):
+            with pytest.raises(ValidationError, match="replica_base"):
+                ensemble(p, IC, 10.0, 0.01, 4, Seed(3), replica_base=-5)
+
+    def test_excursion_names_the_replica_of_the_scalar_path(self):
+        p = Params(0.1, 0.2, 0.3, 2.0, r=0.5, epsilon=0.2)
+        with pytest.raises(ExcursionError) as scalar:
+            simulate_sde(p, IC, 10.0, 0.01, Seed(906), replica=598)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ExcursionError) as batched:
+                ensemble(p, IC, 10.0, 0.01, 300, Seed(906), replica_base=300)
+        err = batched.value
+        assert (err.replica, err.node, err.component) == (598, 806, "E")
+        assert str(err) == str(scalar.value)
+
+    def test_lowest_index_excursion_is_raised(self):
+        # replica 23 leaves the band first (step 687), replica 17 later
+        p = Params(0.1, 0.2, 0.3, 2.0, r=0.0, epsilon=0.6)
+        with pytest.raises(ExcursionError) as low:
+            simulate_sde(p, IC, 10.0, 0.01, Seed(1), replica=17)
+        with pytest.raises(ExcursionError) as high:
+            simulate_sde(p, IC, 10.0, 0.01, Seed(1), replica=23)
+        assert high.value.node < low.value.node
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ExcursionError) as batched:
+                ensemble(p, IC, 10.0, 0.01, 7, Seed(1), replica_base=17)
+        assert batched.value.replica == 17
+        assert batched.value.node == low.value.node
+        assert str(batched.value) == str(low.value)
+
     def test_mean_final_is_a_state(self):
         out = ensemble(P_NOISY, IC, 10.0, 0.01, 10, Seed(3))
         assert isinstance(out.mean_final, State)
@@ -174,6 +209,44 @@ class TestEnsemble:
         assert np.all(np.diff(y) < 0.0)
         slopes = np.diff(y) / np.diff(rho)
         assert np.all(np.diff(slopes) < 0.0)
+
+
+class TestBatchedParity:
+    """ensemble and stochastic_stability_experiment step every replica at
+    once; each replica must equal its scalar simulate_sde path bit for bit."""
+
+    # (params, t_end, n_rep, replica_base); 0.5 / 0.01 = 50 steps, fewer
+    # than one noise chunk; 1030 replicas cross a replica block
+    CASES = {
+        "no-delay": (P_NOISY, 10.0, 12, 0),
+        "m=3": (replace(P_NOISY, r=0.03), 5.0, 12, 0),
+        "t_end=r": (replace(P_NOISY, r=0.5), 0.5, 12, 0),
+        "zero-noise": (replace(P_NOISY, r=0.5, epsilon=0.0), 5.0, 4, 0),
+        "replica-base": (replace(P_NOISY, r=0.5, epsilon=0.2), 5.0, 12, 37),
+        "two-blocks": (P_NOISY, 0.5, 1030, 5),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_ensemble_equals_scalar_paths(self, case):
+        p, t_end, n_rep, base = self.CASES[case]
+        out = ensemble(p, IC, t_end, 0.01, n_rep, Seed(21),
+                       replica_base=base)
+        ref = deterministic_euler(replace(p, epsilon=0.0), IC, t_end, 0.01)
+        paths = [simulate_sde(p, IC, t_end, 0.01, Seed(21),
+                              replica=base + j).states for j in range(n_rep)]
+        sups = np.array([np.max(np.abs(path - ref.states)) for path in paths])
+        assert np.asarray(out.sup_deviations).tobytes() == sups.tobytes()
+        mf = np.stack([path[-1] for path in paths]).mean(axis=0)
+        assert out.mean_final == make_run_state(*(float(v) for v in mf))
+
+    def test_stability_experiment_equals_scalar_loop(self):
+        p = replace(P_NOISY, epsilon=0.3)
+        out = stochastic_stability_experiment(p, IC, 5.0, 0.01, 30, Seed(4))
+        eir = np.array([float(simulate_sde(p, IC, 5.0, 0.01, Seed(4),
+                                           replica=j).states[-1, 1:].sum())
+                        for j in range(30)])
+        assert out.mean_eir == float(eir.mean())
+        assert out.p95_eir == float(np.percentile(eir, 95))
 
 
 class TestConcentrationCheck:
