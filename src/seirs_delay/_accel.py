@@ -1,31 +1,7 @@
-"""Optional JIT acceleration for the time-stepping kernels.
+"""Name of the kernel path, read by ``perfbench/run.py`` to label its timings.
 
-The kernels in ``_kernels`` are plain Python functions written with scalar
-arithmetic only (+, -, *, /) so that the compiled and interpreted paths
-execute the same IEEE-754 operations and produce identical floats.
-
-Set ``SEIRS_DELAY_NUMBA=0`` (or ``false``/``off``/``no``) before import to
-force the pure-Python path. The flag is read once at import time.
+The kernels in ``_kernels`` have a single path, plain CPython, so there is
+no compiled variant to enable.
 """
-from __future__ import annotations
-
-import os
-
-_flag = os.environ.get("SEIRS_DELAY_NUMBA", "1").strip().lower()
-NUMBA_REQUESTED = _flag not in ("0", "false", "off", "no")
 
 NUMBA_ENABLED = False
-if NUMBA_REQUESTED:
-    try:
-        import numba as _numba
-    except ImportError:
-        _numba = None
-    else:
-        NUMBA_ENABLED = True
-
-
-def maybe_jit(func):
-    """Compile ``func`` with numba when enabled, else return it unchanged."""
-    if NUMBA_ENABLED:
-        return _numba.njit(cache=True)(func)
-    return func

@@ -48,6 +48,13 @@ EXCURSION_BAND = 0.05
 _COMP_NAMES = ("S", "E", "I", "R")
 
 
+def _check_int(name: str, value, low: int) -> None:
+    """Reject value, naming the argument, unless it is an integer >= low."""
+    if not (isinstance(value, (int, np.integer)) and value >= low):
+        raise ValidationError(
+            f"{name}: must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Seed:
     """Master seed plus the replica-stream derivation rule.
@@ -59,9 +66,11 @@ class Seed:
 
     master: int
 
+    def __post_init__(self):
+        _check_int("master", self.master, 0)
+
     def rng(self, replica: int = 0) -> np.random.Generator:
-        if replica < 0:
-            raise ValidationError(f"replica: must be >= 0, got {replica!r}")
+        _check_int("replica", replica, 0)
         ss = np.random.SeedSequence(self.master, spawn_key=(replica,))
         return np.random.default_rng(ss)
 
@@ -196,6 +205,7 @@ def simulate_sde(p: Params, ic: InitialCondition, t_end: float, h: float,
     diagnostic naming the step and component.
     """
     p.require_valid()
+    _check_int("replica", replica, 0)
     n, m, _ = step_grid(p.r, t_end, h)
     dw = np.zeros(n) if p.epsilon == 0.0 else \
         seed.rng(replica).normal(0.0, math.sqrt(h), n)
@@ -264,11 +274,8 @@ def ensemble(p: Params, ic: InitialCondition, t_end: float, h: float,
     replicas leave the band, the lowest index is reported.
     """
     p.require_valid()
-    if n_rep < 1:
-        raise ValidationError(f"n_rep: must be >= 1, got {n_rep!r}")
-    if replica_base < 0:
-        raise ValidationError(
-            f"replica_base: must be >= 0, got {replica_base!r}")
+    _check_int("n_rep", n_rep, 1)
+    _check_int("replica_base", replica_base, 0)
     n, m, _ = step_grid(p.r, t_end, h)
     ref = _run_path(replace(p, epsilon=0.0), ic, h, m, np.zeros(n), -1)
     sups, finals = _run_replicas(p, ic, h, n, m, seed, replica_base, n_rep,
@@ -497,8 +504,7 @@ def stochastic_stability_experiment(p: Params, ic: InitialCondition,
     p.require_valid()
     if p.r != 0.0:
         raise ValidationError("nondelayed analysis only: r must be 0")
-    if n_rep < 1:
-        raise ValidationError(f"n_rep: must be >= 1, got {n_rep!r}")
+    _check_int("n_rep", n_rep, 1)
     n, _, _ = step_grid(0.0, t_end, h)
     _, finals = _run_replicas(p, ic, h, n, 0, seed, 0, n_rep, None)
     eir = finals[:, 1:].sum(axis=1)

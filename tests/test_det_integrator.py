@@ -213,6 +213,23 @@ class TestIntegrateDde:
         with pytest.raises(ValidationError, match="t_end"):
             integrate_dde(Params(0.1, 0.2, 0.3, 2.0, r=0.5), ic, 0.25, 0.01)
 
+    @pytest.mark.parametrize("beta, mu, gamma, k_r, r, e0, i0, r0, node", [
+        # on [0, r], in the RK4 phase
+        (0.566, 0.937, 0.824, 23.302, 6.0, 0.01, 0.219, 0.053, 1),
+        # past r, in the Adams phase (r/h = 5)
+        (0.159, 0.742, 0.93, 27.383, 10.0, 0.259, 0.294, 0.287, 9),
+    ])
+    def test_invariant_breach_aborts_with_node(self, beta, mu, gamma, k_r,
+                                               r, e0, i0, r0, node):
+        # an oversized step drives a component negative
+        p = Params(beta, mu, gamma, k_r, r=r)
+        ic = make_initial_condition(e0=e0, s0=1.0 - e0 - i0 - r0, i0=i0,
+                                    r0=r0)
+        with pytest.raises(IntegrationError) as exc:
+            integrate_dde(p, ic, 80.0, 2.0)
+        assert exc.value.node == node
+        assert str(exc.value) == f"component below -1e-09 at node {node}"
+
     def test_times_strictly_increasing(self):
         p = Params(0.1, 0.2, 0.3, 2.0, r=0.5)
         ic = make_initial_condition(e0=0.1, s0=0.8, i0=0.1, r0=0.0)

@@ -78,8 +78,22 @@ class TestSeed:
         with pytest.raises(ValidationError, match="replica"):
             Seed(42).rng(-1)
 
+    def test_replica_must_be_an_integer(self):
+        with pytest.raises(ValidationError, match="replica"):
+            Seed(42).rng(1.5)
+
+    @pytest.mark.parametrize("master", [-1, 1.5])
+    def test_master_must_be_a_nonnegative_integer(self, master):
+        with pytest.raises(ValidationError, match="master"):
+            Seed(master)
+
 
 class TestSimulateSde:
+    def test_replica_must_be_an_integer(self):
+        for p in (P_NOISY, replace(P_NOISY, epsilon=0.0)):
+            with pytest.raises(ValidationError, match="replica"):
+                simulate_sde(p, IC, 1.0, 0.01, Seed(3), replica=1.5)
+
     def test_zero_noise_equals_deterministic_euler_bitwise(self):
         p = replace(P_NOISY, epsilon=0.0)
         sde = simulate_sde(p, IC, 20.0, 0.01, Seed(5), replica=2)
@@ -151,6 +165,14 @@ class TestEnsemble:
         for p in (P_NOISY, replace(P_NOISY, epsilon=0.0)):
             with pytest.raises(ValidationError, match="replica_base"):
                 ensemble(p, IC, 10.0, 0.01, 4, Seed(3), replica_base=-5)
+
+    def test_replica_base_must_be_an_integer(self):
+        with pytest.raises(ValidationError, match="replica_base"):
+            ensemble(P_NOISY, IC, 1.0, 0.01, 4, Seed(3), replica_base=1.5)
+
+    def test_n_rep_must_be_an_integer(self):
+        with pytest.raises(ValidationError, match="n_rep"):
+            ensemble(P_NOISY, IC, 1.0, 0.01, 2.5, Seed(3))
 
     def test_excursion_names_the_replica_of_the_scalar_path(self):
         p = Params(0.1, 0.2, 0.3, 2.0, r=0.5, epsilon=0.2)
@@ -390,3 +412,8 @@ class TestStochasticStabilityExperiment:
         p = Params(0.1, 0.2, 0.3, 2.0, r=0.5, epsilon=0.1)
         with pytest.raises(ValidationError, match="nondelayed"):
             stochastic_stability_experiment(p, IC, 10.0, 0.01, 5, Seed(9))
+
+    def test_n_rep_must_be_an_integer(self):
+        with pytest.raises(ValidationError, match="n_rep"):
+            stochastic_stability_experiment(P_NOISY, IC, 1.0, 0.01, 2.5,
+                                            Seed(9))
