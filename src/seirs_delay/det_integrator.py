@@ -152,7 +152,6 @@ def integrate_ode(p: Params, x0: State, t_end: float, h: float) -> Trajectory:
     h must divide t_end (see step_grid). Simplex-sum drift beyond 1e-10 or
     a component below -1e-9 aborts with the node index.
     """
-    p.require_valid()
     if p.r != 0.0:
         raise ValidationError("integrate_ode requires r = 0; "
                               "use integrate_dde for a delayed run")
@@ -173,7 +172,6 @@ def integrate_dde(p: Params, ic: InitialCondition, t_end: float,
     hit stored nodes, and t_end >= r. Invariant breaches abort with the
     node index.
     """
-    p.require_valid()
     if not p.r > 0.0:
         raise ValidationError("integrate_dde requires r > 0; "
                               "use integrate_ode for the nondelayed system")
@@ -222,7 +220,6 @@ def integrate_dde_cascade(p: Params, ic: InitialCondition, t_end: float,
     against CASCADE_SUM_TOL rather than the rounding-level bound of the
     stepping integrators); positivity uses the usual -1e-9.
     """
-    p.require_valid()
     if not p.r > 0.0:
         raise ValidationError("integrate_dde_cascade requires r > 0")
     if not (isinstance(quad_n, int) and quad_n >= 8):

@@ -30,13 +30,11 @@ __all__ = [
 
 def reproduction_number(p: Params) -> float:
     """Basic reproduction number beta/mu; the coexistence point exists iff > 1."""
-    p.require_valid()
     return p.beta / p.mu
 
 
 def free_disease_equilibrium(p: Params) -> State:
     """The disease-free point (1, 0, 0, 0); exists for every admissible p."""
-    p.require_valid()
     return make_state(1.0, 0.0, 0.0, 0.0)
 
 
@@ -54,7 +52,6 @@ def coexistence_equilibrium(p: Params) -> Optional[State]:
 
     The four entries sum to 1 identically.
     """
-    p.require_valid()
     if not p.beta > p.mu:
         return None
     d3 = p.gamma * p.k_r * p.mu + p.gamma + p.mu
@@ -68,7 +65,6 @@ def coexistence_equilibrium(p: Params) -> Optional[State]:
 
 def equilibrium_residual(p: Params, x: State) -> float:
     """Max-norm of the vector field at x (delayed value taken equal to x.e)."""
-    p.require_valid()
     f1 = -p.beta * x.s * x.i + p.gamma * x.rcv
     f2 = p.beta * x.s * x.i - x.e / p.k_r
     f3 = x.e / p.k_r - p.mu * x.i
@@ -91,7 +87,6 @@ class EquilibriumSet:
 
 def equilibrium_set(p: Params) -> EquilibriumSet:
     """Collect the reproduction number and every equilibrium of p."""
-    p.require_valid()
     x_star = coexistence_equilibrium(p)
     return EquilibriumSet(
         r0=reproduction_number(p),

@@ -69,7 +69,6 @@ class StabilityVerdict:
 
 def jacobian_free_disease(p: Params) -> np.ndarray:
     """Jacobian of the reduced (E, I, R) system at the disease-free point."""
-    p.require_valid()
     return np.array([
         [-1.0 / p.k_r, p.beta, 0.0],
         [1.0 / p.k_r, -p.mu, 0.0],
@@ -89,7 +88,6 @@ def free_disease_eigenvalues_closed_form(p: Params) -> tuple[float, float, float
     pair is real for every admissible parameter set. Returned as
     (lam_plus, lam_minus, -gamma). All three are negative iff beta < mu.
     """
-    p.require_valid()
     c = p.mu * p.k_r + 1.0
     rad = c * c - 4.0 * p.k_r * (p.mu - p.beta)
     sq = math.sqrt(rad)
@@ -110,7 +108,6 @@ def jacobian_coexistence(p: Params) -> np.ndarray:
         [ 1/k_r   -mu      0      ]
         [ 0        mu     -gamma  ]
     """
-    p.require_valid()
     if not p.beta > p.mu:
         raise ValidationError(
             "coexistence Jacobian requires beta > mu "
@@ -214,7 +211,6 @@ def char_poly_delay_free(p: Params) -> QuasiPolynomial:
     i.e. a = (0, mu), b = ((mu - beta)/k_r, 1/k_r). The -gamma mode factors
     out and never destabilizes.
     """
-    p.require_valid()
     return QuasiPolynomial(
         a=(0.0, p.mu),
         b=((p.mu - p.beta) / p.k_r, 1.0 / p.k_r),
@@ -236,7 +232,6 @@ def char_poly_delay_coexistence(p: Params) -> QuasiPolynomial:
         b1 = gamma*(gamma*k_r*mu + beta + gamma)/(d3*k_r)
         b2 = 1/k_r
     """
-    p.require_valid()
     if not p.beta > p.mu:
         raise ValidationError(
             "coexistence quasi-polynomial requires beta > mu "

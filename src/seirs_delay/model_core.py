@@ -7,7 +7,10 @@ I -> R at rate mu, and immunity wanes R -> S at rate gamma. epsilon scales
 an optional noise term on the S <-> E transfer.
 
 Admissibility of the delayed model requires k_r >= r*e; below that bound the
-exposed fraction can be driven negative by the lagged outflow.
+exposed fraction can be driven negative by the lagged outflow. Every Params
+is admissible: building one, directly or through dataclasses.replace, raises
+ValidationError listing all violations. validate_params reports on raw
+values without raising.
 """
 from __future__ import annotations
 
@@ -69,7 +72,9 @@ class Params:
 
     beta, mu, gamma are the transmission, recovery and immunity-loss rates,
     each strictly inside (0, 1). k_r > 0 scales the latency outflow, r >= 0
-    is the latency delay and epsilon >= 0 the noise intensity.
+    is the latency delay and epsilon >= 0 the noise intensity; k_r >= r*e
+    when r > 0. Construction raises ValidationError naming every violated
+    constraint, so every instance is admissible.
     """
 
     beta: float
@@ -79,11 +84,9 @@ class Params:
     r: float = 0.0
     epsilon: float = 0.0
 
-    def validate(self) -> ValidationReport:
-        return validate_params(self)
-
-    def require_valid(self) -> None:
-        rep = validate_params(self)
+    def __post_init__(self):
+        rep = validate_params(self.beta, self.mu, self.gamma, self.k_r,
+                              self.r, self.epsilon)
         if not rep.ok:
             raise ValidationError(rep.message())
 
@@ -92,28 +95,31 @@ def _finite(x) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
 
 
-def validate_params(p: Params) -> ValidationReport:
+def validate_params(beta, mu, gamma, k_r, r=0.0,
+                    epsilon=0.0) -> ValidationReport:
     """Check every admissibility constraint and report all failures at once.
 
-    Non-finite entries produce a named "finite" violation instead of raising.
+    Never raises: non-finite entries produce a named "finite" violation.
     The admissibility region is monotone in k_r: if (beta, mu, gamma, k_r, r,
     epsilon) passes, so does any larger k_r.
     """
+    values = {"beta": beta, "mu": mu, "gamma": gamma, "k_r": k_r, "r": r,
+              "epsilon": epsilon}
     bad: list[Violation] = []
-    for name in ("beta", "mu", "gamma", "k_r", "r", "epsilon"):
-        if not _finite(getattr(p, name)):
+    for name, v in values.items():
+        if not _finite(v):
             bad.append(Violation(name, "must be finite"))
     for name in ("beta", "mu", "gamma"):
-        v = getattr(p, name)
+        v = values[name]
         if not (_finite(v) and 0.0 < v < 1.0):
             bad.append(Violation(name, "must lie strictly in (0, 1)"))
-    if not (_finite(p.k_r) and p.k_r > 0.0):
+    if not (_finite(k_r) and k_r > 0.0):
         bad.append(Violation("k_r", "must be > 0"))
-    if not (_finite(p.r) and p.r >= 0.0):
+    if not (_finite(r) and r >= 0.0):
         bad.append(Violation("r", "must be >= 0"))
-    if not (_finite(p.epsilon) and p.epsilon >= 0.0):
+    if not (_finite(epsilon) and epsilon >= 0.0):
         bad.append(Violation("epsilon", "must be >= 0"))
-    if _finite(p.r) and _finite(p.k_r) and p.r > 0.0 and p.k_r < p.r * math.e:
+    if _finite(r) and _finite(k_r) and r > 0.0 and k_r < r * math.e:
         bad.append(Violation("k_r", "must satisfy k_r >= r*e when r > 0"))
     return ValidationReport(ok=not bad, violations=tuple(bad))
 

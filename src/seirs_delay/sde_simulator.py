@@ -204,7 +204,6 @@ def simulate_sde(p: Params, ic: InitialCondition, t_end: float, h: float,
     step_grid. Components leaving [-0.05, 1.05] abort with an excursion
     diagnostic naming the step and component.
     """
-    p.require_valid()
     _check_int("replica", replica, 0)
     n, m, _ = step_grid(p.r, t_end, h)
     dw = np.zeros(n) if p.epsilon == 0.0 else \
@@ -217,7 +216,6 @@ def deterministic_euler(p: Params, ic: InitialCondition, t_end: float,
     """Forward-Euler reference path written with the same update grouping
     as the stochastic step, so the eps = 0 stochastic path matches it
     bitwise."""
-    p.require_valid()
     n, m, _ = step_grid(p.r, t_end, h)
     out = np.empty((n + 1, 4))
     s, e, i, rc = ic.s0, ic.e0, ic.i0, ic.r0
@@ -257,6 +255,18 @@ def _tail(sups: np.ndarray, rho_grid: Sequence[float]) -> tuple[tuple[float, flo
                  for rho in rho_grid)
 
 
+def _rho_grid(values: Sequence[float]) -> tuple[float, ...]:
+    """The sorted tail abscissas; each must be positive and finite."""
+    grid = tuple(float(v) for v in np.sort(np.asarray(values, dtype=float)))
+    if not grid:
+        raise ValidationError("rho_grid: must be nonempty")
+    bad = [v for v in grid if not 0.0 < v < math.inf]
+    if bad:
+        raise ValidationError(
+            f"rho_grid: entries must be positive and finite, got {bad[0]!r}")
+    return grid
+
+
 def _default_rho_grid(sups: np.ndarray) -> np.ndarray:
     qs = np.quantile(sups, [0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98])
     return np.unique(qs[qs > 0.0])
@@ -273,21 +283,19 @@ def ensemble(p: Params, ic: InitialCondition, t_end: float, h: float,
     failures propagate with the replica index attached; when several
     replicas leave the band, the lowest index is reported.
     """
-    p.require_valid()
     _check_int("n_rep", n_rep, 1)
     _check_int("replica_base", replica_base, 0)
+    grid = None if rho_grid is None else _rho_grid(rho_grid)
     n, m, _ = step_grid(p.r, t_end, h)
     ref = _run_path(replace(p, epsilon=0.0), ic, h, m, np.zeros(n), -1)
     sups, finals = _run_replicas(p, ic, h, n, m, seed, replica_base, n_rep,
                                  ref.states)
     mf = finals.mean(axis=0)
-    grid = _default_rho_grid(sups) if rho_grid is None else \
-        np.sort(np.asarray(rho_grid, dtype=float))
     return EnsembleSummary(
         n_rep=n_rep,
         sup_deviations=sups,
         mean_final=make_run_state(*(float(v) for v in mf)),
-        tail=_tail(sups, grid),
+        tail=_tail(sups, _default_rho_grid(sups) if grid is None else grid),
     )
 
 
@@ -335,14 +343,7 @@ def concentration_check(p: Params, ic: InitialCondition, t_end: float,
     takes the quantile grid that ensemble derives from the reference
     ensemble's sup deviations (empty when eps = 0).
     """
-    p.require_valid()
-    grid = ()
-    if rho_grid is not None:
-        grid = tuple(float(v) for v in np.sort(np.asarray(rho_grid, dtype=float)))
-        if len(grid) == 0:
-            raise ValidationError("rho_grid: must be nonempty")
-        if any(v <= 0.0 for v in grid):
-            raise ValidationError("rho_grid: entries must be > 0")
+    grid = () if rho_grid is None else _rho_grid(rho_grid)
     if p.epsilon == 0.0:
         zeros = tuple(0.0 for _ in grid)
         return ConcentrationReport(
@@ -392,7 +393,6 @@ def lyapunov_condition(p: Params) -> bool:
     equivalent (mu > 0) to mu > (beta + sqrt(beta^2 + 2*eps^2/k_r))/2.
     At eps = 0 it reduces to mu > beta. Requires r = 0.
     """
-    p.require_valid()
     if p.r != 0.0:
         raise ValidationError("nondelayed analysis only: r must be 0")
     return p.mu - p.beta - p.epsilon ** 2 / (2.0 * p.mu * p.k_r) > 0.0
@@ -442,9 +442,6 @@ def lyapunov_certificate(p: Params) -> LyapunovCertificate:
     Raises "certificate construction failed" if no grid v3 works (distinct
     from the condition being false, which is a precondition error).
     """
-    p.require_valid()
-    if p.r != 0.0:
-        raise ValidationError("nondelayed analysis only: r must be 0")
     if not lyapunov_condition(p):
         raise ValidationError(
             "lyapunov condition mu - beta - eps^2/(2*mu*k_r) > 0 is false")
@@ -501,7 +498,6 @@ def stochastic_stability_experiment(p: Params, ic: InitialCondition,
     holds; when it does not, statistics are still returned, just with no
     decay claim attached.
     """
-    p.require_valid()
     if p.r != 0.0:
         raise ValidationError("nondelayed analysis only: r must be 0")
     _check_int("n_rep", n_rep, 1)

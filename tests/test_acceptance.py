@@ -211,9 +211,12 @@ def test_criterion_05_degree2_crossing_pipeline():
         m_bound = free_disease_margin(p)
         assert p.r < 0.5 * math.pi * p.k_r <= m_bound <= cr.r_star
 
+    # the smallest positive beta: beta = 0 is not admissible, and
+    # mu - beta rounds to mu, so M equals its beta = 0 value bit for bit
+    beta = math.nextafter(0.0, 1.0)
     worst_gap = 0.0
     for k_r in np.linspace(0.2, 6.0, 20):
-        gap = abs(free_disease_margin(Params(0.0, 0.2, 0.3, float(k_r)))
+        gap = abs(free_disease_margin(Params(beta, 0.2, 0.3, float(k_r)))
                   - 0.5 * math.pi * k_r)
         worst_gap = max(worst_gap, gap)
         assert gap <= 1e-12

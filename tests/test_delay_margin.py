@@ -162,9 +162,12 @@ class TestFreeDiseaseMargin:
         assert m <= R_STAR2
 
     def test_zero_transmission_identity(self):
-        # at beta = 0 the margin collapses to pi*k_r/2 exactly
+        # as beta -> 0 the margin collapses to pi*k_r/2; beta = 0 itself is
+        # not admissible, and mu - 5e-324 rounds to mu, so the smallest
+        # positive beta gives the beta = 0 value bit for bit
+        beta = math.nextafter(0.0, 1.0)
         for k_r in np.linspace(0.2, 6.0, 20):
-            m = free_disease_margin(Params(0.0, 0.2, 0.3, float(k_r)))
+            m = free_disease_margin(Params(beta, 0.2, 0.3, float(k_r)))
             assert m == pytest.approx(0.5 * math.pi * k_r, abs=1e-12)
 
     def test_rejects_beta_at_or_above_mu(self):

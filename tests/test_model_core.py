@@ -1,5 +1,6 @@
 """Parameter/state validation: admissibility checks, simplex construction,
 and the looser run-level state builder."""
+import dataclasses
 import math
 
 import numpy as np
@@ -26,18 +27,18 @@ def violated_fields(report):
 class TestValidateParams:
     def test_delay_bound_satisfied(self):
         # k_r = 2 >= 0.5*e ~ 1.3591
-        rep = validate_params(Params(0.1, 0.2, 0.3, k_r=2.0, r=0.5))
+        rep = validate_params(0.1, 0.2, 0.3, k_r=2.0, r=0.5)
         assert rep.ok
         assert rep.violations == ()
 
     def test_delay_bound_violated(self):
-        rep = validate_params(Params(0.1, 0.2, 0.3, k_r=1.0, r=0.5))
+        rep = validate_params(0.1, 0.2, 0.3, k_r=1.0, r=0.5)
         assert not rep.ok
         assert any(v.field == "k_r" and "r*e" in v.constraint
                    for v in rep.violations)
 
     def test_delay_bound_vacuous_at_r_zero(self):
-        rep = validate_params(Params(0.1, 0.2, 0.3, k_r=2.0, r=0.0))
+        rep = validate_params(0.1, 0.2, 0.3, k_r=2.0, r=0.0)
         assert rep.ok
 
     @pytest.mark.parametrize("name", ["beta", "mu", "gamma"])
@@ -45,20 +46,20 @@ class TestValidateParams:
     def test_rates_strictly_inside_unit_interval(self, name, value):
         kw = dict(beta=0.1, mu=0.2, gamma=0.3, k_r=2.0)
         kw[name] = value
-        rep = validate_params(Params(**kw))
+        rep = validate_params(**kw)
         assert not rep.ok
         assert name in violated_fields(rep)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_is_a_named_violation_not_a_crash(self, value):
-        rep = validate_params(Params(value, 0.2, 0.3, k_r=2.0))
+        rep = validate_params(value, 0.2, 0.3, k_r=2.0)
         assert not rep.ok
         assert any(v.field == "beta" and v.constraint == "must be finite"
                    for v in rep.violations)
 
     def test_all_violations_collected_at_once(self):
-        rep = validate_params(Params(0.0, 1.0, float("nan"), k_r=-1.0,
-                                     r=-0.5, epsilon=-1.0))
+        rep = validate_params(0.0, 1.0, float("nan"), k_r=-1.0, r=-0.5,
+                              epsilon=-1.0)
         assert not rep.ok
         assert violated_fields(rep) == {"beta", "mu", "gamma", "k_r", "r",
                                         "epsilon"}
@@ -66,10 +67,19 @@ class TestValidateParams:
     def test_ok_iff_no_violations(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            p = Params(*rng.uniform(-0.5, 1.5, 4), r=rng.uniform(-0.2, 1.0),
-                       epsilon=rng.uniform(-0.2, 1.0))
-            rep = validate_params(p)
+            kw = dict(zip(("beta", "mu", "gamma", "k_r"),
+                          rng.uniform(-0.5, 1.5, 4)),
+                      r=rng.uniform(-0.2, 1.0), epsilon=rng.uniform(-0.2, 1.0))
+            rep = validate_params(**kw)
             assert rep.ok == (len(rep.violations) == 0)
+            # construction raises exactly when the report is not ok, with
+            # the report's message
+            if rep.ok:
+                Params(**kw)
+            else:
+                with pytest.raises(ValidationError) as err:
+                    Params(**kw)
+                assert str(err.value) == rep.message()
 
     def test_monotone_in_k_r(self):
         # if a k_r passes, any larger k_r passes too
@@ -77,16 +87,19 @@ class TestValidateParams:
         for _ in range(50):
             r = rng.uniform(0.0, 1.0)
             k_r = rng.uniform(0.01, 4.0)
-            p = Params(0.1, 0.2, 0.3, k_r=k_r, r=r)
-            if validate_params(p).ok:
-                bigger = Params(0.1, 0.2, 0.3, k_r=k_r * rng.uniform(1.0, 3.0),
-                                r=r)
-                assert validate_params(bigger).ok
+            if validate_params(0.1, 0.2, 0.3, k_r=k_r, r=r).ok:
+                bigger = k_r * rng.uniform(1.0, 3.0)
+                assert validate_params(0.1, 0.2, 0.3, k_r=bigger, r=r).ok
 
-    def test_require_valid_raises_with_constraint_name(self):
+    def test_construction_raises_with_constraint_name(self):
         with pytest.raises(ValidationError, match="k_r"):
-            Params(0.1, 0.2, 0.3, k_r=1.0, r=0.5).require_valid()
-        Params(0.1, 0.2, 0.3, k_r=2.0, r=0.5).require_valid()
+            Params(0.1, 0.2, 0.3, k_r=1.0, r=0.5)
+        Params(0.1, 0.2, 0.3, k_r=2.0, r=0.5)
+
+    def test_replace_rechecks(self):
+        valid = Params(0.1, 0.2, 0.3, k_r=2.0, r=0.5)
+        with pytest.raises(ValidationError, match="r\\*e"):
+            dataclasses.replace(valid, k_r=1.0)
 
 
 class TestMakeState:

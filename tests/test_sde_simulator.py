@@ -315,6 +315,14 @@ class TestConcentrationCheck:
             concentration_check(P_NOISY, IC, 5.0, 0.01, 50, (5.0, 6.0),
                                 Seed(1))
 
+    @pytest.mark.parametrize("grid", [(math.nan, 0.01), (0.01, math.inf),
+                                      (0.0, 0.01), (), (-1.0, math.inf, math.nan)])
+    def test_rho_grid_must_be_nonempty_positive_and_finite(self, grid):
+        with pytest.raises(ValidationError, match="rho_grid"):
+            ensemble(P_NOISY, IC, 1.0, 0.01, 4, Seed(3), rho_grid=grid)
+        with pytest.raises(ValidationError, match="rho_grid"):
+            concentration_check(P_NOISY, IC, 1.0, 0.01, 4, grid, Seed(3))
+
 
 class TestLyapunovCondition:
     def test_holds_at_moderate_noise(self):
