@@ -111,56 +111,78 @@ def _run_path(p: Params, ic: InitialCondition, h: float, m: int,
     return Trajectory(times=np.arange(n + 1) * h, states=out, step=h)
 
 
-# Replicas step together over a replica axis in blocks of at most
-# _REPLICA_BLOCK; each block draws its noise _NOISE_CHUNK steps at a time.
-# Memory per ensemble is then bounded independently of n and n_rep.
-_REPLICA_BLOCK = 1024
+# Replicas step together over a replica axis, in blocks of at most
+# _REPLICA_BLOCK columns; each block draws its noise _NOISE_CHUNK steps at a
+# time. A block holds about _NOISE_CHUNK + m + 16 floats and one Generator
+# per column, and sups and finals hold 5 floats per column, so memory grows
+# with the total column count (both ensembles of a concentration check) and
+# not with n. The cap fits the 2 x 800 columns of the concentration golden
+# in one block.
+_REPLICA_BLOCK = 2048
 _NOISE_CHUNK = 64
 
 
 def _run_replicas(p: Params, ic: InitialCondition, h: float, n: int, m: int,
-                  seed: Seed, base: int, n_rep: int,
-                  ref: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Replicas base .. base + n_rep - 1, reduced as they step.
+                  seed: Seed, base: int, eps: np.ndarray,
+                  ref: Optional[np.ndarray]
+                  ) -> tuple[np.ndarray, np.ndarray, Optional[ExcursionError]]:
+    """Replicas base .. base + len(eps) - 1, reduced as they step.
 
-    Returns (sups, finals): sups[j] is the max over nodes and components of
-    |x_j - ref| against the (n + 1, 4) reference path ref (all zero when ref
-    is None), finals the (n_rep, 4) last nodes. Replica j draws its increments
-    from seed.rng(base + j) and follows the update of _kernels.euler_maruyama
-    operation for operation, so both agree bitwise with simulate_sde. The
-    lowest-index replica that leaves the band raises its ExcursionError, as a
-    loop over the replicas in index order would.
+    Column j is replica base + j at noise level eps[j] (the other parameters
+    are p's). Returns (sups, finals, first): sups[j] is the max over nodes
+    and components of |x_j - ref| against the (n + 1, 4) reference path ref
+    (all zero when ref is None), finals the (len(eps), 4) last nodes, and
+    first the ExcursionError of the lowest-index replica that left the band
+    (None if none did), which the caller raises. Replica j draws its
+    increments from seed.rng(base + j) and follows the update of
+    _kernels.euler_maruyama operation for operation, so both agree bitwise
+    with simulate_sde at eps[j]. When first is set, replicas from
+    first.replica on stop stepping and their entries are meaningless.
     """
-    sups = np.empty(n_rep)
-    finals = np.empty((n_rep, 4))
-    for start in range(0, n_rep, _REPLICA_BLOCK):
-        stop = min(start + _REPLICA_BLOCK, n_rep)
-        sups[start:stop], finals[start:stop] = _replica_block(
-            p, ic, h, n, m, seed, base + start, stop - start, ref)
-    return sups, finals
+    sups = np.empty(len(eps))
+    finals = np.empty((len(eps), 4))
+    first = None
+    for start in range(0, len(eps), _REPLICA_BLOCK):
+        sup, final, first = _replica_block(
+            p, ic, h, n, m, seed, base + start,
+            eps[start:start + _REPLICA_BLOCK], ref)
+        sups[start:start + len(sup)] = sup
+        finals[start:start + len(sup)] = final
+        if first is not None:
+            break
+    return sups, finals, first
 
 
 def _replica_block(p: Params, ic: InitialCondition, h: float, n: int, m: int,
-                   seed: Seed, base: int, width: int,
-                   ref: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+                   seed: Seed, base: int, eps: np.ndarray,
+                   ref: Optional[np.ndarray]
+                   ) -> tuple[np.ndarray, np.ndarray, Optional[ExcursionError]]:
     lo, hi = -EXCURSION_BAND, 1.0 + EXCURSION_BAND
-    beta, mu, gamma, kr, eps = p.beta, p.mu, p.gamma, p.k_r, p.epsilon
-    x = np.empty((4, width))        # rows S, E, I, R; one column per replica
+    beta, mu, gamma, kr = p.beta, p.mu, p.gamma, p.k_r
+    x = np.empty((4, len(eps)))     # rows S, E, I, R; one column per replica
     x.T[:] = (ic.s0, ic.e0, ic.i0, ic.r0)
-    sup = np.zeros((4, width))
-    dw = np.zeros((_NOISE_CHUNK, width))
-    gens = [] if eps == 0.0 else [seed.rng(base + j) for j in range(width)]
+    sup = np.zeros((4, len(eps)))
+    # column j fills row j of dw with a chunk of standard normals, which are
+    # then scaled in place to the chunk's increments; a column at eps = 0
+    # draws nothing, as simulate_sde draws nothing at eps = 0
+    dw = np.zeros((len(eps), _NOISE_CHUNK))
+    draws = [(j, seed.rng(base + j), dw[j]) for j in range(len(eps))
+             if eps[j] != 0.0]
     sd = math.sqrt(h)
     # E at nodes k - m .. k; node j sits in row j % (m + 1)
-    hist = np.empty((m + 1, width))
+    hist = np.empty((m + 1, len(eps)))
     hist[0] = ic.e0
-    first = None                    # (replica, node, component, value)
+    first = None
     for k in range(n):
         row = k % _NOISE_CHUNK
-        if row == 0 and gens:
+        if row == 0 and draws:
             size = min(_NOISE_CHUNK, n - k)
-            for j, gen in enumerate(gens):
-                dw[:size, j] = gen.normal(0.0, sd, size)
+            for _, gen, dwj in draws:
+                gen.standard_normal(out=dwj[:size])
+            # Generator.normal(0.0, sd, size) returns 0.0 + sd * z, rounded
+            # in that order, for the same standard normals z
+            np.multiply(sd, dw, out=dw)
+            np.add(0.0, dw, out=dw)
         # the update of _kernels.euler_maruyama, with the same grouping
         s, e, i, rc = x
         ed = e if m == 0 else ic.e0 if k < m else hist[(k - m) % (m + 1)]
@@ -168,7 +190,7 @@ def _replica_block(p: Params, ic: InitialCondition, h: float, n: int, m: int,
         b = h * (ed / kr)
         c = h * (mu * i)
         d = h * (gamma * rc)
-        w = eps * (s * i) * dw[row]
+        w = eps * (s * i) * dw[:, row]
         x[0] = s - a + d - w
         x[1] = e + a - b + w
         x[2] = i + b - c
@@ -177,21 +199,19 @@ def _replica_block(p: Params, ic: InitialCondition, h: float, n: int, m: int,
             hist[(k + 1) % (m + 1)] = e
         if x.min() < lo or x.max() > hi:
             # drop every replica from the first one out of the band on: only
-            # a lower-index excursion can change what is raised
+            # a lower-index excursion can change what is returned
             out = (x < lo) | (x > hi)
             j = int(np.argmax(out.any(axis=0)))
             comp = int(np.argmax(out[:, j]))
-            first = (base + j, k + 1, comp, x[comp, j])
+            first = _excursion_error(k + 1, comp, x[comp, j], base + j)
             if j == 0:
                 break
-            x, sup, dw, hist = x[:, :j], sup[:, :j], dw[:, :j], hist[:, :j]
-            gens = gens[:j]
+            x, sup, dw, hist = x[:, :j], sup[:, :j], dw[:j], hist[:, :j]
+            eps = eps[:j]
+            draws = [draw for draw in draws if draw[0] < j]
         if ref is not None:
             np.maximum(sup, np.abs(x - ref[k + 1, :, None]), out=sup)
-    if first is not None:
-        replica, node, comp, value = first
-        raise _excursion_error(node, comp, value, replica)
-    return sup.max(axis=0), x.T
+    return sup.max(axis=0), x.T, first
 
 
 def simulate_sde(p: Params, ic: InitialCondition, t_end: float, h: float,
@@ -267,6 +287,12 @@ def _rho_grid(values: Sequence[float]) -> tuple[float, ...]:
     return grid
 
 
+def _reference(p: Params, ic: InitialCondition, h: float, n: int,
+               m: int) -> np.ndarray:
+    """The (n + 1, 4) eps = 0 path that sup deviations are measured from."""
+    return _run_path(replace(p, epsilon=0.0), ic, h, m, np.zeros(n), -1).states
+
+
 def _default_rho_grid(sups: np.ndarray) -> np.ndarray:
     qs = np.quantile(sups, [0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98])
     return np.unique(qs[qs > 0.0])
@@ -287,9 +313,11 @@ def ensemble(p: Params, ic: InitialCondition, t_end: float, h: float,
     _check_int("replica_base", replica_base, 0)
     grid = None if rho_grid is None else _rho_grid(rho_grid)
     n, m, _ = step_grid(p.r, t_end, h)
-    ref = _run_path(replace(p, epsilon=0.0), ic, h, m, np.zeros(n), -1)
-    sups, finals = _run_replicas(p, ic, h, n, m, seed, replica_base, n_rep,
-                                 ref.states)
+    sups, finals, first = _run_replicas(p, ic, h, n, m, seed, replica_base,
+                                        np.full(n_rep, p.epsilon),
+                                        _reference(p, ic, h, n, m))
+    if first is not None:
+        raise first
     mf = finals.mean(axis=0)
     return EnsembleSummary(
         n_rep=n_rep,
@@ -341,7 +369,16 @@ def concentration_check(p: Params, ic: InitialCondition, t_end: float,
     fitted c the tail of a second ensemble at eps' = transfer_factor*eps is
     compared against exp(-c*rho^2/eps'^2)*safety pointwise. rho_grid = None
     takes the quantile grid that ensemble derives from the reference
-    ensemble's sup deviations (empty when eps = 0).
+    ensemble's sup deviations (empty when eps = 0). With eps > 0, n_rep
+    must be at least MIN_EXCEEDANCES + 1, the fewest replicas that can give
+    a usable point.
+
+    The reference ensemble is replicas 0 .. n_rep - 1 and the transfer
+    ensemble replicas n_rep .. 2*n_rep - 1 of seed, so each equals the
+    matching ensemble(..., replica_base=...) call; both step in one replica
+    pass against one eps = 0 path. Errors come in the order two ensemble
+    calls would raise them: an excursion of a reference replica, then
+    InsufficientExceedances, then an excursion of a transfer replica.
     """
     grid = () if rho_grid is None else _rho_grid(rho_grid)
     if p.epsilon == 0.0:
@@ -351,11 +388,21 @@ def concentration_check(p: Params, ic: InitialCondition, t_end: float,
             exceed_counts=tuple(0 for _ in grid), c_hat=None, n_fit_points=0,
             eps_transfer=None, transfer_tail=(), transfer_bound=(),
             transfer_ok=None, safety=safety, degenerate=True)
+    # a usable tail point needs MIN_EXCEEDANCES replicas above rho and at
+    # least one at or below it
+    _check_int("n_rep", n_rep, MIN_EXCEEDANCES + 1)
 
-    ens = ensemble(p, ic, t_end, h, n_rep, seed,
-                   rho_grid=None if rho_grid is None else grid)
-    grid = tuple(rho for rho, _ in ens.tail)
-    tail = tuple(pr for _, pr in ens.tail)
+    n, m, _ = step_grid(p.r, t_end, h)
+    # an inadmissible transfer noise level fails as a Params would
+    eps2 = replace(p, epsilon=p.epsilon * transfer_factor).epsilon
+    sups, _, first = _run_replicas(
+        p, ic, h, n, m, seed, 0, np.repeat([p.epsilon, eps2], n_rep),
+        _reference(p, ic, h, n, m))
+    if first is not None and first.replica < n_rep:
+        raise first
+    if rho_grid is None:
+        grid = tuple(float(rho) for rho in _default_rho_grid(sups[:n_rep]))
+    tail = tuple(pr for _, pr in _tail(sups[:n_rep], grid))
     counts = tuple(int(round(pr * n_rep)) for pr in tail)
     xs, ys = [], []
     for rho, pr, cnt in zip(grid, tail, counts):
@@ -370,11 +417,9 @@ def concentration_check(p: Params, ic: InitialCondition, t_end: float,
     ya = np.asarray(ys)
     c_hat = float(-(xa @ ya) / (xa @ xa))
 
-    eps2 = p.epsilon * transfer_factor
-    p2 = replace(p, epsilon=eps2)
-    ens2 = ensemble(p2, ic, t_end, h, n_rep, seed, rho_grid=grid,
-                    replica_base=n_rep)
-    tail2 = tuple(pr for _, pr in ens2.tail)
+    if first is not None:
+        raise first
+    tail2 = tuple(pr for _, pr in _tail(sups[n_rep:], grid))
     bound = tuple(safety * math.exp(-c_hat * rho * rho / (eps2 * eps2))
                   for rho in grid)
     ok = all(pr <= bd for pr, bd in zip(tail2, bound))
@@ -502,7 +547,10 @@ def stochastic_stability_experiment(p: Params, ic: InitialCondition,
         raise ValidationError("nondelayed analysis only: r must be 0")
     _check_int("n_rep", n_rep, 1)
     n, _, _ = step_grid(0.0, t_end, h)
-    _, finals = _run_replicas(p, ic, h, n, 0, seed, 0, n_rep, None)
+    _, finals, first = _run_replicas(p, ic, h, n, 0, seed, 0,
+                                     np.full(n_rep, p.epsilon), None)
+    if first is not None:
+        raise first
     eir = finals[:, 1:].sum(axis=1)
     return StochasticStabilityReport(
         n_rep=n_rep,

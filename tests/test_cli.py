@@ -386,6 +386,14 @@ class TestMain:
         grid = [line for line in out.splitlines() if line.startswith("rho_grid = ")]
         assert len(grid) == 1 and len(grid[0].split(",")) >= 2
 
+    def test_concentration_rejects_too_few_replicas(self, capsys):
+        # 5 replicas can never give a tail point with 5 exceedances and P < 1
+        golden = Path(__file__).parent / "golden" / "concentration.cfg"
+        rc = main(["concentration", "--config", str(golden), "--reps", "5"])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "validation error" in err and "n_rep" in err
+
     def test_warnings_echoed_in_report(self, tmp_path, capsys):
         cfg = self.write(tmp_path, MINIMAL + "params.bogus = 1\n")
         assert main(["equilibria", "--config", cfg]) == EXIT_OK

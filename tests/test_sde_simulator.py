@@ -22,12 +22,21 @@ from seirs_delay import (
     lyapunov_condition,
     make_initial_condition,
     make_run_state,
+    sde_simulator,
     simulate_sde,
     stochastic_stability_experiment,
 )
+from seirs_delay.det_integrator import step_grid
 
 P_NOISY = Params(0.1, 0.2, 0.3, 2.0, r=0.0, epsilon=0.1)
 IC = make_initial_condition(e0=0.05, s0=0.9, i0=0.05, r0=0.0)
+# 300 replicas over t = 10: the eps = 0.1 replicas stay in the band and, at
+# eps = 0.2, replica 598 (stream 906) leaves it at step 806
+P_906 = Params(0.1, 0.2, 0.3, 2.0, r=0.5, epsilon=0.1)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
 
 
 def reevaluate_inequalities(p, cert):
@@ -64,6 +73,18 @@ def violating_draw(rng, j):
 
 
 class TestSeed:
+    @pytest.mark.parametrize("sd", [math.sqrt(0.01), math.sqrt(0.005), 0.3])
+    def test_normal_is_a_scaled_standard_normal(self, sd):
+        # ensembles draw standard normals and scale them; simulate_sde calls
+        # Generator.normal; replicas match their scalar paths only while
+        # numpy rounds normal(0.0, sd) as 0.0 + sd * standard_normal
+        normal = Seed(5).rng(2).normal(0.0, sd, 100_000)
+        scaled = 0.0 + sd * Seed(5).rng(2).standard_normal(100_000)
+        assert normal.tobytes() == scaled.tobytes(), (
+            "Generator.normal(0.0, sd, k) no longer equals 0.0 + sd * "
+            "standard_normal(k) bit for bit on this numpy; the replica "
+            "engine in sde_simulator relies on it")
+
     def test_same_master_and_replica_reproduce(self):
         a = Seed(42).rng(3).normal(size=8)
         b = Seed(42).rng(3).normal(size=8)
@@ -238,14 +259,14 @@ class TestBatchedParity:
     once; each replica must equal its scalar simulate_sde path bit for bit."""
 
     # (params, t_end, n_rep, replica_base); 0.5 / 0.01 = 50 steps, fewer
-    # than one noise chunk; 1030 replicas cross a replica block
+    # than one noise chunk; the last case crosses a replica block
     CASES = {
         "no-delay": (P_NOISY, 10.0, 12, 0),
         "m=3": (replace(P_NOISY, r=0.03), 5.0, 12, 0),
         "t_end=r": (replace(P_NOISY, r=0.5), 0.5, 12, 0),
         "zero-noise": (replace(P_NOISY, r=0.5, epsilon=0.0), 5.0, 4, 0),
         "replica-base": (replace(P_NOISY, r=0.5, epsilon=0.2), 5.0, 12, 37),
-        "two-blocks": (P_NOISY, 0.5, 1030, 5),
+        "two-blocks": (P_NOISY, 0.5, sde_simulator._REPLICA_BLOCK + 6, 5),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -260,6 +281,38 @@ class TestBatchedParity:
         assert np.asarray(out.sup_deviations).tobytes() == sups.tobytes()
         mf = np.stack([path[-1] for path in paths]).mean(axis=0)
         assert out.mean_final == make_run_state(*(float(v) for v in mf))
+
+    @pytest.mark.parametrize("r", [0.0, 0.5])
+    def test_mixed_noise_levels_in_one_block(self, r):
+        # columns alternate between two noise levels, as a concentration
+        # check's reference and transfer replicas share one block
+        p = replace(P_NOISY, r=r)
+        n, m, _ = step_grid(r, 5.0, 0.01)
+        levels = np.resize([0.1, 0.25], 12)
+        ref = deterministic_euler(replace(p, epsilon=0.0), IC, 5.0, 0.01)
+        sups, finals, first = sde_simulator._run_replicas(
+            p, IC, 0.01, n, m, Seed(21), 3, levels, ref.states)
+        assert first is None
+        for j, eps in enumerate(levels):
+            path = simulate_sde(replace(p, epsilon=eps), IC, 5.0, 0.01,
+                                Seed(21), replica=3 + j).states
+            assert sups[j] == np.max(np.abs(path - ref.states))
+            assert bits(finals[j]) == bits(path[-1])
+
+    def test_replicas_below_an_excursion_keep_stepping(self):
+        # the eps = 1 columns leave the band; the eps = 0.1 columns below
+        # them must still equal their scalar paths
+        levels = np.repeat([0.1, 1.0], 6)
+        ref = deterministic_euler(replace(P_NOISY, epsilon=0.0), IC, 10.0,
+                                  0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sups, _, first = sde_simulator._run_replicas(
+                P_NOISY, IC, 0.01, 1000, 0, Seed(0), 0, levels, ref.states)
+        assert first is not None and first.replica >= 6
+        for j in range(6):
+            path = simulate_sde(P_NOISY, IC, 10.0, 0.01, Seed(0), replica=j)
+            assert sups[j] == np.max(np.abs(path.states - ref.states))
 
     def test_stability_experiment_equals_scalar_loop(self):
         p = replace(P_NOISY, epsilon=0.3)
@@ -309,6 +362,83 @@ class TestConcentrationCheck:
         assert out.c_hat == pytest.approx(float(-(xa @ ya) / (xa @ xa)),
                                           rel=1e-12)
         assert out.n_fit_points == len(xs)
+
+    @pytest.mark.parametrize("grid", [(0.01, 0.015, 0.02, 0.025), None],
+                             ids=["grid", "quantiles"])
+    @pytest.mark.parametrize("r", [0.0, 0.5])
+    def test_equals_two_ensembles(self, r, grid):
+        # one replica pass must give what an ensemble at eps and one at
+        # 2*eps on the next n_rep streams give
+        p = replace(P_NOISY, r=r)
+        out = concentration_check(p, IC, 5.0, 0.01, 200, grid, Seed(8))
+        ref = ensemble(p, IC, 5.0, 0.01, 200, Seed(8), rho_grid=grid)
+        rho = tuple(v for v, _ in ref.tail)
+        counts = tuple(int(np.count_nonzero(ref.sup_deviations > v))
+                       for v in rho)
+        xs = [v * v / (p.epsilon * p.epsilon)
+              for v, cnt in zip(rho, counts) if 5 <= cnt < 200]
+        ys = [math.log(pr) for (_, pr), cnt in zip(ref.tail, counts)
+              if 5 <= cnt < 200]
+        xa, ya = np.asarray(xs), np.asarray(ys)
+        transfer = ensemble(replace(p, epsilon=2.0 * p.epsilon), IC, 5.0,
+                            0.01, 200, Seed(8), rho_grid=rho,
+                            replica_base=200)
+        assert bits(out.rho_grid) == bits(rho)
+        assert bits(out.tail) == bits([pr for _, pr in ref.tail])
+        assert out.exceed_counts == counts
+        assert out.n_fit_points == len(xs) >= 2
+        assert bits([out.c_hat]) == bits([-(xa @ ya) / (xa @ xa)])
+        assert bits(out.transfer_tail) == bits([pr for _, pr in transfer.tail])
+
+    def test_reference_excursion_wins_over_earlier_transfer_excursion(self):
+        # eps 0.5 on stream 0: reference replica 1 leaves the band at step
+        # 746, after some transfer replica (eps 1.0, replicas 10..19) did
+        p = replace(P_NOISY, epsilon=0.5)
+        with pytest.raises(ExcursionError) as scalar:
+            simulate_sde(p, IC, 10.0, 0.01, Seed(0), replica=1)
+        transfer_nodes = []
+        for j in range(10, 20):
+            try:
+                simulate_sde(replace(p, epsilon=1.0), IC, 10.0, 0.01, Seed(0),
+                             replica=j)
+            except ExcursionError as err:
+                transfer_nodes.append(err.node)
+        assert min(transfer_nodes) < scalar.value.node
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ExcursionError) as batched:
+                concentration_check(p, IC, 10.0, 0.01, 10, self.GRID, Seed(0))
+        assert batched.value.replica == 1
+        assert str(batched.value) == str(scalar.value)
+
+    def test_insufficient_exceedances_wins_over_transfer_excursion(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InsufficientExceedances):
+                concentration_check(P_906, IC, 10.0, 0.01, 300, (5.0, 6.0),
+                                    Seed(906))
+
+    def test_transfer_excursion_raised_after_a_fit(self):
+        with pytest.raises(ExcursionError) as scalar:
+            simulate_sde(replace(P_906, epsilon=0.2), IC, 10.0, 0.01,
+                         Seed(906), replica=598)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ExcursionError) as batched:
+                concentration_check(P_906, IC, 10.0, 0.01, 300, None,
+                                    Seed(906))
+        assert batched.value.replica == 598 >= 300
+        assert str(batched.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("n_rep", [1, 5])
+    def test_n_rep_must_allow_a_usable_tail_point(self, n_rep):
+        # a usable point needs 5 replicas above rho and one not above it
+        with pytest.raises(ValidationError, match="n_rep"):
+            concentration_check(P_NOISY, IC, 1.0, 0.01, n_rep, self.GRID,
+                                Seed(3))
+        zero = replace(P_NOISY, epsilon=0.0)
+        assert concentration_check(zero, IC, 1.0, 0.01, n_rep, self.GRID,
+                                   Seed(3)).degenerate
 
     def test_insufficient_exceedances(self):
         with pytest.raises(InsufficientExceedances):
