@@ -32,14 +32,17 @@ document with dotted sections::
     ensemble.rho_grid = 0.01, 0.02, 0.05   # optional; default: quantiles
                                            # of the sup deviations
 
-Reports are deterministic "key = value" lines (floats with 17 significant
-digits) so byte-level golden comparisons work. Exit codes: 0 ok, 2 parse
-error, 3 validation error, 4 numerical failure. SEIRS_DELAY_LOG selects
-diagnostic verbosity (quiet, info, debug).
+The config is read as UTF-8. Reports are deterministic "key = value" lines
+(floats with 17 significant digits) so byte-level golden comparisons work.
+Exit codes: 0 ok; 2 parse error, including a config that cannot be read or
+decoded; 3 validation error, including a report (--out) or trajectory file
+that cannot be written; 4 numerical failure. Errors go to stderr as one
+line. SEIRS_DELAY_LOG selects diagnostic verbosity (quiet, info, debug).
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import logging
 import math
@@ -64,9 +67,9 @@ from .linear_stability import (char_poly_delay_coexistence, char_poly_delay_free
 # validate_params is not called here; perfbench/tracer.py wraps cli.validate_params
 from .model_core import (InitialCondition, Params, ValidationError,
                          make_initial_condition, validate_params)
-from .sde_simulator import (InsufficientExceedances, Seed, concentration_check,
-                            lyapunov_certificate, lyapunov_condition,
-                            simulate_sde)
+from .sde_simulator import (InsufficientExceedances, Seed, _rho_grid,
+                            concentration_check, lyapunov_certificate,
+                            lyapunov_condition, simulate_sde)
 
 __all__ = [
     "ParseError",
@@ -99,12 +102,16 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one command invocation needs.
+    """Everything one command invocation needs; every instance is valid.
 
-    step = None means "pick the default": the largest step <= min(0.01, r/50)
-    that divides the delay exactly. Explicit steps are checked against the
-    step_grid rule at parse time. warnings carries unknown-key notices and
-    is excluded from equality so round-trips compare clean.
+    Construction, also through dataclasses.replace, raises ValidationError
+    naming the config key (and its flag) unless the horizon is positive and
+    finite, an explicit step passes step_grid, n_rep >= 1, 0 <= seed < 2**64
+    and rho_grid (stored sorted) is nonempty, positive and finite. step =
+    None takes the default when a run command resolves it: the largest step
+    <= min(0.01, r/50) that divides the delay exactly. warnings carries
+    unknown-key notices and is excluded from equality so round-trips
+    compare clean.
     """
 
     params: Params
@@ -117,23 +124,40 @@ class RunConfig:
     rho_grid: Optional[tuple[float, ...]] = None
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
+    def __post_init__(self):
+        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+            raise ValidationError(
+                f"run.horizon: must be a positive finite time, got {self.horizon!r}")
+        if self.step is not None:
+            if not (math.isfinite(self.step) and self.step > 0.0):
+                raise ValidationError(
+                    f"run.step: must be a positive finite step, got {self.step!r}")
+            step_grid(self.params.r, self.horizon, self.step)
+        if not (isinstance(self.n_rep, int) and self.n_rep >= 1):
+            raise ValidationError(
+                f"ensemble.n_rep (--reps): must be an integer >= 1, got {self.n_rep!r}")
+        if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
+            raise ValidationError(
+                "ensemble.seed (--seed): must be an integer that fits in 64 "
+                f"unsigned bits, got {self.seed!r}")
+        if self.rho_grid is not None:
+            object.__setattr__(self, "rho_grid",
+                               _rho_grid(self.rho_grid, "ensemble.rho_grid"))
+
     def resolved_step(self) -> float:
         return self.step if self.step is not None else default_step(self.params.r)
 
 
-_PARAM_KEYS = {
-    "params.beta": None,
-    "params.mu": None,
-    "params.gamma": None,
-    "params.k_r": None,
-    "params.r": 0.0,
-    "params.epsilon": 0.0,
-}
+_REQUIRED_KEYS = ("params.beta", "params.mu", "params.gamma", "params.k_r")
+_PARAM_KEYS = _REQUIRED_KEYS + ("params.r", "params.epsilon")
 _INIT_DEFAULTS = {"init.e0": 0.05, "init.s0": 0.9, "init.i0": 0.05,
                   "init.r0": 0.0}
-_KNOWN_KEYS = (set(_PARAM_KEYS) | set(_INIT_DEFAULTS)
-               | {"run.horizon", "run.step", "run.trajectory",
-                  "ensemble.n_rep", "ensemble.seed", "ensemble.rho_grid"})
+# value type of each run and ensemble key, in RunConfig's check order; the
+# field is the part after the dot
+_RUN_KEYS = {"run.horizon": float, "run.step": float, "run.trajectory": str,
+             "ensemble.n_rep": int, "ensemble.seed": int,
+             "ensemble.rho_grid": tuple}
+_KNOWN_KEYS = set(_PARAM_KEYS) | set(_INIT_DEFAULTS) | set(_RUN_KEYS)
 
 
 def _scan(text: str) -> dict[str, tuple[str, int]]:
@@ -158,40 +182,25 @@ def _scan(text: str) -> dict[str, tuple[str, int]]:
     return entries
 
 
-def _as_float(entries, key: str) -> Optional[float]:
-    if key not in entries:
-        return None
-    value, lineno = entries[key]
-    try:
-        return float(value)
-    except ValueError:
-        raise ParseError(f"line {lineno}: {key}: expected a number, got {value!r}") from None
-
-
-def _as_int(entries, key: str) -> Optional[int]:
-    if key not in entries:
-        return None
-    value, lineno = entries[key]
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(f"line {lineno}: {key}: expected an integer, got {value!r}") from None
-
-
-def _as_float_list(entries, key: str) -> Optional[tuple[float, ...]]:
-    if key not in entries:
-        return None
-    value, lineno = entries[key]
+def _value(entries, key: str, kind: type):
+    """The value of key as kind: str, float, int, or tuple (a comma-separated
+    list of floats)."""
+    text, lineno = entries[key]
+    if kind is str:
+        return text
+    convert = int if kind is int else float
     out = []
-    for part in value.split(","):
+    for part in text.split(",") if kind is tuple else (text,):
         part = part.strip()
         if not part:
             raise ParseError(f"line {lineno}: {key}: empty list entry")
         try:
-            out.append(float(part))
+            out.append(convert(part))
         except ValueError:
-            raise ParseError(f"line {lineno}: {key}: expected a number, got {part!r}") from None
-    return tuple(out)
+            what = "an integer" if kind is int else "a number"
+            raise ParseError(f"line {lineno}: {key}: expected {what}, "
+                             f"got {part!r}") from None
+    return tuple(out) if kind is tuple else out[0]
 
 
 def parse_config(text: str) -> RunConfig:
@@ -199,7 +208,11 @@ def parse_config(text: str) -> RunConfig:
 
     Unknown keys become warnings on the returned RunConfig; missing required
     keys (the four core rates) and constraint violations raise
-    ValidationError, malformed lines and values raise ParseError.
+    ValidationError, malformed lines and values raise ParseError. Only the
+    keys the document sets are passed on; Params and RunConfig supply the
+    defaults and the checks (an explicit run.step at construction, the
+    default step when a run command resolves it). Of several bad keys, the
+    first in reading order is reported.
     """
     entries = _scan(text)
     warnings = tuple(f"unknown key {k!r} ignored (line {entries[k][1]})"
@@ -207,50 +220,28 @@ def parse_config(text: str) -> RunConfig:
     for msg in warnings:
         log.info("%s", msg)
 
-    values = {}
-    for key, default in _PARAM_KEYS.items():
-        v = _as_float(entries, key)
-        if v is None:
-            if default is None:
-                raise ValidationError(f"missing required key {key!r}")
-            v = default
-        values[key.split(".", 1)[1]] = v
-    params = Params(beta=values["beta"], mu=values["mu"], gamma=values["gamma"],
-                    k_r=values["k_r"], r=values["r"], epsilon=values["epsilon"])
+    rates = {}
+    for key in _PARAM_KEYS:
+        if key in entries:
+            rates[key.partition(".")[2]] = _value(entries, key, float)
+        elif key in _REQUIRED_KEYS:
+            raise ValidationError(f"missing required key {key!r}")
+    params = Params(**rates)
 
-    init_vals = {key.split(".", 1)[1]: (_as_float(entries, key) if key in entries
-                                        else default)
-                 for key, default in _INIT_DEFAULTS.items()}
-    initial = make_initial_condition(**init_vals)
+    initial = make_initial_condition(**{
+        key.partition(".")[2]: _value(entries, key, float) if key in entries else default
+        for key, default in _INIT_DEFAULTS.items()})
 
-    horizon = _as_float(entries, "run.horizon")
-    horizon = 100.0 if horizon is None else horizon
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ValidationError(f"run.horizon: must be a positive finite time, got {horizon!r}")
-    step = _as_float(entries, "run.step")
-    if step is not None:
-        if not (math.isfinite(step) and step > 0.0):
-            raise ValidationError(f"run.step: must be a positive finite step, got {step!r}")
-        step_grid(params.r, horizon, step)
-    trajectory = entries["run.trajectory"][0] if "run.trajectory" in entries else None
-
-    n_rep = _as_int(entries, "ensemble.n_rep")
-    n_rep = 200 if n_rep is None else n_rep
-    if n_rep < 1:
-        raise ValidationError(f"ensemble.n_rep: must be >= 1, got {n_rep!r}")
-    seed = _as_int(entries, "ensemble.seed")
-    seed = 0 if seed is None else seed
-    if not 0 <= seed < 2 ** 64:
-        raise ValidationError(f"ensemble.seed: must fit in 64 unsigned bits, got {seed!r}")
-    rho_grid = _as_float_list(entries, "ensemble.rho_grid")
-    if rho_grid is not None:
-        if any(not (math.isfinite(v) and v > 0.0) for v in rho_grid):
-            raise ValidationError("ensemble.rho_grid: entries must be positive and finite")
-        rho_grid = tuple(sorted(rho_grid))
-
-    return RunConfig(params=params, initial=initial, horizon=horizon,
-                     step=step, trajectory=trajectory, n_rep=n_rep, seed=seed,
-                     rho_grid=rho_grid, warnings=warnings)
+    settings = {}
+    for key, kind in _RUN_KEYS.items():
+        if key in entries:
+            try:
+                settings[key.partition(".")[2]] = _value(entries, key, kind)
+            except ParseError:
+                # an out-of-range setting read before this key comes first
+                RunConfig(params, initial, **settings)
+                raise
+    return RunConfig(params, initial, warnings=warnings, **settings)
 
 
 def _fnum(x: float) -> str:
@@ -343,8 +334,19 @@ def _echo(rep: Report, cfg: RunConfig, with_run: bool = False,
         rep.warn(w)
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """path opened for writing; an OSError becomes a ValidationError."""
+    try:
+        with open(path, "w", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot write {path!r}: {exc.strerror or exc}") from exc
+
+
 def _write_trajectory(path: str, traj: Trajectory) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with _writing(path) as fh:
         fh.write("t,S,E,I,R\n")
         for t, row in zip(traj.times, traj.states):
             fh.write(f"{float(t)!r},{float(row[0])!r},{float(row[1])!r},"
@@ -431,53 +433,41 @@ def _cmd_delay_margin(cfg: RunConfig) -> Report:
     rep = Report("delay-margin")
     _echo(rep, cfg)
     p = cfg.params
-    if p.beta < p.mu:
-        q = char_poly_delay_free(p)
-        rep.add("branch", "free-disease (degree 2)")
-        for j, v in enumerate(q.a):
-            rep.add(f"qp.a{j}", v)
-        for j, v in enumerate(q.b):
-            rep.add(f"qp.b{j}", v)
+    if p.beta == p.mu:
+        raise ValidationError("delay-margin analysis is undefined on the "
+                              "beta = mu boundary")
+    free = p.beta < p.mu
+    q = char_poly_delay_free(p) if free else char_poly_delay_coexistence(p)
+    rep.add("branch", "free-disease (degree 2)" if free else "coexistence (degree 3)")
+    for j, v in enumerate(q.a):
+        rep.add(f"qp.a{j}", v)
+    for j, v in enumerate(q.b):
+        rep.add(f"qp.b{j}", v)
+    if free:
         rep.add("instability_possible", deg2_instability_possible(q))
         cr = deg2_crossing(q)
-        rep.add("omega", cr.omega)
-        rep.add("theta", cr.theta)
-        rep.add("r_star", cr.r_star)
-        rep.add("residual", cr.residual)
-        margin = free_disease_margin(p)
-        rep.add("margin", margin)
+        for name in ("omega", "theta", "r_star", "residual"):
+            rep.add(name, getattr(cr, name))
+        rep.add("margin", free_disease_margin(p))
         rep.add("half_pi_k_r", 0.5 * math.pi * p.k_r)
         rep.add("max_admissible_delay", p.k_r / math.e)
         rep.add("verdict", "stable for all admissible delays")
-    elif p.beta > p.mu:
-        q = char_poly_delay_coexistence(p)
-        rep.add("branch", "coexistence (degree 3)")
-        for j, v in enumerate(q.a):
-            rep.add(f"qp.a{j}", v)
-        for j, v in enumerate(q.b):
-            rep.add(f"qp.b{j}", v)
-        abc = deg3_abc(q)
-        rep.add("abc.A", abc.A)
-        rep.add("abc.B", abc.B)
-        rep.add("abc.C", abc.C)
-        rep.add("abc.delta", abc.delta)
-        rep.add("instability_possible", deg3_instability_possible(q))
-        cr = deg3_crossing(q)
-        rep.add("crossing.found", cr is not None)
-        if cr is None:
-            rep.add("verdict", "inconclusive (discriminant >= 0)")
-        else:
-            rep.add("omega", cr.omega)
-            rep.add("theta", cr.theta)
-            rep.add("r_star", cr.r_star)
-            rep.add("residual", cr.residual)
-            if p.r < cr.r_star:
-                rep.add("verdict", "stable below critical delay")
-            else:
-                rep.add("verdict", "delay at or beyond critical delay")
+        return rep
+    abc = deg3_abc(q)
+    for name in ("A", "B", "C", "delta"):
+        rep.add(f"abc.{name}", getattr(abc, name))
+    rep.add("instability_possible", deg3_instability_possible(q))
+    cr = deg3_crossing(q)
+    rep.add("crossing.found", cr is not None)
+    if cr is None:
+        rep.add("verdict", "inconclusive (discriminant >= 0)")
     else:
-        raise ValidationError("delay-margin analysis is undefined on the "
-                              "beta = mu boundary")
+        for name in ("omega", "theta", "r_star", "residual"):
+            rep.add(name, getattr(cr, name))
+        if p.r < cr.r_star:
+            rep.add("verdict", "stable below critical delay")
+        else:
+            rep.add("verdict", "delay at or beyond critical delay")
     return rep
 
 
@@ -568,21 +558,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         try:
-            with open(args.config, "r") as fh:
+            with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read config {args.config!r}: {exc}") from exc
         cfg = parse_config(text)
         if args.seed is not None:
-            if not 0 <= args.seed < 2 ** 64:
-                raise ValidationError(
-                    f"--seed must fit in 64 unsigned bits, got {args.seed!r}")
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.reps is not None:
-            if args.reps < 1:
-                raise ValidationError(f"--reps must be >= 1, got {args.reps!r}")
             cfg = dataclasses.replace(cfg, n_rep=args.reps)
-        report = run(args.command, cfg)
+        report = run(args.command, cfg).render()
+        if args.out:
+            with _writing(args.out) as fh:
+                fh.write(report)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -594,10 +582,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    text = report.render()
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    if not args.out:
+        sys.stdout.write(report)
     return EXIT_OK

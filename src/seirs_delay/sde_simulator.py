@@ -26,6 +26,8 @@ from .model_core import (InitialCondition, Params, State, ValidationError,
 
 __all__ = [
     "EXCURSION_BAND",
+    "TRANSFER_FACTOR",
+    "SAFETY",
     "Seed",
     "ExcursionError",
     "InsufficientExceedances",
@@ -275,16 +277,18 @@ def _tail(sups: np.ndarray, rho_grid: Sequence[float]) -> tuple[tuple[float, flo
                  for rho in rho_grid)
 
 
-def _rho_grid(values: Sequence[float]) -> tuple[float, ...]:
-    """The sorted tail abscissas; each must be positive and finite."""
-    grid = tuple(float(v) for v in np.sort(np.asarray(values, dtype=float)))
+def _rho_grid(values: Sequence[float],
+              name: str = "rho_grid") -> tuple[float, ...]:
+    """The sorted tail abscissas; each must be positive and finite. Errors
+    call the grid name."""
+    grid = tuple(float(v) for v in values)
     if not grid:
-        raise ValidationError("rho_grid: must be nonempty")
+        raise ValidationError(f"{name}: must be nonempty")
     bad = [v for v in grid if not 0.0 < v < math.inf]
     if bad:
         raise ValidationError(
-            f"rho_grid: entries must be positive and finite, got {bad[0]!r}")
-    return grid
+            f"{name}: entries must be positive and finite, got {bad[0]!r}")
+    return tuple(sorted(grid))
 
 
 def _reference(p: Params, ic: InitialCondition, h: float, n: int,
@@ -334,7 +338,7 @@ class ConcentrationReport:
     c_hat is the through-origin least-squares slope on log-tail points with
     at least MIN_EXCEEDANCES exceedances (None when eps = 0, which makes
     every tail entry 0). transfer_* report whether exp(-c_hat*rho^2/eps'^2)
-    times the safety factor dominates a fresh ensemble at the larger eps'.
+    times safety (SAFETY) dominates a fresh ensemble at the larger eps'.
     """
 
     eps: float
@@ -352,13 +356,16 @@ class ConcentrationReport:
 
 
 MIN_EXCEEDANCES = 5
+# the fitted bound is tested on a second ensemble at TRANSFER_FACTOR * eps,
+# whose tail must stay below SAFETY times the bound
+TRANSFER_FACTOR = 2.0
+SAFETY = 3.0
 
 
 def concentration_check(p: Params, ic: InitialCondition, t_end: float,
                         h: float, n_rep: int,
-                        rho_grid: Optional[Sequence[float]], seed: Seed,
-                        transfer_factor: float = 2.0,
-                        safety: float = 3.0) -> ConcentrationReport:
+                        rho_grid: Optional[Sequence[float]],
+                        seed: Seed) -> ConcentrationReport:
     """Estimate the tail-decay constant and test it at a larger noise level.
 
     Fits c in P(sup > rho) = exp(-c*rho^2/eps^2) by least squares through
@@ -366,8 +373,9 @@ def concentration_check(p: Params, ic: InitialCondition, t_end: float,
     (P < 1). Needs at least 2 usable points, else "insufficient
     exceedances". The decay constants of the underlying bound are
     existential; this estimates, never asserts, their values. With the
-    fitted c the tail of a second ensemble at eps' = transfer_factor*eps is
-    compared against exp(-c*rho^2/eps'^2)*safety pointwise. rho_grid = None
+    fitted c the tail of a second ensemble at eps' = TRANSFER_FACTOR*eps
+    (2) is compared against exp(-c*rho^2/eps'^2)*SAFETY (3) pointwise; eps'
+    must be admissible as a Params epsilon. rho_grid = None
     takes the quantile grid that ensemble derives from the reference
     ensemble's sup deviations (empty when eps = 0). With eps > 0, n_rep
     must be at least MIN_EXCEEDANCES + 1, the fewest replicas that can give
@@ -387,14 +395,14 @@ def concentration_check(p: Params, ic: InitialCondition, t_end: float,
             eps=0.0, rho_grid=grid, tail=zeros,
             exceed_counts=tuple(0 for _ in grid), c_hat=None, n_fit_points=0,
             eps_transfer=None, transfer_tail=(), transfer_bound=(),
-            transfer_ok=None, safety=safety, degenerate=True)
+            transfer_ok=None, safety=SAFETY, degenerate=True)
     # a usable tail point needs MIN_EXCEEDANCES replicas above rho and at
     # least one at or below it
     _check_int("n_rep", n_rep, MIN_EXCEEDANCES + 1)
 
     n, m, _ = step_grid(p.r, t_end, h)
     # an inadmissible transfer noise level fails as a Params would
-    eps2 = replace(p, epsilon=p.epsilon * transfer_factor).epsilon
+    eps2 = replace(p, epsilon=p.epsilon * TRANSFER_FACTOR).epsilon
     sups, _, first = _run_replicas(
         p, ic, h, n, m, seed, 0, np.repeat([p.epsilon, eps2], n_rep),
         _reference(p, ic, h, n, m))
@@ -420,14 +428,14 @@ def concentration_check(p: Params, ic: InitialCondition, t_end: float,
     if first is not None:
         raise first
     tail2 = tuple(pr for _, pr in _tail(sups[n_rep:], grid))
-    bound = tuple(safety * math.exp(-c_hat * rho * rho / (eps2 * eps2))
+    bound = tuple(SAFETY * math.exp(-c_hat * rho * rho / (eps2 * eps2))
                   for rho in grid)
     ok = all(pr <= bd for pr, bd in zip(tail2, bound))
     return ConcentrationReport(
         eps=p.epsilon, rho_grid=grid, tail=tail, exceed_counts=counts,
         c_hat=c_hat, n_fit_points=len(xs), eps_transfer=eps2,
         transfer_tail=tail2, transfer_bound=bound, transfer_ok=ok,
-        safety=safety, degenerate=False)
+        safety=SAFETY, degenerate=False)
 
 
 def lyapunov_condition(p: Params) -> bool:

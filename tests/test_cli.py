@@ -1,4 +1,6 @@
 """Config parsing, report rendering, command dispatch and process exit codes."""
+import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -160,6 +162,55 @@ class TestParseConfig:
     def test_nonpositive_grid_entry(self):
         with pytest.raises(ValidationError, match="positive and finite"):
             parse_config(MINIMAL + "ensemble.rho_grid = 0.01, -0.02\n")
+
+    def test_first_bad_key_in_reading_order_is_reported(self):
+        # run.step is read before ensemble.seed and ensemble.rho_grid, so a
+        # range error there wins over a malformed grid, and a malformed step
+        # wins over a seed out of range
+        with pytest.raises(ValidationError, match="run.step"):
+            parse_config(MINIMAL + "ensemble.rho_grid = 0.01, , 0.02\n"
+                         "run.step = -0.01\n")
+        with pytest.raises(ParseError, match="run.step: expected a number"):
+            parse_config(MINIMAL + "ensemble.seed = -1\nrun.step = x\n")
+
+
+# (config key, RunConfig field, bad value); ENDEMIC has r = 0.5, step 0.01
+BAD_SETTINGS = [
+    ("run.horizon", "horizon", math.nan),
+    ("run.horizon", "horizon", -1.0),
+    ("run.step", "step", 0.0),
+    ("run.step", "step", math.inf),
+    ("run.step", "step", 0.03),
+    ("ensemble.n_rep", "n_rep", 0),
+    ("ensemble.seed", "seed", -1),
+    ("ensemble.seed", "seed", 2 ** 64),
+    ("ensemble.rho_grid", "rho_grid", (0.01, -0.02)),
+]
+
+
+@pytest.mark.parametrize("key, name, value", BAD_SETTINGS)
+def test_run_config_is_valid_by_construction(key, name, value):
+    text = ", ".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+    doc = "".join(line for line in ENDEMIC.splitlines(True)
+                  if not line.startswith(key)) + f"{key} = {text}\n"
+    good = parse_config(ENDEMIC)
+    fields = {f.name: getattr(good, f.name) for f in dataclasses.fields(good)}
+    fields[name] = value
+    errors = []
+    for build in (lambda: parse_config(doc),
+                  lambda: dataclasses.replace(good, **{name: value}),
+                  lambda: RunConfig(**fields)):
+        with pytest.raises(ValidationError) as exc:
+            build()
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] == errors[2]
+    # step_grid's own messages name the step as h
+    assert key in errors[0] or errors[0].startswith("step h=")
+
+
+def test_run_config_sorts_rho_grid():
+    cfg = parse_config(ENDEMIC)
+    assert dataclasses.replace(cfg, rho_grid=[0.05, 0.01]).rho_grid == (0.01, 0.05)
 
 
 class TestReport:
@@ -324,6 +375,35 @@ class TestMain:
                    "--reps", "0"])
         assert rc == EXIT_VALIDATION
         assert "--reps" in capsys.readouterr().err
+
+    def test_undecodable_config(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(MINIMAL.encode() + b"# \xff\n")
+        rc = main(["equilibria", "--config", str(path)])
+        assert rc == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("parse error: cannot read config")
+        assert captured.out == ""
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        dest = tmp_path / "missing" / "report.txt"
+        rc = main(["equilibria", "--config", self.write(tmp_path, MINIMAL),
+                   "--out", str(dest)])
+        assert rc == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == (f"validation error: cannot write {str(dest)!r}: "
+                                "No such file or directory\n")
+        assert captured.out == ""
+
+    def test_unwritable_trajectory(self, tmp_path, capsys):
+        dest = tmp_path / "missing" / "traj.csv"
+        text = MINIMAL + f"run.horizon = 1.0\nrun.trajectory = {dest}\n"
+        rc = main(["simulate", "--config", self.write(tmp_path, text)])
+        assert rc == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == (f"validation error: cannot write {str(dest)!r}: "
+                                "No such file or directory\n")
+        assert captured.out == ""
 
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         cfg = self.write(tmp_path, ENDEMIC)
