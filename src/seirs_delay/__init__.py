@@ -37,7 +37,8 @@ from .sde_simulator import (ConcentrationReport, EnsembleSummary,
                             StochasticStabilityReport, concentration_check,
                             deterministic_euler, ensemble,
                             lyapunov_certificate, lyapunov_condition,
-                            simulate_sde, stochastic_stability_experiment)
+                            lyapunov_margin, simulate_sde,
+                            stochastic_stability_experiment)
 
 __all__ = [
     "__version__",
@@ -59,6 +60,7 @@ __all__ = [
     "ConcentrationReport", "EnsembleSummary", "ExcursionError",
     "InsufficientExceedances", "LyapunovCertificate", "Seed",
     "StochasticStabilityReport", "concentration_check", "deterministic_euler",
-    "ensemble", "lyapunov_certificate", "lyapunov_condition", "simulate_sde",
+    "ensemble", "lyapunov_certificate", "lyapunov_condition",
+    "lyapunov_margin", "simulate_sde",
     "stochastic_stability_experiment",
 ]

@@ -16,6 +16,15 @@ def _cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
+def _power(value: float, k: float, name: str) -> float:
+    """value ** k, whose overflow is reported with the coefficient's name."""
+    try:
+        return value ** k
+    except OverflowError:
+        raise OverflowError(f"cubic coefficient {name} = {value!r} is out of "
+                            f"range: {name} ** {k} overflows") from None
+
+
 def _polish(x: float, a2: float, a1: float, a0: float) -> float:
     # a couple of Newton steps to tighten the closed-form value
     for _ in range(2):
@@ -50,14 +59,16 @@ def cubic_roots(a2: float, a1: float, a0: float) -> tuple[complex, complex, comp
     """All three roots of x^3 + a2 x^2 + a1 x + a0, multiplicity included.
 
     Real roots come out with zero imaginary part; a complex pair is exactly
-    conjugate. Order is (real roots first, ascending; then the pair).
+    conjugate. Order is (real roots first, ascending; then the pair). A
+    coefficient too large for the closed form raises OverflowError naming
+    it (a2, or p or q of the depressed cubic) and its value.
     """
     # depressed form t^3 + p t + q with x = t - a2/3
     shift = a2 / 3.0
     p = a1 - a2 * a2 / 3.0
-    q = 2.0 * a2 ** 3 / 27.0 - a2 * a1 / 3.0 + a0
-    scale = max(abs(p) ** 1.5, abs(q), 1e-300)
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+    q = 2.0 * _power(a2, 3, "a2") / 27.0 - a2 * a1 / 3.0 + a0
+    scale = max(_power(abs(p), 1.5, "|p|"), abs(q), 1e-300)
+    disc = _power(q / 2.0, 2, "q/2") + _power(p / 3.0, 3, "p/3")
 
     if p == 0.0 and q == 0.0:
         x = -shift

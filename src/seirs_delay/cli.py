@@ -36,8 +36,9 @@ The config is read as UTF-8. Reports are deterministic "key = value" lines
 (floats with 17 significant digits) so byte-level golden comparisons work.
 Exit codes: 0 ok; 2 parse error, including a config that cannot be read or
 decoded; 3 validation error, including a report (--out) or trajectory file
-that cannot be written; 4 numerical failure. Errors go to stderr as one
-line. SEIRS_DELAY_LOG selects diagnostic verbosity (quiet, info, debug).
+that cannot be written and a run too large to store; 4 numerical failure.
+Errors go to stderr as one line. SEIRS_DELAY_LOG selects diagnostic
+verbosity (quiet, info, debug).
 """
 from __future__ import annotations
 
@@ -69,7 +70,7 @@ from .model_core import (InitialCondition, Params, ValidationError,
                          make_initial_condition, validate_params)
 from .sde_simulator import (InsufficientExceedances, Seed, _rho_grid,
                             concentration_check, lyapunov_certificate,
-                            lyapunov_condition, simulate_sde)
+                            lyapunov_margin, simulate_sde)
 
 __all__ = [
     "ParseError",
@@ -132,7 +133,7 @@ class RunConfig:
             if not (math.isfinite(self.step) and self.step > 0.0):
                 raise ValidationError(
                     f"run.step: must be a positive finite step, got {self.step!r}")
-            step_grid(self.params.r, self.horizon, self.step)
+            self.grid()
         if not (isinstance(self.n_rep, int) and self.n_rep >= 1):
             raise ValidationError(
                 f"ensemble.n_rep (--reps): must be an integer >= 1, got {self.n_rep!r}")
@@ -146,6 +147,14 @@ class RunConfig:
 
     def resolved_step(self) -> float:
         return self.step if self.step is not None else default_step(self.params.r)
+
+    def grid(self) -> tuple[int, int, float]:
+        """step_grid of the run at the resolved step; its errors name the
+        run.horizon and run.step keys."""
+        try:
+            return step_grid(self.params.r, self.horizon, self.resolved_step())
+        except ValidationError as exc:
+            raise ValidationError(f"run.horizon / run.step: {exc}") from None
 
 
 _REQUIRED_KEYS = ("params.beta", "params.mu", "params.gamma", "params.k_r")
@@ -320,10 +329,9 @@ def _echo(rep: Report, cfg: RunConfig, with_run: bool = False,
     for name in ("e0", "s0", "i0", "r0"):
         rep.add(f"init.{name}", getattr(ic, name))
     if with_run:
-        h = cfg.resolved_step()
         rep.add("run.horizon", cfg.horizon)
-        rep.add("run.step", h)
-        _, _, t_last = step_grid(p.r, cfg.horizon, h)
+        rep.add("run.step", cfg.resolved_step())
+        _, _, t_last = cfg.grid()
         if t_last != cfg.horizon:
             rep.warn(f"run.horizon = {cfg.horizon!r} is not a whole number "
                      f"of steps; the last node is t = {t_last!r}")
@@ -497,13 +505,13 @@ def _cmd_concentration(cfg: RunConfig) -> Report:
 def _cmd_lyapunov(cfg: RunConfig) -> Report:
     rep = Report("lyapunov")
     _echo(rep, cfg)
-    p = cfg.params
-    ok = lyapunov_condition(p)
+    margin = lyapunov_margin(cfg.params)
+    ok = margin > 0.0
     rep.add("condition", ok)
-    rep.add("condition_value", p.mu - p.beta - p.epsilon ** 2 / (2.0 * p.mu * p.k_r))
+    rep.add("condition_value", margin)
     rep.add("certificate.present", ok)
     if ok:
-        cert = lyapunov_certificate(p)
+        cert = lyapunov_certificate(cfg.params)
         for name in ("v2", "v3", "lambda1_sq", "lambda3_sq", "alpha0",
                      "ineq1", "ineq2", "ineq3", "lv_bound", "holds"):
             rep.add(f"certificate.{name}", getattr(cert, name))
@@ -576,6 +584,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_PARSE
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        # a run whose arrays fit the index type but not the memory
+        print(f"validation error: out of memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (IntegrationError, NoCrossingError, InsufficientExceedances,
             ArithmeticError, RuntimeError) as exc:

@@ -21,6 +21,7 @@ threshold behind the k_r >= r*e admissibility bound).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -83,6 +84,9 @@ class Trajectory:
 
 # relative tolerance within which a step divides the delay or the horizon
 GRID_RTOL = 1e-12
+# a run stores its nodes as one (n + 1, 4) float64 array, and numpy cannot
+# address an array of more than sys.maxsize bytes
+MAX_NODES = sys.maxsize // 32
 
 
 def step_grid(r: float, t_end: float, h: float) -> tuple[int, int, float]:
@@ -95,12 +99,20 @@ def step_grid(r: float, t_end: float, h: float) -> tuple[int, int, float]:
     whole number of steps. For r = 0, h must divide t_end. The rules differ
     because with r > 0 the step is pinned by the delay, so the horizon cannot
     always be a multiple of it; with r = 0 the step is free. "Divides" holds
-    within GRID_RTOL, relative.
+    within GRID_RTOL, relative. A grid of more than MAX_NODES nodes, which
+    no array can hold, is rejected (to within the rounding of t_end/h).
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise ValidationError(f"h: must be a positive finite step, got {h!r}")
     if not math.isfinite(t_end):
         raise ValidationError(f"t_end: must be finite, got {t_end!r}")
+    # the grid spans [0, t_end] and t_end >= r; checked first, as a step
+    # count past the float range cannot be rounded
+    nodes = max(r, t_end) / h + 1.0
+    if not nodes <= MAX_NODES:
+        raise ValidationError(
+            f"a grid over [0, {max(r, t_end)!r}] at step h={h!r} has "
+            f"{nodes:.6g} nodes, more than the {MAX_NODES} one array can hold")
     m = 0
     if r > 0.0:
         m = _whole_steps(r, h)

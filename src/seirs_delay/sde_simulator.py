@@ -39,6 +39,7 @@ __all__ = [
     "deterministic_euler",
     "ensemble",
     "concentration_check",
+    "lyapunov_margin",
     "lyapunov_condition",
     "lyapunov_certificate",
     "stochastic_stability_experiment",
@@ -115,13 +116,13 @@ def _run_path(p: Params, ic: InitialCondition, h: float, m: int,
 
 # Replicas step together over a replica axis, in blocks of at most
 # _REPLICA_BLOCK columns; each block draws its noise _NOISE_CHUNK steps at a
-# time. A block holds about _NOISE_CHUNK + m + 16 floats and one Generator
+# time. A block holds about _NOISE_CHUNK + m + 18 floats and one Generator
 # per column, and sups and finals hold 5 floats per column, so memory grows
 # with the total column count (both ensembles of a concentration check) and
 # not with n. The cap fits the 2 x 800 columns of the concentration golden
 # in one block.
 _REPLICA_BLOCK = 2048
-_NOISE_CHUNK = 64
+_NOISE_CHUNK = 128
 
 
 def _run_replicas(p: Params, ic: InitialCondition, h: float, n: int, m: int,
@@ -155,51 +156,77 @@ def _run_replicas(p: Params, ic: InitialCondition, h: float, n: int, m: int,
     return sups, finals, first
 
 
+def _step_views(x: np.ndarray, flow: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The row views a replica step reads and writes, bound once per block:
+    s, e, i, (e, i, rc), (i, rc) of the state x and a, b, d, (a, b, c),
+    (b, c, d), (c, d) of the flows."""
+    return (x[0], x[1], x[2], x[1:], x[2:], flow[0], flow[1], flow[3],
+            flow[:3], flow[1:], flow[2:])
+
+
 def _replica_block(p: Params, ic: InitialCondition, h: float, n: int, m: int,
                    seed: Seed, base: int, eps: np.ndarray,
                    ref: Optional[np.ndarray]
                    ) -> tuple[np.ndarray, np.ndarray, Optional[ExcursionError]]:
     lo, hi = -EXCURSION_BAND, 1.0 + EXCURSION_BAND
-    beta, mu, gamma, kr = p.beta, p.mu, p.gamma, p.k_r
+    beta, kr = p.beta, p.k_r
+    rates = np.array([[p.mu], [p.gamma]])     # the c and d coefficients
     x = np.empty((4, len(eps)))     # rows S, E, I, R; one column per replica
     x.T[:] = (ic.s0, ic.e0, ic.i0, ic.r0)
+    flow = np.empty((4, len(eps)))  # rows a, b, c, d of the step
+    w = np.empty(len(eps))
+    dev = np.empty((4, len(eps)))
     sup = np.zeros((4, len(eps)))
+    refs = None if ref is None else ref[:, :, None]
     # column j fills row j of dw with a chunk of standard normals, which are
     # then scaled in place to the chunk's increments; a column at eps = 0
     # draws nothing, as simulate_sde draws nothing at eps = 0
     dw = np.zeros((len(eps), _NOISE_CHUNK))
-    draws = [(j, seed.rng(base + j), dw[j]) for j in range(len(eps))
-             if eps[j] != 0.0]
+    draws = [(j, seed.rng(base + j).standard_normal, dw[j])
+             for j in range(len(eps)) if eps[j] != 0.0]
     sd = math.sqrt(h)
     # E at nodes k - m .. k; node j sits in row j % (m + 1)
     hist = np.empty((m + 1, len(eps)))
     hist[0] = ic.e0
     first = None
+    s, e, i, e_i_r, i_r, a, b, d, a_b_c, b_c_d, c_d = _step_views(x, flow)
     for k in range(n):
         row = k % _NOISE_CHUNK
         if row == 0 and draws:
-            size = min(_NOISE_CHUNK, n - k)
-            for _, gen, dwj in draws:
-                gen.standard_normal(out=dwj[:size])
+            if n - k >= _NOISE_CHUNK:
+                for _, draw, dwj in draws:
+                    draw(out=dwj)
+            else:
+                for _, draw, dwj in draws:
+                    draw(out=dwj[:n - k])
             # Generator.normal(0.0, sd, size) returns 0.0 + sd * z, rounded
             # in that order, for the same standard normals z
             np.multiply(sd, dw, out=dw)
             np.add(0.0, dw, out=dw)
-        # the update of _kernels.euler_maruyama, with the same grouping
-        s, e, i, rc = x
+        # the update of _kernels.euler_maruyama, with the same grouping:
+        # a = h*((beta*s)*i), b = h*(ed/kr), (c, d) = h*((mu, gamma)*(i, rc)),
+        # w = (eps*(s*i))*dw; each row then takes its three terms in the
+        # kernel's order, S: ((s - a) + d) - w, E: ((e + a) - b) + w,
+        # I: (i + b) - c, R: (rc + c) - d
         ed = e if m == 0 else ic.e0 if k < m else hist[(k - m) % (m + 1)]
-        a = h * (beta * s * i)
-        b = h * (ed / kr)
-        c = h * (mu * i)
-        d = h * (gamma * rc)
-        w = eps * (s * i) * dw[:, row]
-        x[0] = s - a + d - w
-        x[1] = e + a - b + w
-        x[2] = i + b - c
-        x[3] = rc + c - d
+        np.multiply(beta, s, out=a)
+        np.multiply(a, i, out=a)
+        np.divide(ed, kr, out=b)
+        np.multiply(rates, i_r, out=c_d)
+        np.multiply(h, flow, out=flow)
+        np.multiply(s, i, out=w)
+        np.multiply(eps, w, out=w)
+        np.multiply(w, dw[:, row], out=w)
+        np.subtract(s, a, out=s)
+        np.add(e_i_r, a_b_c, out=e_i_r)
+        np.add(s, d, out=s)
+        np.subtract(e_i_r, b_c_d, out=e_i_r)
+        np.subtract(s, w, out=s)
+        np.add(e, w, out=e)
         if m:
             hist[(k + 1) % (m + 1)] = e
-        if x.min() < lo or x.max() > hi:
+        if (np.minimum.reduce(x, axis=None) < lo
+                or np.maximum.reduce(x, axis=None) > hi):
             # drop every replica from the first one out of the band on: only
             # a lower-index excursion can change what is returned
             out = (x < lo) | (x > hi)
@@ -208,11 +235,16 @@ def _replica_block(p: Params, ic: InitialCondition, h: float, n: int, m: int,
             first = _excursion_error(k + 1, comp, x[comp, j], base + j)
             if j == 0:
                 break
-            x, sup, dw, hist = x[:, :j], sup[:, :j], dw[:j], hist[:, :j]
-            eps = eps[:j]
+            x, flow, dev, sup, hist = (buf[:, :j] for buf in (x, flow, dev,
+                                                               sup, hist))
+            w, eps, dw = w[:j], eps[:j], dw[:j]
+            s, e, i, e_i_r, i_r, a, b, d, a_b_c, b_c_d, c_d = _step_views(
+                x, flow)
             draws = [draw for draw in draws if draw[0] < j]
-        if ref is not None:
-            np.maximum(sup, np.abs(x - ref[k + 1, :, None]), out=sup)
+        if refs is not None:
+            np.subtract(x, refs[k + 1], out=dev)
+            np.abs(dev, out=dev)
+            np.maximum(sup, dev, out=sup)
     return sup.max(axis=0), x.T, first
 
 
@@ -438,6 +470,18 @@ def concentration_check(p: Params, ic: InitialCondition, t_end: float,
         safety=SAFETY, degenerate=False)
 
 
+def lyapunov_margin(p: Params) -> float:
+    """mu - beta - eps^2/(2*mu*k_r), the left side of lyapunov_condition;
+    -inf when eps^2 overflows. Requires r = 0."""
+    if p.r != 0.0:
+        raise ValidationError("nondelayed analysis only: r must be 0")
+    try:
+        eps_sq = p.epsilon ** 2
+    except OverflowError:
+        return -math.inf
+    return p.mu - p.beta - eps_sq / (2.0 * p.mu * p.k_r)
+
+
 def lyapunov_condition(p: Params) -> bool:
     """Noise-robust stability condition for the nondelayed disease-free point:
 
@@ -446,9 +490,7 @@ def lyapunov_condition(p: Params) -> bool:
     equivalent (mu > 0) to mu > (beta + sqrt(beta^2 + 2*eps^2/k_r))/2.
     At eps = 0 it reduces to mu > beta. Requires r = 0.
     """
-    if p.r != 0.0:
-        raise ValidationError("nondelayed analysis only: r must be 0")
-    return p.mu - p.beta - p.epsilon ** 2 / (2.0 * p.mu * p.k_r) > 0.0
+    return lyapunov_margin(p) > 0.0
 
 
 @dataclass(frozen=True)

@@ -491,6 +491,64 @@ class TestMain:
             main(["bogus", "--config", self.write(tmp_path, MINIMAL)])
         assert exc.value.code == 2
 
+    def test_grid_too_large_for_an_array(self, tmp_path, capsys):
+        # admissible rates, but 2e300 steps of 0.05 cannot be stored
+        text = ("params.beta = 0.5\nparams.mu = 0.999999999\n"
+                "params.gamma = 0.5\nparams.k_r = 1e300\nparams.r = 1e299\n"
+                "run.horizon = 1e299\nrun.step = 0.05\n")
+        rc = main(["simulate", "--config", self.write(tmp_path, text)])
+        assert rc == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("validation error: run.horizon / run.step: ")
+        assert "has 2e+300 nodes" in captured.err
+
+    def test_grid_too_large_for_memory(self, tmp_path, capsys):
+        # 1e15 nodes fit numpy's index type but no address space: the node
+        # array fails to allocate without touching memory
+        text = MINIMAL + "run.horizon = 1e13\nrun.step = 0.01\n"
+        rc = main(["simulate", "--config", self.write(tmp_path, text)])
+        assert rc == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("validation error: out of memory: ")
+        assert "(1000000000000001, 4)" in captured.err
+
+    def test_lyapunov_epsilon_square_overflow_is_a_false_condition(
+            self, tmp_path, capsys):
+        text = MINIMAL + "params.epsilon = 1e300\n"
+        rc = main(["lyapunov", "--config", self.write(tmp_path, text)])
+        assert rc == EXIT_OK
+        out = capsys.readouterr().out
+        assert "condition = false\ncondition_value = -inf\n" in out
+        assert "certificate.present = false\n" in out
+
+    def test_cubic_overflow_names_the_coefficient(self, tmp_path, capsys):
+        # k_r = 1e-300 puts 1/k_r ~ 1e300 into the Jacobian's cubic
+        text = ("params.beta = 0.963\nparams.mu = 0.5\nparams.gamma = 0.5\n"
+                "params.k_r = 1e-300\nparams.epsilon = 1.08\n")
+        rc = main(["stability", "--config", self.write(tmp_path, text)])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: cubic coefficient a2 = ")
+        assert "a2 ** 3 overflows" in err
+
+
+def test_python_m_route_reproduces_a_golden():
+    golden = Path(__file__).parent / "golden"
+    env = os.environ.copy()
+    env.pop("SEIRS_DELAY_LOG", None)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    out = subprocess.run(
+        [sys.executable, "-m", "seirs_delay", "stability",
+         "--config", str(golden / "stability.cfg")],
+        capture_output=True, env=env)
+    assert out.returncode == EXIT_OK
+    assert out.stdout == (golden / "stability.report.txt").read_bytes()
+
 
 class TestLogging:
     def test_info_level_reports_unknown_keys_on_stderr(self, tmp_path):

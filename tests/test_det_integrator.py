@@ -134,6 +134,13 @@ class TestIntegrateOde:
             with pytest.raises(ValidationError, match="t_end"):
                 call()
 
+    @pytest.mark.parametrize("t_end, h", [(1e299, 0.05), (1e300, 1e-300)])
+    def test_grid_beyond_one_array_is_rejected(self, t_end, h):
+        # the second grid's step count overflows to inf before rounding
+        p = Params(0.1, 0.2, 0.3, 2.0)
+        with pytest.raises(ValidationError, match="nodes, more than the"):
+            integrate_ode(p, make_state(0.9, 0.05, 0.05, 0.0), t_end, h)
+
     def test_invariant_breach_aborts_with_node(self):
         # oversized step drives a stiff decay negative on the first update
         p = Params(0.9, 0.95, 0.05, 0.3)

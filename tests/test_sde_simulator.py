@@ -259,15 +259,27 @@ class TestBatchedParity:
     once; each replica must equal its scalar simulate_sde path bit for bit."""
 
     # (params, t_end, n_rep, replica_base); 0.5 / 0.01 = 50 steps, fewer
-    # than one noise chunk; the last case crosses a replica block
+    # than one noise chunk; the one-chunk and chunk-plus-one cases end on a
+    # full chunk and on a one-step partial chunk; the last case crosses a
+    # replica block
     CASES = {
         "no-delay": (P_NOISY, 10.0, 12, 0),
         "m=3": (replace(P_NOISY, r=0.03), 5.0, 12, 0),
         "t_end=r": (replace(P_NOISY, r=0.5), 0.5, 12, 0),
         "zero-noise": (replace(P_NOISY, r=0.5, epsilon=0.0), 5.0, 4, 0),
         "replica-base": (replace(P_NOISY, r=0.5, epsilon=0.2), 5.0, 12, 37),
+        "one-chunk": (P_NOISY, sde_simulator._NOISE_CHUNK * 0.01, 12, 0),
+        "chunk-plus-one": (replace(P_NOISY, r=0.03),
+                           (sde_simulator._NOISE_CHUNK + 1) * 0.01, 12, 0),
         "two-blocks": (P_NOISY, 0.5, sde_simulator._REPLICA_BLOCK + 6, 5),
     }
+
+    @pytest.mark.parametrize("case, steps", [
+        ("one-chunk", sde_simulator._NOISE_CHUNK),
+        ("chunk-plus-one", sde_simulator._NOISE_CHUNK + 1)])
+    def test_chunk_cases_step_as_named(self, case, steps):
+        p, t_end, _, _ = self.CASES[case]
+        assert step_grid(p.r, t_end, 0.01)[0] == steps
 
     @pytest.mark.parametrize("case", CASES)
     def test_ensemble_equals_scalar_paths(self, case):
