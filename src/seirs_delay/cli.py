@@ -45,32 +45,31 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import importlib
 import logging
 import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from .delay_margin import (NoCrossingError, deg2_crossing, deg2_instability_possible,
                            deg3_abc, deg3_crossing, deg3_instability_possible,
                            free_disease_margin)
-from .det_integrator import (IntegrationError, Trajectory, default_step,
-                             integrate_dde, integrate_ode, step_grid)
 from .equilibria import equilibrium_residual, equilibrium_set
-from .linear_stability import (char_poly_delay_coexistence, char_poly_delay_free,
+from .linear_stability import (_free_rows, char_poly_delay_coexistence,
+                               char_poly_delay_free,
                                free_disease_eigenvalues_closed_form,
-                               jacobian_free_disease, matrix_eigenvalues,
-                               routh_hurwitz_coexistence)
+                               matrix_eigenvalues, routh_hurwitz_coexistence)
+from .lyapunov import lyapunov_certificate, lyapunov_margin
 # validate_params is not called here; perfbench/tracer.py wraps cli.validate_params
-from .model_core import (InitialCondition, Params, ValidationError,
-                         make_initial_condition, validate_params)
-from .sde_simulator import (InsufficientExceedances, Seed, _rho_grid,
-                            concentration_check, lyapunov_certificate,
-                            lyapunov_margin, simulate_sde)
+from .model_core import (InitialCondition, Params, ValidationError, _rho_grid,
+                         default_step, make_initial_condition, step_grid,
+                         validate_params)
+
+if TYPE_CHECKING:
+    from .det_integrator import Trajectory
 
 __all__ = [
     "ParseError",
@@ -95,6 +94,27 @@ EXIT_NUMERICAL = 4
 
 COMMANDS = ("equilibria", "simulate", "simulate-sde", "stability",
             "delay-margin", "concentration", "lyapunov")
+
+
+def _on_first_call(module: str, name: str):
+    """A stand-in for module.name that imports the module on its first call.
+
+    The array code of the run commands (numpy, the kernels) then loads only
+    when a run command starts, so the analytic commands never pay for it.
+    Callers look the stand-in up as a global of this module, where
+    perfbench/tracer.py replaces it by name.
+    """
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f"{__package__}.{module}"),
+                       name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+integrate_ode = _on_first_call("det_integrator", "integrate_ode")
+integrate_dde = _on_first_call("det_integrator", "integrate_dde")
+concentration_check = _on_first_call("sde_simulator", "concentration_check")
 
 
 class ParseError(ValueError):
@@ -134,10 +154,11 @@ class RunConfig:
                 raise ValidationError(
                     f"run.step: must be a positive finite step, got {self.step!r}")
             self.grid()
-        if not (isinstance(self.n_rep, int) and self.n_rep >= 1):
+        # exactly int: a bool is an int too, but no count and no seed
+        if not (type(self.n_rep) is int and self.n_rep >= 1):
             raise ValidationError(
                 f"ensemble.n_rep (--reps): must be an integer >= 1, got {self.n_rep!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
+        if not (type(self.seed) is int and 0 <= self.seed < 2 ** 64):
             raise ValidationError(
                 "ensemble.seed (--seed): must be an integer that fits in 64 "
                 f"unsigned bits, got {self.seed!r}")
@@ -289,10 +310,10 @@ def _fmt(value) -> str:
         return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format(value, ".17g")
     return str(value)
 
 
@@ -405,6 +426,8 @@ def _cmd_simulate(cfg: RunConfig) -> Report:
 
 
 def _cmd_simulate_sde(cfg: RunConfig) -> Report:
+    from .sde_simulator import Seed, simulate_sde
+
     rep = Report("simulate-sde")
     _echo(rep, cfg, with_run=True, with_ensemble=True)
     h = cfg.resolved_step()
@@ -421,7 +444,7 @@ def _cmd_stability(cfg: RunConfig) -> Report:
     lam = free_disease_eigenvalues_closed_form(p)
     for j, v in enumerate(lam, 1):
         rep.add(f"free.eig{j}", v)
-    numeric = matrix_eigenvalues(jacobian_free_disease(p))
+    numeric = matrix_eigenvalues(_free_rows(p))
     gap = max(abs(a - b) for a, b in
               zip(sorted(lam), sorted(v.real for v in numeric)))
     rep.add("free.eig_crosscheck_gap", gap)
@@ -480,6 +503,8 @@ def _cmd_delay_margin(cfg: RunConfig) -> Report:
 
 
 def _cmd_concentration(cfg: RunConfig) -> Report:
+    from .sde_simulator import Seed
+
     rep = Report("concentration")
     _echo(rep, cfg, with_run=True, with_ensemble=True)
     out = concentration_check(cfg.params, cfg.initial, cfg.horizon,
@@ -589,11 +614,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # a run whose arrays fit the index type but not the memory
         print(f"validation error: out of memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (IntegrationError, NoCrossingError, InsufficientExceedances,
-            ArithmeticError, RuntimeError) as exc:
+    except (NoCrossingError, ArithmeticError, RuntimeError) as exc:
+        # IntegrationError and InsufficientExceedances are RuntimeErrors
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
     if not args.out:
         sys.stdout.write(report)
     return EXIT_OK
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,6 +5,9 @@ linearization.
 The fourth equation decouples through R = 1 - S - E - I, so every object
 here lives in the reduced (E, I, R) coordinates around the disease-free
 point and (S, I, R) around the coexistence point.
+
+Everything here is scalar arithmetic on floats; only the two public
+Jacobians, which return numpy arrays, import numpy, and only when called.
 """
 from __future__ import annotations
 
@@ -12,8 +15,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from ._cubic import cubic_roots
 from .model_core import Params, ValidationError
@@ -67,13 +68,19 @@ class StabilityVerdict:
         return "stable" if self.stable else "unstable"
 
 
-def jacobian_free_disease(p: Params) -> np.ndarray:
-    """Jacobian of the reduced (E, I, R) system at the disease-free point."""
-    return np.array([
-        [-1.0 / p.k_r, p.beta, 0.0],
-        [1.0 / p.k_r, -p.mu, 0.0],
-        [0.0, p.mu, -p.gamma],
-    ])
+def _free_rows(p: Params) -> tuple[tuple[float, float, float], ...]:
+    """Rows of jacobian_free_disease(p), as floats."""
+    return ((-1.0 / p.k_r, p.beta, 0.0),
+            (1.0 / p.k_r, -p.mu, 0.0),
+            (0.0, p.mu, -p.gamma))
+
+
+def jacobian_free_disease(p: Params):
+    """Jacobian of the reduced (E, I, R) system at the disease-free point,
+    as a 3x3 numpy array."""
+    import numpy as np
+
+    return np.array(_free_rows(p))
 
 
 def free_disease_eigenvalues_closed_form(p: Params) -> tuple[float, float, float]:
@@ -96,8 +103,9 @@ def free_disease_eigenvalues_closed_form(p: Params) -> tuple[float, float, float
     return (lam_p, lam_m, -p.gamma)
 
 
-def jacobian_coexistence(p: Params) -> np.ndarray:
-    """Jacobian of the reduced (S, I, R) system at the coexistence point.
+def _coex_rows(p: Params) -> tuple[tuple[float, float, float], ...]:
+    """Rows of the Jacobian of the reduced (S, I, R) system at the
+    coexistence point.
 
     Requires beta > mu strictly (the point must exist). With
     d3 = gamma*k_r*mu + gamma + mu the matrix is
@@ -117,32 +125,46 @@ def jacobian_coexistence(p: Params) -> np.ndarray:
     a12 = (p.gamma * p.k_r * p.mu ** 2 - p.beta * p.gamma
            + 2.0 * p.gamma * p.mu + p.mu ** 2) / d3
     a13 = -p.gamma * (p.beta - p.mu) / d3
-    return np.array([
-        [a11, a12, a13],
-        [1.0 / p.k_r, -p.mu, 0.0],
-        [0.0, p.mu, -p.gamma],
-    ])
+    return ((a11, a12, a13),
+            (1.0 / p.k_r, -p.mu, 0.0),
+            (0.0, p.mu, -p.gamma))
 
 
-def char_cubic_coefficients(m: np.ndarray) -> tuple[float, float, float]:
+def jacobian_coexistence(p: Params):
+    """Jacobian of the reduced (S, I, R) system at the coexistence point, as
+    a 3x3 numpy array; see _coex_rows."""
+    import numpy as np
+
+    return np.array(_coex_rows(p))
+
+
+def char_cubic_coefficients(m) -> tuple[float, float, float]:
     """(c2, c1, c0) of the characteristic cubic lam^3 + c2 lam^2 + c1 lam + c0
-    of a 3x3 matrix: c2 = -trace, c1 = sum of principal 2x2 minors,
+    of a 3x3 matrix, given as three rows of three numbers (a numpy array or
+    nested sequences): c2 = -trace, c1 = sum of principal 2x2 minors,
     c0 = -det."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
-        raise ValidationError(f"expected a 3x3 matrix, got shape {m.shape}")
-    tr = m[0, 0] + m[1, 1] + m[2, 2]
-    minors = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-              + m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]
-              + m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-    det = (m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-           - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-           + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]))
-    return (float(-tr), float(minors), float(-det))
+    shape = getattr(m, "shape", None)
+    try:
+        if shape not in (None, (3, 3)):
+            raise ValueError
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = (
+            [float(v) for v in row] for row in m)
+    except (TypeError, ValueError):
+        got = repr(m) if shape is None else f"shape {shape}"
+        raise ValidationError(f"expected a 3x3 matrix, got {got}") from None
+    tr = m00 + m11 + m22
+    minors = (m00 * m11 - m01 * m10
+              + m00 * m22 - m02 * m20
+              + m11 * m22 - m12 * m21)
+    det = (m00 * (m11 * m22 - m12 * m21)
+           - m01 * (m10 * m22 - m12 * m20)
+           + m02 * (m10 * m21 - m11 * m20))
+    return (-tr, minors, -det)
 
 
-def matrix_eigenvalues(m: np.ndarray) -> tuple[complex, complex, complex]:
-    """Eigenvalues of a 3x3 matrix via its characteristic cubic."""
+def matrix_eigenvalues(m) -> tuple[complex, complex, complex]:
+    """Eigenvalues of a 3x3 matrix (as char_cubic_coefficients takes it) via
+    its characteristic cubic."""
     c2, c1, c0 = char_cubic_coefficients(m)
     return cubic_roots(c2, c1, c0)
 
@@ -155,8 +177,7 @@ def routh_hurwitz_coexistence(p: Params) -> StabilityVerdict:
     where m2 is the sum of the principal 2x2 minors of A. Values within
     MARGINAL_TOL of zero make the verdict "marginal".
     """
-    a = jacobian_coexistence(p)
-    c2, m2, negdet = char_cubic_coefficients(a)
+    c2, m2, negdet = char_cubic_coefficients(_coex_rows(p))
     tr = -c2
     det = -negdet
     third = -m2 * tr + det

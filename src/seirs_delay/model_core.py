@@ -11,11 +11,17 @@ exposed fraction can be driven negative by the lagged outflow. Every Params
 is admissible: building one, directly or through dataclasses.replace, raises
 ValidationError listing all violations. validate_params reports on raw
 values without raising.
+
+The step-grid rule of every stepped run (step_grid, default_step) and the
+check of a tail-abscissa grid live here too: they are float rules that a run
+configuration applies at construction, before any array exists.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 __all__ = [
     "SUM_TOL",
@@ -31,6 +37,10 @@ __all__ = [
     "make_state",
     "make_initial_condition",
     "make_run_state",
+    "GRID_RTOL",
+    "MAX_NODES",
+    "step_grid",
+    "default_step",
 ]
 
 # simplex-sum slack at construction time and after propagation
@@ -218,3 +228,84 @@ def make_run_state(s: float, e: float, i: float, rcv: float) -> State:
             f"component sum {total!r} differs from 1 by more than "
             f"{PROPAGATION_SUM_TOL}")
     return make_state(*(v / total for v in comps))
+
+
+# relative tolerance within which a step divides the delay or the horizon
+GRID_RTOL = 1e-12
+# a run stores its nodes as one (n + 1, 4) float64 array, and numpy cannot
+# address an array of more than sys.maxsize bytes
+MAX_NODES = sys.maxsize // 32
+
+
+def step_grid(r: float, t_end: float, h: float) -> tuple[int, int, float]:
+    """Step count n, delay offset m = r/h (0 when r = 0) and last node time
+    n*h of a stepped run with delay r, horizon t_end and step h.
+
+    For r > 0, h must divide r into at least 3 steps (delayed values are then
+    stored nodes and the 4-step Adams methods have their starting values) and
+    t_end >= r; the nodes cover [0, t_end], rounding up when t_end is not a
+    whole number of steps. For r = 0, h must divide t_end. The rules differ
+    because with r > 0 the step is pinned by the delay, so the horizon cannot
+    always be a multiple of it; with r = 0 the step is free. "Divides" holds
+    within GRID_RTOL, relative. A grid of more than MAX_NODES nodes, which
+    no array can hold, is rejected (to within the rounding of t_end/h).
+    """
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValidationError(f"h: must be a positive finite step, got {h!r}")
+    if not math.isfinite(t_end):
+        raise ValidationError(f"t_end: must be finite, got {t_end!r}")
+    # the grid spans [0, t_end] and t_end >= r; checked first, as a step
+    # count past the float range cannot be rounded
+    nodes = max(r, t_end) / h + 1.0
+    if not nodes <= MAX_NODES:
+        raise ValidationError(
+            f"a grid over [0, {max(r, t_end)!r}] at step h={h!r} has "
+            f"{nodes:.6g} nodes, more than the {MAX_NODES} one array can hold")
+    m = 0
+    if r > 0.0:
+        m = _whole_steps(r, h)
+        if m is None:
+            raise ValidationError(f"step h={h!r} does not divide the delay r={r!r}")
+        if m < 3:
+            raise ValidationError(
+                f"step h={h!r} gives r/h = {m}: the delay must span at least 3 steps")
+        if t_end < r:
+            raise ValidationError(f"t_end={t_end!r} must be at least the delay r={r!r}")
+    n = _whole_steps(t_end, h)
+    if n is None:
+        if r == 0.0:
+            raise ValidationError(
+                f"t_end={t_end!r} is not an integer multiple of the step h={h!r} "
+                "(required when r = 0)")
+        n = math.ceil(t_end / h)
+    return n, m, n * h
+
+
+def _whole_steps(total: float, h: float) -> Optional[int]:
+    """total/h when it is a positive whole number within GRID_RTOL, else None."""
+    k = total / h
+    n = round(k)
+    return n if n >= 1 and abs(k - n) <= GRID_RTOL * max(1.0, k) else None
+
+
+def default_step(r: float) -> float:
+    """Largest step <= min(0.01, r/50) dividing the delay r exactly
+    (0.01 when r = 0)."""
+    if r <= 0.0:
+        return 0.01
+    n = max(50, int(math.ceil(r / 0.01 - 1e-9)))
+    return r / n
+
+
+def _rho_grid(values: Sequence[float],
+              name: str = "rho_grid") -> tuple[float, ...]:
+    """The sorted tail abscissas; each must be positive and finite. Errors
+    call the grid name."""
+    grid = tuple(float(v) for v in values)
+    if not grid:
+        raise ValidationError(f"{name}: must be nonempty")
+    bad = [v for v in grid if not 0.0 < v < math.inf]
+    if bad:
+        raise ValidationError(
+            f"{name}: entries must be positive and finite, got {bad[0]!r}")
+    return tuple(sorted(grid))

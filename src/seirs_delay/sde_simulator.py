@@ -9,7 +9,8 @@ is bitwise equal to deterministic Euler.
 
 On top of the path simulator: replica ensembles against the deterministic
 reference, an empirical check of the exp(-c*rho^2/eps^2) concentration tail,
-and the quadratic Lyapunov certificate for the nondelayed disease-free point.
+and the stochastic stability experiment. The quadratic Lyapunov certificate
+for the nondelayed disease-free point is lyapunov's, exported from here too.
 """
 from __future__ import annotations
 
@@ -20,9 +21,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .det_integrator import IntegrationError, Trajectory, step_grid
+from .det_integrator import IntegrationError, Trajectory
+from .lyapunov import (LyapunovCertificate, lyapunov_certificate,
+                       lyapunov_condition, lyapunov_margin)
 from .model_core import (InitialCondition, Params, State, ValidationError,
-                         make_run_state)
+                         _rho_grid, make_run_state, step_grid)
 
 __all__ = [
     "EXCURSION_BAND",
@@ -52,8 +55,10 @@ _COMP_NAMES = ("S", "E", "I", "R")
 
 
 def _check_int(name: str, value, low: int) -> None:
-    """Reject value, naming the argument, unless it is an integer >= low."""
-    if not (isinstance(value, (int, np.integer)) and value >= low):
+    """Reject value, naming the argument, unless it is an integer >= low
+    (a bool is not one)."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= low):
         raise ValidationError(
             f"{name}: must be an integer >= {low}, got {value!r}")
 
@@ -309,20 +314,6 @@ def _tail(sups: np.ndarray, rho_grid: Sequence[float]) -> tuple[tuple[float, flo
                  for rho in rho_grid)
 
 
-def _rho_grid(values: Sequence[float],
-              name: str = "rho_grid") -> tuple[float, ...]:
-    """The sorted tail abscissas; each must be positive and finite. Errors
-    call the grid name."""
-    grid = tuple(float(v) for v in values)
-    if not grid:
-        raise ValidationError(f"{name}: must be nonempty")
-    bad = [v for v in grid if not 0.0 < v < math.inf]
-    if bad:
-        raise ValidationError(
-            f"{name}: entries must be positive and finite, got {bad[0]!r}")
-    return tuple(sorted(grid))
-
-
 def _reference(p: Params, ic: InitialCondition, h: float, n: int,
                m: int) -> np.ndarray:
     """The (n + 1, 4) eps = 0 path that sup deviations are measured from."""
@@ -468,108 +459,6 @@ def concentration_check(p: Params, ic: InitialCondition, t_end: float,
         c_hat=c_hat, n_fit_points=len(xs), eps_transfer=eps2,
         transfer_tail=tail2, transfer_bound=bound, transfer_ok=ok,
         safety=SAFETY, degenerate=False)
-
-
-def lyapunov_margin(p: Params) -> float:
-    """mu - beta - eps^2/(2*mu*k_r), the left side of lyapunov_condition;
-    -inf when eps^2 overflows. Requires r = 0."""
-    if p.r != 0.0:
-        raise ValidationError("nondelayed analysis only: r must be 0")
-    try:
-        eps_sq = p.epsilon ** 2
-    except OverflowError:
-        return -math.inf
-    return p.mu - p.beta - eps_sq / (2.0 * p.mu * p.k_r)
-
-
-def lyapunov_condition(p: Params) -> bool:
-    """Noise-robust stability condition for the nondelayed disease-free point:
-
-        mu - beta - eps^2/(2*mu*k_r) > 0
-
-    equivalent (mu > 0) to mu > (beta + sqrt(beta^2 + 2*eps^2/k_r))/2.
-    At eps = 0 it reduces to mu > beta. Requires r = 0.
-    """
-    return lyapunov_margin(p) > 0.0
-
-
-@dataclass(frozen=True)
-class LyapunovCertificate:
-    """Witness for negativity of the generator on V = u1^2 + v2 u2^2 + v3 u3^2.
-
-    ineq1..ineq3 are the three coefficient bounds obtained after splitting
-    the cross terms with Young's inequality (all must be <= 0); lv_bound is
-    the max of LV/|u|^2 over a deterministic grid of 1000 points in (0,1]^3
-    and must be < 0 for holds.
-    """
-
-    v2: float
-    v3: float
-    lambda1_sq: float
-    lambda3_sq: float
-    alpha0: float
-    ineq1: float
-    ineq2: float
-    ineq3: float
-    lv_bound: float
-    holds: bool
-
-
-def _lv_grid_bound(p: Params, v2: float, v3: float) -> float:
-    """Max of LV(u)/|u|^2 over the 10x10x10 grid u_i in {0.1, ..., 1.0}."""
-    g = np.arange(1, 11) / 10.0
-    u1, u2, u3 = np.meshgrid(g, g, g, indexing="ij")
-    lv = (2.0 * (p.beta + v2 / p.k_r) * u1 * u2
-          + 2.0 * v3 * p.mu * u2 * u3
-          - 2.0 / p.k_r * u1 ** 2
-          - (2.0 * v2 * p.mu - p.epsilon ** 2) * u2 ** 2
-          - 2.0 * v3 * p.gamma * u3 ** 2)
-    nrm = u1 ** 2 + u2 ** 2 + u3 ** 2
-    return float(np.max(lv / nrm))
-
-
-def lyapunov_certificate(p: Params) -> LyapunovCertificate:
-    """Construct the quadratic Lyapunov certificate when the condition holds.
-
-    v2 = k_r*(2*mu - beta) minimizes the v2 quadratic; alpha0 = 1e-6 gives
-    lambda1^2 = (2/k_r - alpha0)/(beta + v2/k_r); lambda3^2 = gamma/mu; v3 is
-    the largest of {1, 1e-1, ..., 1e-8} making the second inequality hold.
-    Raises "certificate construction failed" if no grid v3 works (distinct
-    from the condition being false, which is a precondition error).
-    """
-    if not lyapunov_condition(p):
-        raise ValidationError(
-            "lyapunov condition mu - beta - eps^2/(2*mu*k_r) > 0 is false")
-    v2 = p.k_r * (2.0 * p.mu - p.beta)
-    alpha0 = 1e-6
-    coupling = p.beta + v2 / p.k_r
-    lam1_sq = (2.0 / p.k_r - alpha0) / coupling
-    if lam1_sq <= 0.0:
-        raise RuntimeError("certificate construction failed: lambda1^2 <= 0")
-    lam3_sq = p.gamma / p.mu
-
-    def ineq2_at(v3: float) -> float:
-        return (-2.0 * v2 * p.mu + p.epsilon ** 2 + coupling / lam1_sq
-                + v3 * p.mu / lam3_sq)
-
-    v3 = None
-    for exponent in range(0, 9):
-        cand = 10.0 ** (-exponent)
-        if ineq2_at(cand) <= 0.0:
-            v3 = cand
-            break
-    if v3 is None:
-        raise RuntimeError(
-            "certificate construction failed: no v3 in {1, ..., 1e-8} "
-            "satisfies the second inequality")
-    i1 = -2.0 / p.k_r + lam1_sq * coupling
-    i2 = ineq2_at(v3)
-    i3 = -2.0 * v3 * p.gamma + lam3_sq * v3 * p.mu
-    bound = _lv_grid_bound(p, v2, v3)
-    holds = i1 <= 0.0 and i2 <= 0.0 and i3 <= 0.0 and bound < 0.0
-    return LyapunovCertificate(
-        v2=v2, v3=v3, lambda1_sq=lam1_sq, lambda3_sq=lam3_sq, alpha0=alpha0,
-        ineq1=i1, ineq2=i2, ineq3=i3, lv_bound=bound, holds=holds)
 
 
 @dataclass(frozen=True)

@@ -208,6 +208,23 @@ def test_run_config_is_valid_by_construction(key, name, value):
     assert key in errors[0] or errors[0].startswith("step h=")
 
 
+@pytest.mark.parametrize("key, name, value", [
+    ("ensemble.n_rep", "n_rep", True),
+    ("ensemble.seed", "seed", False),
+    ("ensemble.seed", "seed", True),
+])
+def test_run_config_rejects_a_bool_count_or_seed(key, name, value):
+    # a config document cannot spell a bool as an integer, so only library
+    # callers can pass one
+    good = parse_config(ENDEMIC)
+    fields = {f.name: getattr(good, f.name) for f in dataclasses.fields(good)}
+    fields[name] = value
+    for build in (lambda: dataclasses.replace(good, **{name: value}),
+                  lambda: RunConfig(**fields)):
+        with pytest.raises(ValidationError, match=key):
+            build()
+
+
 def test_run_config_sorts_rho_grid():
     cfg = parse_config(ENDEMIC)
     assert dataclasses.replace(cfg, rho_grid=[0.05, 0.01]).rho_grid == (0.01, 0.05)
@@ -535,19 +552,38 @@ class TestMain:
         assert "a2 ** 3 overflows" in err
 
 
-def test_python_m_route_reproduces_a_golden():
-    golden = Path(__file__).parent / "golden"
+def python_m(module, *args):
     env = os.environ.copy()
     env.pop("SEIRS_DELAY_LOG", None)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    out = subprocess.run(
-        [sys.executable, "-m", "seirs_delay", "stability",
-         "--config", str(golden / "stability.cfg")],
-        capture_output=True, env=env)
+    return subprocess.run([sys.executable, "-m", module, *args],
+                          capture_output=True, env=env)
+
+
+def test_python_m_route_reproduces_a_golden():
+    golden = Path(__file__).parent / "golden"
+    out = python_m("seirs_delay", "stability",
+                   "--config", str(golden / "stability.cfg"))
     assert out.returncode == EXIT_OK
     assert out.stdout == (golden / "stability.report.txt").read_bytes()
+
+
+def test_python_m_cli_module_route(tmp_path):
+    golden = Path(__file__).parent / "golden"
+    out = python_m("seirs_delay.cli", "equilibria",
+                   "--config", str(golden / "equilibria.cfg"))
+    assert out.returncode == EXIT_OK
+    assert out.stdout == (golden / "equilibria.report.txt").read_bytes()
+    assert out.stderr == b""
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(ENDEMIC.replace("params.beta = 0.4", "params.beta = 1.5"))
+    out = python_m("seirs_delay.cli", "equilibria", "--config", str(bad))
+    assert out.returncode == EXIT_VALIDATION
+    assert out.stdout == b""
+    lines = out.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("validation error: beta")
 
 
 class TestLogging:

@@ -27,6 +27,7 @@ from seirs_delay import (
     matrix_eigenvalues,
     routh_hurwitz_coexistence,
 )
+from seirs_delay.linear_stability import _coex_rows, _free_rows
 
 P_FREE = Params(0.1, 0.2, 0.3, 2.0)
 P_ENDEMIC = Params(0.4, 0.2, 0.1, 2.0)
@@ -167,6 +168,40 @@ class TestMatrixEigenvalues:
             c2, c1, c0 = char_cubic_coefficients(m)
             ref = np.poly(m)  # monic: [1, c2, c1, c0]
             assert (c2, c1, c0) == pytest.approx(tuple(ref[1:]), abs=1e-12)
+
+
+    def test_rows_and_arrays_give_the_same_bits(self):
+        # the CLI passes row tuples of floats, library callers numpy arrays;
+        # the reference is the numpy-scalar arithmetic on array elements
+        def numpy_reference(m):
+            tr = m[0, 0] + m[1, 1] + m[2, 2]
+            minors = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+                      + m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]
+                      + m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+            det = (m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+                   - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
+                   + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]))
+            return (float(-tr), float(minors), float(-det))
+
+        rng = np.random.default_rng(48)
+        for _ in range(100):
+            for rows, jac in ((_free_rows, jacobian_free_disease),
+                              (_coex_rows, jacobian_coexistence)):
+                p = random_params(rng, endemic=rows is _coex_rows)
+                got = char_cubic_coefficients(rows(p))
+                assert isinstance(jac(p), np.ndarray)
+                assert np.array_equal(jac(p), np.array(rows(p)))
+                assert got == char_cubic_coefficients(jac(p))
+                assert got == numpy_reference(jac(p))
+                assert all(type(c) is float for c in got)
+
+    @pytest.mark.parametrize("m", [
+        np.zeros((2, 2)), np.zeros((3, 4)), np.zeros((3, 3, 1)), np.zeros(9),
+        [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
+        [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, "x"]], 3.0])
+    def test_char_cubic_coefficients_rejects_non_3x3(self, m):
+        with pytest.raises(ValidationError, match="expected a 3x3 matrix"):
+            char_cubic_coefficients(m)
 
 
 class TestRouthHurwitz:

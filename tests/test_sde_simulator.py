@@ -103,7 +103,7 @@ class TestSeed:
         with pytest.raises(ValidationError, match="replica"):
             Seed(42).rng(1.5)
 
-    @pytest.mark.parametrize("master", [-1, 1.5])
+    @pytest.mark.parametrize("master", [-1, 1.5, True])
     def test_master_must_be_a_nonnegative_integer(self, master):
         with pytest.raises(ValidationError, match="master"):
             Seed(master)
@@ -194,6 +194,13 @@ class TestEnsemble:
     def test_n_rep_must_be_an_integer(self):
         with pytest.raises(ValidationError, match="n_rep"):
             ensemble(P_NOISY, IC, 1.0, 0.01, 2.5, Seed(3))
+
+    @pytest.mark.parametrize("name", ["n_rep", "replica_base"])
+    def test_a_bool_is_no_count(self, name):
+        args = {"n_rep": 4, "replica_base": 0, name: True}
+        with pytest.raises(ValidationError, match=name):
+            ensemble(P_NOISY, IC, 1.0, 0.01, args["n_rep"], Seed(3),
+                     replica_base=args["replica_base"])
 
     def test_excursion_names_the_replica_of_the_scalar_path(self):
         p = Params(0.1, 0.2, 0.3, 2.0, r=0.5, epsilon=0.2)
