@@ -541,6 +541,62 @@ class TestMain:
         assert "condition = false\ncondition_value = -inf\n" in out
         assert "certificate.present = false\n" in out
 
+    def lyapunov_report(self, tmp_path, capsys, beta, mu, gamma, k_r, eps=0.0):
+        text = (f"params.beta = {beta!r}\nparams.mu = {mu!r}\n"
+                f"params.gamma = {gamma!r}\nparams.k_r = {k_r!r}\n"
+                f"params.epsilon = {eps!r}\n")
+        rc = main(["lyapunov", "--config", self.write(tmp_path, text)])
+        assert rc == EXIT_OK
+        return dict(line.split(" = ", 1)
+                    for line in capsys.readouterr().out.splitlines())
+
+    def test_lyapunov_below_the_decade_grid_takes_the_closed_form_v3(
+            self, tmp_path, capsys):
+        # no v3 in {1, ..., 1e-8} satisfies the second inequality here
+        out = self.lyapunov_report(tmp_path, capsys, 4.3e-87, 0.998,
+                                   1.15e-50, 4.9e-249)
+        assert out["condition"] == "true"
+        assert 0.0 < float(out["certificate.v3"]) < 1e-8
+        assert float(out["certificate.ineq2"]) <= 0.0
+
+    def test_lyapunov_without_a_positive_v3_does_not_hold(self, tmp_path,
+                                                          capsys):
+        b, m, k = 0.1, 0.2, 2.0
+        eps = math.sqrt(2.0 * m * k * (m - b)) * (1.0 - 1e-9)
+        out = self.lyapunov_report(tmp_path, capsys, b, m, 0.3, k, eps)
+        assert out["condition"] == "true"
+        assert out["certificate.holds"] == "false"
+        assert float(out["certificate.ineq2"]) > 0.0
+        for name in ("v3", "ineq3", "lv_bound"):
+            assert out[f"certificate.{name}"] == "none"
+
+    def test_lyapunov_certifies_at_large_k_r(self, tmp_path, capsys):
+        # a fixed alpha0 = 1e-6 made lambda1^2 = (2/k_r - alpha0)/... <= 0
+        out = self.lyapunov_report(tmp_path, capsys, 0.1, 0.2, 0.3, 3e6)
+        assert out["certificate.holds"] == "true"
+        assert float(out["certificate.lambda1_sq"]) > 0.0
+
+    def test_lyapunov_certificate_past_the_float_range_does_not_hold(
+            self, tmp_path, capsys):
+        # v2 = k_r*(2 mu - beta) overflows, so lambda1^2 underflows to 0
+        out = self.lyapunov_report(tmp_path, capsys, 0.001, 0.99, 0.5, 1e308)
+        assert out["condition"] == "true"
+        assert out["certificate.v2"] == "inf"
+        assert out["certificate.holds"] == "false"
+
+    @pytest.mark.parametrize("mu, k_r, eps, margin", [
+        (1e-160, 1e-160, 1e-240, 5e-161),   # eps^2 underflows
+        (1e-160, 1e-160, 1e-162, -5e-5),    # and the condition is false
+        (1e-160, 1e-170, 0.0, 1e-160),      # 2 mu k_r underflows to 0
+    ])
+    def test_lyapunov_margin_survives_underflow(self, tmp_path, capsys, mu,
+                                                k_r, eps, margin):
+        # margin = mu - beta - eps^2/(2 mu k_r) with beta = 1e-200
+        out = self.lyapunov_report(tmp_path, capsys, 1e-200, mu, 0.3, k_r, eps)
+        assert float(out["condition_value"]) == pytest.approx(margin,
+                                                              rel=1e-12, abs=0)
+        assert out["condition"] == ("true" if margin > 0 else "false")
+
     def test_cubic_overflow_names_the_coefficient(self, tmp_path, capsys):
         # k_r = 1e-300 puts 1/k_r ~ 1e300 into the Jacobian's cubic
         text = ("params.beta = 0.963\nparams.mu = 0.5\nparams.gamma = 0.5\n"

@@ -1,9 +1,9 @@
 """What the package exports, and what importing a part of it loads.
 
-The analytic commands (equilibria, stability, delay-margin, and lyapunov
-when its condition is false) are scalar arithmetic; they must run without
-numpy and without the array modules, which cost more to import than the
-commands cost to run. The import checks run in fresh interpreters.
+The analytic commands (equilibria, stability, delay-margin and lyapunov,
+whether its condition holds or not) are scalar arithmetic; they must run
+without numpy and without the array modules, which cost more to import
+than the commands cost to run. The import checks run in fresh interpreters.
 """
 import json
 import os
@@ -52,14 +52,14 @@ def main_quietly(*runs):
 def test_analytic_commands_load_no_array_module():
     loaded = loaded_after(main_quietly(
         *((c, GOLDEN / f"{c}.cfg") for c in ("equilibria", "stability",
-                                            "delay-margin"))))
+                                            "delay-margin", "lyapunov"))))
     assert [m for m in ARRAY_MODULES if m in loaded] == []
     assert "seirs_delay.linear_stability" in loaded
 
 
 def test_lyapunov_with_a_false_condition_loads_no_numpy(tmp_path):
     cfg = tmp_path / "false.cfg"
-    # mu < beta: the condition is false, so no certificate grid is built
+    # mu < beta: the condition is false, so no certificate is built
     cfg.write_text("params.beta = 0.4\nparams.mu = 0.2\nparams.gamma = 0.1\n"
                    "params.k_r = 2.0\n")
     loaded = loaded_after(main_quietly(("lyapunov", cfg)))
