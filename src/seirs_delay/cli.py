@@ -51,18 +51,10 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
-from .delay_margin import (NoCrossingError, deg2_crossing, deg2_instability_possible,
-                           deg3_abc, deg3_crossing, deg3_instability_possible,
-                           free_disease_margin)
-from .equilibria import equilibrium_residual, equilibrium_set
-from .linear_stability import (_free_rows, char_poly_delay_coexistence,
-                               char_poly_delay_free,
-                               free_disease_eigenvalues_closed_form,
-                               matrix_eigenvalues, routh_hurwitz_coexistence)
-from .lyapunov import lyapunov_certificate, lyapunov_margin
 # validate_params is not called here; perfbench/tracer.py wraps cli.validate_params
 from .model_core import (InitialCondition, Params, ValidationError, _rho_grid,
                          default_step, make_initial_condition, step_grid,
@@ -99,19 +91,51 @@ COMMANDS = ("equilibria", "simulate", "simulate-sde", "stability",
 def _on_first_call(module: str, name: str):
     """A stand-in for module.name that imports the module on its first call.
 
-    The array code of the run commands (numpy, the kernels) then loads only
-    when a run command starts, so the analytic commands never pay for it.
-    Callers look the stand-in up as a global of this module, where
-    perfbench/tracer.py replaces it by name.
+    Each command then loads only the modules it calls: the analytic ones
+    never load numpy or the kernels, and equilibria or lyapunov never load
+    the stability and delay-margin modules. Callers look the stand-in up as
+    a global of this module; once called, it puts the function itself in
+    its place, so later calls cost nothing. perfbench/tracer.py replaces
+    these globals by name; while one is replaced, the stand-in stays and
+    calls the function it resolved.
     """
+    namespace = globals()
+    resolved = None
+
     def call(*args, **kwargs):
-        return getattr(importlib.import_module(f"{__package__}.{module}"),
-                       name)(*args, **kwargs)
+        nonlocal resolved
+        if resolved is None:
+            resolved = getattr(importlib.import_module(f"{__package__}.{module}"),
+                               name)
+        if namespace.get(name) is call:
+            namespace[name] = resolved
+        return resolved(*args, **kwargs)
 
     call.__name__ = call.__qualname__ = name
     return call
 
 
+equilibrium_set = _on_first_call("equilibria", "equilibrium_set")
+equilibrium_residual = _on_first_call("equilibria", "equilibrium_residual")
+free_disease_eigenvalues_closed_form = _on_first_call(
+    "linear_stability", "free_disease_eigenvalues_closed_form")
+_free_rows = _on_first_call("linear_stability", "_free_rows")
+matrix_eigenvalues = _on_first_call("linear_stability", "matrix_eigenvalues")
+routh_hurwitz_coexistence = _on_first_call("linear_stability",
+                                           "routh_hurwitz_coexistence")
+char_poly_delay_free = _on_first_call("linear_stability", "char_poly_delay_free")
+char_poly_delay_coexistence = _on_first_call("linear_stability",
+                                             "char_poly_delay_coexistence")
+deg2_instability_possible = _on_first_call("delay_margin",
+                                           "deg2_instability_possible")
+deg2_crossing = _on_first_call("delay_margin", "deg2_crossing")
+free_disease_margin = _on_first_call("delay_margin", "free_disease_margin")
+deg3_abc = _on_first_call("delay_margin", "deg3_abc")
+deg3_instability_possible = _on_first_call("delay_margin",
+                                           "deg3_instability_possible")
+deg3_crossing = _on_first_call("delay_margin", "deg3_crossing")
+lyapunov_margin = _on_first_call("lyapunov", "lyapunov_margin")
+lyapunov_certificate = _on_first_call("lyapunov", "lyapunov_certificate")
 integrate_ode = _on_first_call("det_integrator", "integrate_ode")
 integrate_dde = _on_first_call("det_integrator", "integrate_dde")
 concentration_check = _on_first_call("sde_simulator", "concentration_check")
@@ -180,25 +204,29 @@ class RunConfig:
 
 _REQUIRED_KEYS = ("params.beta", "params.mu", "params.gamma", "params.k_r")
 _PARAM_KEYS = _REQUIRED_KEYS + ("params.r", "params.epsilon")
+_PARAM_FIELDS = {key: key.partition(".")[2] for key in _PARAM_KEYS}
 _INIT_DEFAULTS = {"init.e0": 0.05, "init.s0": 0.9, "init.i0": 0.05,
                   "init.r0": 0.0}
-# value type of each run and ensemble key, in RunConfig's check order; the
-# field is the part after the dot
-_RUN_KEYS = {"run.horizon": float, "run.step": float, "run.trajectory": str,
-             "ensemble.n_rep": int, "ensemble.seed": int,
-             "ensemble.rho_grid": tuple}
+# the initial state of a document that sets none of the init keys
+_DEFAULT_INITIAL = make_initial_condition(*_INIT_DEFAULTS.values())
+# RunConfig field and value type of each run and ensemble key, in
+# RunConfig's check order
+_RUN_KEYS = {"run.horizon": ("horizon", float), "run.step": ("step", float),
+             "run.trajectory": ("trajectory", str),
+             "ensemble.n_rep": ("n_rep", int), "ensemble.seed": ("seed", int),
+             "ensemble.rho_grid": ("rho_grid", tuple)}
 _KNOWN_KEYS = set(_PARAM_KEYS) | set(_INIT_DEFAULTS) | set(_RUN_KEYS)
 
 
 def _scan(text: str) -> dict[str, tuple[str, int]]:
     entries: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, eq, value = line.partition("=")
+        key, eq, value = raw.partition("#")[0].partition("=")
         if not eq:
-            raise ParseError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
+            if key.strip():
+                raise ParseError(f"line {lineno}: expected 'key = value', "
+                                 f"got {raw.strip()!r}")
+            continue
         key = key.strip()
         value = value.strip()
         if not key:
@@ -218,19 +246,21 @@ def _value(entries, key: str, kind: type):
     text, lineno = entries[key]
     if kind is str:
         return text
-    convert = int if kind is int else float
-    out = []
-    for part in text.split(",") if kind is tuple else (text,):
-        part = part.strip()
-        if not part:
-            raise ParseError(f"line {lineno}: {key}: empty list entry")
-        try:
-            out.append(convert(part))
-        except ValueError:
-            what = "an integer" if kind is int else "a number"
-            raise ParseError(f"line {lineno}: {key}: expected {what}, "
-                             f"got {part!r}") from None
-    return tuple(out) if kind is tuple else out[0]
+    if kind is tuple:
+        return tuple(_number(key, part.strip(), lineno)
+                     for part in text.split(","))
+    return _number(key, text, lineno, kind)
+
+
+def _number(key: str, text: str, lineno: int, convert: type = float):
+    if not text:
+        raise ParseError(f"line {lineno}: {key}: empty list entry")
+    try:
+        return convert(text)
+    except ValueError:
+        what = "an integer" if convert is int else "a number"
+        raise ParseError(f"line {lineno}: {key}: expected {what}, "
+                         f"got {text!r}") from None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -245,28 +275,35 @@ def parse_config(text: str) -> RunConfig:
     first in reading order is reported.
     """
     entries = _scan(text)
-    warnings = tuple(f"unknown key {k!r} ignored (line {entries[k][1]})"
-                     for k in entries if k not in _KNOWN_KEYS)
-    for msg in warnings:
-        log.info("%s", msg)
+    warnings = ()
+    if not entries.keys() <= _KNOWN_KEYS:
+        warnings = tuple(f"unknown key {k!r} ignored (line {entries[k][1]})"
+                         for k in entries if k not in _KNOWN_KEYS)
+        for msg in warnings:
+            log.info("%s", msg)
 
     rates = {}
-    for key in _PARAM_KEYS:
-        if key in entries:
-            rates[key.partition(".")[2]] = _value(entries, key, float)
+    for key, name in _PARAM_FIELDS.items():
+        entry = entries.get(key)
+        if entry is not None:
+            rates[name] = _number(key, *entry)
         elif key in _REQUIRED_KEYS:
             raise ValidationError(f"missing required key {key!r}")
     params = Params(**rates)
 
-    initial = make_initial_condition(**{
-        key.partition(".")[2]: _value(entries, key, float) if key in entries else default
-        for key, default in _INIT_DEFAULTS.items()})
+    if entries.keys().isdisjoint(_INIT_DEFAULTS):
+        initial = _DEFAULT_INITIAL
+    else:
+        # _INIT_DEFAULTS is in make_initial_condition's argument order
+        initial = make_initial_condition(*[
+            _number(key, *entries[key]) if key in entries else default
+            for key, default in _INIT_DEFAULTS.items()])
 
     settings = {}
-    for key, kind in _RUN_KEYS.items():
+    for key, (name, kind) in _RUN_KEYS.items():
         if key in entries:
             try:
-                settings[key.partition(".")[2]] = _value(entries, key, kind)
+                settings[name] = _value(entries, key, kind)
             except ParseError:
                 # an out-of-range setting read before this key comes first
                 RunConfig(params, initial, **settings)
@@ -305,15 +342,19 @@ def serialize_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the text of a report value, by its class: a float as 17 significant
+# digits, a bool as true/false, None as none
+_FORMAT = {float: "%.17g".__mod__, bool: ("false", "true").__getitem__,
+           int: str, str: str, type(None): lambda _: "none"}
+
+
 def _fmt(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, ".17g")
+    """value as report text: the formatter of the first class of value's MRO
+    in _FORMAT, else str."""
+    for cls in type(value).__mro__:
+        fmt = _FORMAT.get(cls)
+        if fmt is not None:
+            return fmt(value)
     return str(value)
 
 
@@ -327,6 +368,10 @@ class Report:
     def add(self, key: str, value) -> None:
         self._items.append((key, value))
 
+    def extend(self, pairs) -> None:
+        """add each (key, value) of pairs, in order."""
+        self._items.extend(pairs)
+
     def warn(self, message: str) -> None:
         self._warnings.append(message)
 
@@ -337,18 +382,37 @@ class Report:
         raise KeyError(key)
 
     def render(self) -> str:
-        lines = [f"{k} = {_fmt(v)}" for k, v in self._items]
-        lines.extend(f"warning.{j} = {w}" for j, w in enumerate(self._warnings))
-        return "\n".join(lines) + "\n"
+        # _fmt handles only the classes the table lacks
+        fmt = _FORMAT.get
+        lines = [f"{k} = {fmt(type(v), _fmt)(v)}\n" for k, v in self._items]
+        lines.extend(f"warning.{j} = {w}\n" for j, w in enumerate(self._warnings))
+        return "".join(lines)
+
+
+def _keyed(prefix: str, names: Sequence[str]):
+    """The report keys prefix + name, and a function giving an object's
+    attributes of those names as a tuple in the same order."""
+    return tuple(prefix + name for name in names), attrgetter(*names)
+
+
+_ECHO_PARAMS, _param_values = _keyed("params.", ("beta", "mu", "gamma", "k_r",
+                                                 "r", "epsilon"))
+_ECHO_INIT, _init_values = _keyed("init.", ("e0", "s0", "i0", "r0"))
+_ECHO = _ECHO_PARAMS + _ECHO_INIT
+_STATE_NAMES = ("s", "e", "i", "rcv")
+_state_values = attrgetter(*_STATE_NAMES)
+_STATE_KEYS = {prefix: tuple(f"{prefix}.{name}" for name in _STATE_NAMES)
+               for prefix in ("x_free", "x_star", "final")}
+_CROSSING, _crossing_values = _keyed("", ("omega", "theta", "r_star", "residual"))
+_ABC, _abc_values = _keyed("abc.", ("A", "B", "C", "delta"))
+_CERTIFICATE, _certificate_values = _keyed(
+    "certificate.", ("v2", "v3", "lambda1_sq", "lambda3_sq", "alpha0", "ineq1",
+                     "ineq2", "ineq3", "lv_bound", "holds"))
 
 
 def _echo(rep: Report, cfg: RunConfig, with_run: bool = False,
           with_ensemble: bool = False) -> None:
-    p, ic = cfg.params, cfg.initial
-    for name in ("beta", "mu", "gamma", "k_r", "r", "epsilon"):
-        rep.add(f"params.{name}", getattr(p, name))
-    for name in ("e0", "s0", "i0", "r0"):
-        rep.add(f"init.{name}", getattr(ic, name))
+    rep.extend(zip(_ECHO, _param_values(cfg.params) + _init_values(cfg.initial)))
     if with_run:
         rep.add("run.horizon", cfg.horizon)
         rep.add("run.step", cfg.resolved_step())
@@ -357,8 +421,7 @@ def _echo(rep: Report, cfg: RunConfig, with_run: bool = False,
             rep.warn(f"run.horizon = {cfg.horizon!r} is not a whole number "
                      f"of steps; the last node is t = {t_last!r}")
     if with_ensemble:
-        rep.add("ensemble.n_rep", cfg.n_rep)
-        rep.add("ensemble.seed", cfg.seed)
+        rep.extend((("ensemble.n_rep", cfg.n_rep), ("ensemble.seed", cfg.seed)))
     for w in cfg.warnings:
         rep.warn(w)
 
@@ -383,8 +446,7 @@ def _write_trajectory(path: str, traj: Trajectory) -> None:
 
 
 def _add_state(rep: Report, prefix: str, values) -> None:
-    for name, v in zip(("s", "e", "i", "rcv"), values):
-        rep.add(f"{prefix}.{name}", float(v))
+    rep.extend(zip(_STATE_KEYS[prefix], map(float, values)))
 
 
 def _cmd_equilibria(cfg: RunConfig) -> Report:
@@ -392,13 +454,11 @@ def _cmd_equilibria(cfg: RunConfig) -> Report:
     _echo(rep, cfg)
     eqs = equilibrium_set(cfg.params)
     rep.add("r0", eqs.r0)
-    _add_state(rep, "x_free", (eqs.x_free.s, eqs.x_free.e, eqs.x_free.i,
-                               eqs.x_free.rcv))
+    _add_state(rep, "x_free", _state_values(eqs.x_free))
     rep.add("x_free.residual", equilibrium_residual(cfg.params, eqs.x_free))
     rep.add("x_star.present", eqs.x_star is not None)
     if eqs.x_star is not None:
-        _add_state(rep, "x_star", (eqs.x_star.s, eqs.x_star.e, eqs.x_star.i,
-                                   eqs.x_star.rcv))
+        _add_state(rep, "x_star", _state_values(eqs.x_star))
         rep.add("x_star.residual", equilibrium_residual(cfg.params, eqs.x_star))
     return rep
 
@@ -442,20 +502,18 @@ def _cmd_stability(cfg: RunConfig) -> Report:
     _echo(rep, cfg)
     p = cfg.params
     lam = free_disease_eigenvalues_closed_form(p)
-    for j, v in enumerate(lam, 1):
-        rep.add(f"free.eig{j}", v)
-    numeric = matrix_eigenvalues(_free_rows(p))
-    gap = max(abs(a - b) for a, b in
-              zip(sorted(lam), sorted(v.real for v in numeric)))
-    rep.add("free.eig_crosscheck_gap", gap)
-    rep.add("free.stable", max(lam) < 0.0)
-    rep.add("coexistence.present", p.beta > p.mu)
+    rep.extend(zip(("free.eig1", "free.eig2", "free.eig3"), lam))
+    numeric = sorted([v.real for v in matrix_eigenvalues(_free_rows(p))])
+    gap = max([abs(a - b) for a, b in zip(sorted(lam), numeric)])
+    rep.extend((("free.eig_crosscheck_gap", gap),
+                ("free.stable", max(lam) < 0.0),
+                ("coexistence.present", p.beta > p.mu)))
     if p.beta > p.mu:
         verdict = routh_hurwitz_coexistence(p)
         for j, c in enumerate(verdict.criteria, 1):
-            rep.add(f"coexistence.criterion{j}.name", c.name)
-            rep.add(f"coexistence.criterion{j}.value", c.value)
-            rep.add(f"coexistence.criterion{j}.satisfied", c.satisfied)
+            rep.extend(((f"coexistence.criterion{j}.name", c.name),
+                        (f"coexistence.criterion{j}.value", c.value),
+                        (f"coexistence.criterion{j}.satisfied", c.satisfied)))
         rep.add("coexistence.verdict", verdict.verdict)
     return rep
 
@@ -470,31 +528,24 @@ def _cmd_delay_margin(cfg: RunConfig) -> Report:
     free = p.beta < p.mu
     q = char_poly_delay_free(p) if free else char_poly_delay_coexistence(p)
     rep.add("branch", "free-disease (degree 2)" if free else "coexistence (degree 3)")
-    for j, v in enumerate(q.a):
-        rep.add(f"qp.a{j}", v)
-    for j, v in enumerate(q.b):
-        rep.add(f"qp.b{j}", v)
+    rep.extend((f"qp.a{j}", v) for j, v in enumerate(q.a))
+    rep.extend((f"qp.b{j}", v) for j, v in enumerate(q.b))
     if free:
         rep.add("instability_possible", deg2_instability_possible(q))
-        cr = deg2_crossing(q)
-        for name in ("omega", "theta", "r_star", "residual"):
-            rep.add(name, getattr(cr, name))
-        rep.add("margin", free_disease_margin(p))
-        rep.add("half_pi_k_r", 0.5 * math.pi * p.k_r)
-        rep.add("max_admissible_delay", p.k_r / math.e)
-        rep.add("verdict", "stable for all admissible delays")
+        rep.extend(zip(_CROSSING, _crossing_values(deg2_crossing(q))))
+        rep.extend((("margin", free_disease_margin(p)),
+                    ("half_pi_k_r", 0.5 * math.pi * p.k_r),
+                    ("max_admissible_delay", p.k_r / math.e),
+                    ("verdict", "stable for all admissible delays")))
         return rep
-    abc = deg3_abc(q)
-    for name in ("A", "B", "C", "delta"):
-        rep.add(f"abc.{name}", getattr(abc, name))
+    rep.extend(zip(_ABC, _abc_values(deg3_abc(q))))
     rep.add("instability_possible", deg3_instability_possible(q))
     cr = deg3_crossing(q)
     rep.add("crossing.found", cr is not None)
     if cr is None:
         rep.add("verdict", "inconclusive (discriminant >= 0)")
     else:
-        for name in ("omega", "theta", "r_star", "residual"):
-            rep.add(name, getattr(cr, name))
+        rep.extend(zip(_CROSSING, _crossing_values(cr)))
         if p.r < cr.r_star:
             rep.add("verdict", "stable below critical delay")
         else:
@@ -532,14 +583,11 @@ def _cmd_lyapunov(cfg: RunConfig) -> Report:
     _echo(rep, cfg)
     margin = lyapunov_margin(cfg.params)
     ok = margin > 0.0
-    rep.add("condition", ok)
-    rep.add("condition_value", margin)
-    rep.add("certificate.present", ok)
+    rep.extend((("condition", ok), ("condition_value", margin),
+                ("certificate.present", ok)))
     if ok:
         cert = lyapunov_certificate(cfg.params)
-        for name in ("v2", "v3", "lambda1_sq", "lambda3_sq", "alpha0",
-                     "ineq1", "ineq2", "ineq3", "lv_bound", "holds"):
-            rep.add(f"certificate.{name}", getattr(cert, name))
+        rep.extend(zip(_CERTIFICATE, _certificate_values(cert)))
     return rep
 
 
@@ -560,6 +608,15 @@ def run(command: str, cfg: RunConfig) -> Report:
         raise ValidationError(f"unknown command {command!r}; "
                               f"expected one of {', '.join(COMMANDS)}")
     return _DISPATCH[command](cfg)
+
+
+def _numerical_errors() -> tuple[type, ...]:
+    """The exceptions main reports as numerical failures. A NoCrossingError
+    can only come from a loaded delay_margin, so main never imports it."""
+    delay_margin = sys.modules.get(f"{__package__}.delay_margin")
+    # IntegrationError and InsufficientExceedances are RuntimeErrors
+    return (ArithmeticError, RuntimeError) + (
+        (delay_margin.NoCrossingError,) if delay_margin is not None else ())
 
 
 def _setup_logging() -> None:
@@ -614,8 +671,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # a run whose arrays fit the index type but not the memory
         print(f"validation error: out of memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NoCrossingError, ArithmeticError, RuntimeError) as exc:
-        # IntegrationError and InsufficientExceedances are RuntimeErrors
+    except _numerical_errors() as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

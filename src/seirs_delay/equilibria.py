@@ -13,6 +13,7 @@ the fixed points do not depend on r.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,13 +51,19 @@ def coexistence_equilibrium(p: Params) -> Optional[State]:
         I* = gamma*(beta - mu) / (beta*d3)
         R* = (beta - mu)*mu / (beta*d3)
 
-    The four entries sum to 1 identically.
+    The four entries sum to 1 identically. When beta*d3 underflows, E*, I*
+    and R* are taken as (1 - mu/beta) times k_r*mu*gamma/d3, gamma/d3 and
+    mu/d3, which neither divides by zero nor loses digits.
     """
     if not p.beta > p.mu:
         return None
     d3 = p.gamma * p.k_r * p.mu + p.gamma + p.mu
     denom = p.beta * d3
     s = p.mu / p.beta
+    if denom < sys.float_info.min:
+        share = 1.0 - p.mu / p.beta
+        return make_state(s, share * (p.k_r * p.mu * p.gamma / d3),
+                          share * (p.gamma / d3), share * (p.mu / d3))
     e = p.k_r * (p.beta - p.mu) * p.mu * p.gamma / denom
     i = p.gamma * (p.beta - p.mu) / denom
     rcv = (p.beta - p.mu) * p.mu / denom

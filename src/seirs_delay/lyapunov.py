@@ -24,21 +24,30 @@ __all__ = [
 ]
 
 
+def _epsilon_sq(p: Params) -> float:
+    """eps ** 2, or inf where that overflows. (eps * eps is correctly
+    rounded where ** 2 is not always, but ** 2 gave every report's digits.)"""
+    try:
+        return p.epsilon ** 2
+    except OverflowError:
+        return math.inf
+
+
 def lyapunov_margin(p: Params) -> float:
     """mu - beta - eps^2/(2*mu*k_r), the left side of lyapunov_condition;
-    -inf when eps^2 overflows. Requires r = 0."""
+    -inf when the ratio itself overflows. Requires r = 0."""
     if p.r != 0.0:
         raise ValidationError("nondelayed analysis only: r must be 0")
-    try:
-        eps_sq = p.epsilon ** 2
-    except OverflowError:
-        return -math.inf
-    if min(eps_sq, 2.0 * p.mu * p.k_r) < sys.float_info.min:
-        # a zero or subnormal eps^2 or 2*mu*k_r loses digits or divides by
-        # zero; the same ratio as the square of a quotient does neither
+    eps_sq = _epsilon_sq(p)
+    scale = 2.0 * p.mu * p.k_r
+    if not (sys.float_info.min <= min(eps_sq, scale)
+            and max(eps_sq, scale) < math.inf):
+        # a zero, subnormal or overflowing eps^2 or 2*mu*k_r loses digits,
+        # divides by zero or gives inf/inf; the same ratio as the square of
+        # a quotient does none of these
         x = p.epsilon / math.sqrt(2.0 * p.mu) / math.sqrt(p.k_r)
         return p.mu - p.beta - x * x
-    return p.mu - p.beta - eps_sq / (2.0 * p.mu * p.k_r)
+    return p.mu - p.beta - eps_sq / scale
 
 
 def lyapunov_condition(p: Params) -> bool:
@@ -81,7 +90,7 @@ def _lv_matrix(p: Params, v2: float, v3: float) -> tuple[float, ...]:
     """(a11, a12, a22, a23, a33) of the symmetric tridiagonal A with
     LV(u) = u^T A u."""
     return (-2.0 / p.k_r, p.beta + v2 / p.k_r,
-            -(2.0 * v2 * p.mu - p.epsilon ** 2), v3 * p.mu,
+            -(2.0 * v2 * p.mu - _epsilon_sq(p)), v3 * p.mu,
             -2.0 * v3 * p.gamma)
 
 
@@ -180,7 +189,7 @@ def lyapunov_certificate(p: Params) -> LyapunovCertificate:
     lam3_sq = p.gamma / p.mu
     # the second inequality is ineq2_0 + v3*mu/lambda3^2 <= 0; lambda1^2
     # underflows to 0 only when v2 overflows, and NaN then fails every test
-    ineq2_0 = (-2.0 * v2 * p.mu + p.epsilon ** 2
+    ineq2_0 = (-2.0 * v2 * p.mu + _epsilon_sq(p)
                + (coupling / lam1_sq if lam1_sq > 0.0 else math.nan))
 
     def ineq2_at(v3: float) -> float:

@@ -105,14 +105,31 @@ def _finite(x) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
 
 
+_VALID = ValidationReport(ok=True)
+
+
 def validate_params(beta, mu, gamma, k_r, r=0.0,
                     epsilon=0.0) -> ValidationReport:
     """Check every admissibility constraint and report all failures at once.
 
     Never raises: non-finite entries produce a named "finite" violation.
     The admissibility region is monotone in k_r: if (beta, mu, gamma, k_r, r,
-    epsilon) passes, so does any larger k_r.
+    epsilon) passes, so does any larger k_r. Plain floats inside every
+    bound, the common case, take one chained comparison and share one valid
+    report; anything else gets the list of violations from _violations.
     """
+    if (type(beta) is type(mu) is type(gamma) is type(k_r) is type(r)
+            is type(epsilon) is float
+            and 0.0 < beta < 1.0 and 0.0 < mu < 1.0 and 0.0 < gamma < 1.0
+            and 0.0 < k_r < math.inf and 0.0 <= r < math.inf
+            and 0.0 <= epsilon < math.inf and (r == 0.0 or k_r >= r * math.e)):
+        return _VALID
+    bad = _violations(beta, mu, gamma, k_r, r, epsilon)
+    return ValidationReport(ok=not bad, violations=bad)
+
+
+def _violations(beta, mu, gamma, k_r, r, epsilon) -> tuple[Violation, ...]:
+    """Every admissibility constraint the values violate, in a fixed order."""
     values = {"beta": beta, "mu": mu, "gamma": gamma, "k_r": k_r, "r": r,
               "epsilon": epsilon}
     bad: list[Violation] = []
@@ -131,7 +148,7 @@ def validate_params(beta, mu, gamma, k_r, r=0.0,
         bad.append(Violation("epsilon", "must be >= 0"))
     if _finite(r) and _finite(k_r) and r > 0.0 and k_r < r * math.e:
         bad.append(Violation("k_r", "must satisfy k_r >= r*e when r > 0"))
-    return ValidationReport(ok=not bad, violations=tuple(bad))
+    return tuple(bad)
 
 
 @dataclass(frozen=True)
@@ -162,7 +179,19 @@ def make_state(s: float, e: float, i: float, rcv: float) -> State:
     Components may undershoot zero by at most SUM_TOL (they are clamped to 0),
     anything lower is rejected; the total must equal 1 within SUM_TOL.
     Negativity is diagnosed before the sum so the error names the real cause.
+    Plain floats in [0, 1] whose sum passes, the common case, need no clamp
+    and are taken in one chained comparison; anything else goes through
+    _checked_state.
     """
+    if (type(s) is type(e) is type(i) is type(rcv) is float
+            and 0.0 <= s <= 1.0 and 0.0 <= e <= 1.0 and 0.0 <= i <= 1.0
+            and 0.0 <= rcv <= 1.0 and abs(((s + e) + i) + rcv - 1.0) <= SUM_TOL):
+        return State(s, e, i, rcv)
+    return _checked_state(s, e, i, rcv)
+
+
+def _checked_state(s, e, i, rcv) -> State:
+    """make_state's checks one by one: the first failure raises."""
     comps = [s, e, i, rcv]
     names = ("s", "e", "i", "rcv")
     for name, v in zip(names, comps):

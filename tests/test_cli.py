@@ -1,6 +1,7 @@
 """Config parsing, report rendering, command dispatch and process exit codes."""
 import dataclasses
 import math
+from fractions import Fraction
 import os
 import subprocess
 import sys
@@ -323,6 +324,23 @@ class TestRun:
             rep.get("certificate.holds")
 
 
+def test_stand_ins_give_way_to_the_functions_they_import():
+    from seirs_delay import cli, equilibria
+
+    cfg = parse_config(ENDEMIC)
+    expected = run("equilibria", cfg).render()
+    assert cli.equilibrium_set is equilibria.equilibrium_set
+    # a stand-in wrapped from outside, as a tracer does, stays wrapped
+    stand_in = cli._on_first_call("equilibria", "equilibrium_residual")
+    saved = cli.equilibrium_residual
+    try:
+        cli.equilibrium_residual = replaced = lambda *args: stand_in(*args)
+        assert run("equilibria", cfg).render() == expected
+        assert cli.equilibrium_residual is replaced
+    finally:
+        cli.equilibrium_residual = saved
+
+
 class TestMain:
     def write(self, tmp_path, text, name="run.cfg"):
         path = tmp_path / name
@@ -582,6 +600,20 @@ class TestMain:
         out = self.lyapunov_report(tmp_path, capsys, 0.001, 0.99, 0.5, 1e308)
         assert out["condition"] == "true"
         assert out["certificate.v2"] == "inf"
+        assert out["certificate.holds"] == "false"
+
+    def test_lyapunov_margin_survives_epsilon_square_overflow(
+            self, tmp_path, capsys):
+        # eps^2 and 2 mu k_r both overflow, but their ratio is 0.67
+        beta, mu, gamma, k_r, eps = 0.001, 0.99, 0.5, 1.7e308, 1.5e154
+        out = self.lyapunov_report(tmp_path, capsys, beta, mu, gamma, k_r, eps)
+        b, m, k, e = map(Fraction, (beta, mu, k_r, eps))
+        exact = m - b - e * e / (2 * m * k)
+        assert 0.32 < exact < 0.33
+        assert out["condition"] == "true"
+        assert float(out["condition_value"]) == pytest.approx(float(exact),
+                                                              rel=1e-12)
+        # v2 overflows, so the certificate cannot hold
         assert out["certificate.holds"] == "false"
 
     @pytest.mark.parametrize("mu, k_r, eps, margin", [

@@ -4,6 +4,8 @@ point in closed form, and vector-field residuals.
 Closed-form oracle at (beta, mu, gamma, k_r) = (0.4, 0.2, 0.1, 2): with
 d3 = gamma*k_r*mu + gamma + mu = 0.34 the coexistence point is exactly
 (1/2, 1/17, 5/34, 5/17)."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -121,3 +123,19 @@ class TestEquilibriumSet:
                         eqs.x_free.rcv) == (1.0, 0.0, 0.0, 0.0)
                 if eqs.x_star is not None:
                     assert equilibrium_residual(p, eqs.x_star) <= 1e-12
+
+
+@pytest.mark.parametrize("beta, mu, gamma, k_r", [
+    (1e-300, 5e-324, 1e-300, 1e300),
+    (8.5e-231, 4.5e-232, 1.5e-166, 4.0e-174),
+])
+def test_coexistence_point_when_beta_d3_underflows(beta, mu, gamma, k_r):
+    # beta*d3 rounds to 0 (or a subnormal), which the closed form divides by
+    p = Params(beta, mu, gamma, k_r)
+    x = coexistence_equilibrium(p)
+    b, m, g, k = map(Fraction, (beta, mu, gamma, k_r))
+    d3 = g * k * m + g + m
+    exact = (m / b, k * (b - m) * m * g / (b * d3), g * (b - m) / (b * d3),
+             (b - m) * m / (b * d3))
+    assert max(abs(Fraction(v) - w) for v, w in
+               zip((x.s, x.e, x.i, x.rcv), exact)) < 1e-15

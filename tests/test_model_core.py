@@ -2,6 +2,7 @@
 and the looser run-level state builder."""
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from seirs_delay import (
     make_state,
     validate_params,
 )
+from seirs_delay import model_core
 from seirs_delay.model_core import (NEGATIVITY_TOL, PROPAGATION_SUM_TOL,
-                                    SUM_TOL)
+                                    SUM_TOL, ValidationReport, _checked_state,
+                                    _violations)
 
 
 def violated_fields(report):
@@ -190,3 +193,75 @@ class TestMakeRunState:
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError, match="finite"):
             make_run_state(math.inf, 0.0, 0.0, 0.0)
+
+
+# values at and around every bound the checks draw, and of every type they
+# meet: ints, bools, a float subclass, a non-number
+EDGES = (0.0, -0.0, 1.0, 5e-324, -5e-324, math.nextafter(1.0, 0.0),
+         math.nextafter(1.0, 2.0), 1e-13, -1e-13, 1e-12, -1e-12, 0.5, 2.0,
+         1e300, math.inf, -math.inf, math.nan, 0, 1, 2, True, False,
+         np.float64(0.25), np.float32(0.25), "0.5")
+
+
+class TestQuickAccept:
+    """validate_params and make_state accept plain in-range floats in one
+    comparison; on every draw here their answer is that of the full checks,
+    and each way takes at least a fifth of the draws."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        """Replace model_core.name by a wrapper; returns its call counter."""
+        calls = [0]
+        full = getattr(model_core, name)
+
+        def wrapper(*args):
+            calls[0] += 1
+            return full(*args)
+        monkeypatch.setattr(model_core, name, wrapper)
+        return calls
+
+    def test_validate_params_agrees_with_the_violation_list(self, monkeypatch):
+        rng = random.Random("validate_params quick accept")
+        full = self.counted(monkeypatch, "_violations")
+        n = 20000
+        for _ in range(n):
+            values = [rng.uniform(0.0, 1.0) if rng.random() < 0.9
+                      else rng.choice(EDGES) for _ in range(6)]
+            if rng.random() < 0.5:
+                values[4] = 0.0
+            elif type(values[4]) is float:
+                # k_r just below r*e, at it, or just above it
+                bound = values[4] * math.e
+                values[3] = math.nextafter(bound, rng.choice((0.0, bound, math.inf)))
+            bad = _violations(*values)
+            assert validate_params(*values) == ValidationReport(
+                ok=not bad, violations=bad), values
+        assert 0.2 * n < full[0] < 0.8 * n
+
+    def test_make_state_agrees_with_the_checks_one_by_one(self, monkeypatch):
+        rng = random.Random("make_state quick accept")
+        full = self.counted(monkeypatch, "_checked_state")
+
+        def outcome(build, comps):
+            try:
+                state = build(*comps)
+            except ValidationError as exc:
+                return str(exc)
+            return [(type(v), repr(v)) for v in (state.s, state.e, state.i,
+                                                 state.rcv)]
+
+        n = 20000
+        for _ in range(n):
+            cuts = sorted(rng.random() for _ in range(3))
+            comps = [cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1], 1.0 - cuts[2]]
+            j = rng.randrange(4)
+            roll = rng.random()
+            if roll < 0.2:
+                comps[j] = rng.choice(EDGES)
+            elif roll < 0.5:
+                comps[j] += rng.choice((-1.0, 1.0)) * rng.choice(
+                    (2.0 * SUM_TOL, SUM_TOL, 0.5 * SUM_TOL, 1e-16))
+            with np.errstate(all="ignore"):
+                assert outcome(make_state, comps) == outcome(_checked_state,
+                                                             comps), comps
+        assert 0.2 * n < full[0] < 0.8 * n

@@ -57,6 +57,16 @@ def test_analytic_commands_load_no_array_module():
     assert "seirs_delay.linear_stability" in loaded
 
 
+@pytest.mark.parametrize("command, unused", [
+    ("equilibria", ("delay_margin", "linear_stability")),
+    ("lyapunov", ("delay_margin", "linear_stability")),
+    ("stability", ("delay_margin", "lyapunov")),
+])
+def test_each_analytic_command_loads_only_its_modules(command, unused):
+    loaded = loaded_after(main_quietly((command, GOLDEN / f"{command}.cfg")))
+    assert [m for m in unused if f"seirs_delay.{m}" in loaded] == []
+
+
 def test_lyapunov_with_a_false_condition_loads_no_numpy(tmp_path):
     cfg = tmp_path / "false.cfg"
     # mu < beta: the condition is false, so no certificate is built
