@@ -18,9 +18,10 @@ __version__ = "0.1.0"
 # home module of each exported name
 _EXPORTS = {
     "model_core": (
-        "InitialCondition", "Params", "State", "ValidationError",
-        "ValidationReport", "Violation", "make_initial_condition",
-        "make_run_state", "make_state", "validate_params", "default_step"),
+        "InitialCondition", "NoCrossingError", "Params", "State",
+        "ValidationError", "ValidationReport", "Violation",
+        "make_initial_condition", "make_run_state", "make_state",
+        "validate_params", "default_step"),
     "equilibria": (
         "EquilibriumSet", "coexistence_equilibrium", "equilibrium_residual",
         "equilibrium_set", "free_disease_equilibrium", "reproduction_number"),
@@ -35,7 +36,7 @@ _EXPORTS = {
         "jacobian_coexistence", "jacobian_free_disease", "matrix_eigenvalues",
         "routh_hurwitz_coexistence"),
     "delay_margin": (
-        "CrossingReport", "CubicABC", "NoCrossingError", "cubic_real_roots",
+        "CrossingReport", "CubicABC", "cubic_real_roots",
         "deg2_crossing", "deg2_instability_possible", "deg3_abc",
         "deg3_crossing", "deg3_instability_possible", "free_disease_margin",
         "verify_crossing"),

@@ -37,8 +37,8 @@ The config is read as UTF-8. Reports are deterministic "key = value" lines
 Exit codes: 0 ok; 2 parse error, including a config that cannot be read or
 decoded; 3 validation error, including a report (--out) or trajectory file
 that cannot be written and a run too large to store; 4 numerical failure.
-Errors go to stderr as one line. SEIRS_DELAY_LOG selects diagnostic
-verbosity (quiet, info, debug).
+Errors go to stderr as one line; unknown keys are reported as warning.N
+lines of the report.
 """
 from __future__ import annotations
 
@@ -46,9 +46,7 @@ import argparse
 import contextlib
 import dataclasses
 import importlib
-import logging
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -56,9 +54,9 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 # validate_params is not called here; perfbench/tracer.py wraps cli.validate_params
-from .model_core import (InitialCondition, Params, ValidationError, _rho_grid,
-                         default_step, make_initial_condition, step_grid,
-                         validate_params)
+from .model_core import (InitialCondition, NoCrossingError, Params,
+                         ValidationError, _rho_grid, default_step,
+                         make_initial_condition, step_grid, validate_params)
 
 if TYPE_CHECKING:
     from .det_integrator import Trajectory
@@ -76,8 +74,6 @@ __all__ = [
     "EXIT_VALIDATION",
     "EXIT_NUMERICAL",
 ]
-
-log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -279,8 +275,6 @@ def parse_config(text: str) -> RunConfig:
     if not entries.keys() <= _KNOWN_KEYS:
         warnings = tuple(f"unknown key {k!r} ignored (line {entries[k][1]})"
                          for k in entries if k not in _KNOWN_KEYS)
-        for msg in warnings:
-            log.info("%s", msg)
 
     rates = {}
     for key, name in _PARAM_FIELDS.items():
@@ -610,30 +604,7 @@ def run(command: str, cfg: RunConfig) -> Report:
     return _DISPATCH[command](cfg)
 
 
-def _numerical_errors() -> tuple[type, ...]:
-    """The exceptions main reports as numerical failures. A NoCrossingError
-    can only come from a loaded delay_margin, so main never imports it."""
-    delay_margin = sys.modules.get(f"{__package__}.delay_margin")
-    # IntegrationError and InsufficientExceedances are RuntimeErrors
-    return (ArithmeticError, RuntimeError) + (
-        (delay_margin.NoCrossingError,) if delay_margin is not None else ())
-
-
-def _setup_logging() -> None:
-    level_name = os.environ.get("SEIRS_DELAY_LOG", "quiet").strip().lower()
-    levels = {"quiet": logging.WARNING, "info": logging.INFO,
-              "debug": logging.DEBUG}
-    level = levels.get(level_name)
-    if level is None:
-        level = logging.WARNING
-    logging.basicConfig(stream=sys.stderr, level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
-    if level_name not in levels:
-        log.warning("SEIRS_DELAY_LOG=%r not recognized; using quiet", level_name)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    _setup_logging()
     ap = argparse.ArgumentParser(
         prog="seirs-delay",
         description="Simulation and stability analysis of a latency-delayed "
@@ -671,7 +642,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # a run whose arrays fit the index type but not the memory
         print(f"validation error: out of memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except _numerical_errors() as exc:
+    # IntegrationError and InsufficientExceedances are RuntimeErrors
+    except (NoCrossingError, ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

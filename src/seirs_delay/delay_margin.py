@@ -9,14 +9,13 @@ showing the admissible delay range (r <= k_r/e) never reaches the crossing.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 from ._cubic import cubic_real_roots as _cubic_real_roots
 from .linear_stability import QuasiPolynomial
-from .model_core import Params, ValidationError
+from .model_core import NoCrossingError, Params, ValidationError
 
 __all__ = [
     "RESIDUAL_TOL",
@@ -33,14 +32,8 @@ __all__ = [
     "verify_crossing",
 ]
 
-log = logging.getLogger(__name__)
-
 # every reported crossing must satisfy the defining equations this tightly
 RESIDUAL_TOL = 1e-9
-
-
-class NoCrossingError(ValueError):
-    """No imaginary-axis crossing exists (or can be located) for this input."""
 
 
 @dataclass(frozen=True)
@@ -256,9 +249,11 @@ def deg3_crossing(q: QuasiPolynomial) -> Optional[CrossingReport]:
     and (cos theta, sin theta) solve q(i*omega0) = 0 with the modulus-squared
     denominator b1^2*omega0^2 + (b0 - b2*omega0^2)^2.
 
-    The closed-form root count provides a second opinion on delta's sign;
-    disagreement is logged as a diagnostic and the root count decides which
-    root to use (a unique positive one is required).
+    The closed-form root count provides a second opinion on delta's sign
+    and decides which root to use. Where the two disagree, delta still
+    decides between None and a crossing; a count of three real roots then
+    needs a unique positive one. The roots are computed first, so a cubic
+    that overflows fails whatever delta's sign.
     """
     _require_degree(q, 3)
     a0, a1, a2 = q.a
@@ -267,27 +262,17 @@ def deg3_crossing(q: QuasiPolynomial) -> Optional[CrossingReport]:
         raise NoCrossingError("a0 + b0 = 0: zero is a root at every delay")
     abc = deg3_abc(q)
     roots = cubic_real_roots(abc.A, abc.B, abc.C)
-    single = len(roots) == 1
     if abc.delta >= 0.0:
-        if single:
-            log.warning(
-                "discriminant %r >= 0 but the frequency cubic has one real "
-                "root; reporting inconclusive per the discriminant rule",
-                abc.delta)
         return None
-    if not single:
-        log.warning(
-            "discriminant %r < 0 but the frequency cubic has %d real roots; "
-            "proceeding with the unique positive one if it exists",
-            abc.delta, len(roots))
+    if len(roots) == 1:
+        w2 = roots[0]
+    else:
         positive = [z for z in roots if z > 0.0]
         if len(positive) != 1:
             raise NoCrossingError(
                 f"ambiguous crossing: {len(positive)} positive roots of the "
                 "frequency cubic")
         w2 = positive[0]
-    else:
-        w2 = roots[0]
     if not w2 > 0.0:
         raise NoCrossingError(
             f"no crossing: the real root omega^2 = {float(w2)!r} is not positive")

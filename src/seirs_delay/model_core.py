@@ -28,6 +28,7 @@ __all__ = [
     "PROPAGATION_SUM_TOL",
     "NEGATIVITY_TOL",
     "ValidationError",
+    "NoCrossingError",
     "Violation",
     "ValidationReport",
     "Params",
@@ -52,6 +53,10 @@ NEGATIVITY_TOL = -1e-9
 
 class ValidationError(ValueError):
     """A constructive check failed; the message names the violated constraint."""
+
+
+class NoCrossingError(ValueError):
+    """No imaginary-axis crossing exists (or can be located) for this input."""
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,9 @@ class Params:
 
 
 def _finite(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
+    # a bool is an int too, but no rate, delay or fraction
+    return (type(x) is not bool and isinstance(x, (int, float))
+            and math.isfinite(x))
 
 
 _VALID = ValidationReport(ok=True)

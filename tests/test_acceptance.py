@@ -47,7 +47,8 @@ GOLDEN = Path(__file__).parent / "golden"
 CLI_COMMANDS = ("equilibria", "simulate", "simulate-sde", "stability",
                 "delay-margin", "concentration", "lyapunov")
 # golden file stem -> command; simulate-ode is simulate on the r = 0 RK4 path
-GOLDEN_RUNS = {cmd: cmd for cmd in CLI_COMMANDS} | {"simulate-ode": "simulate"}
+GOLDEN_RUNS = {cmd: cmd for cmd in CLI_COMMANDS} | {
+    "simulate-ode": "simulate", "delay-margin-coexistence": "delay-margin"}
 
 IC_MAIN = make_initial_condition(e0=0.05, s0=0.9, i0=0.05, r0=0.0)
 P_NOISY = Params(0.1, 0.2, 0.3, 2.0, r=0.0, epsilon=0.1)

@@ -40,11 +40,7 @@ params.r = 0.5
 """
 
 
-def cli_subprocess(args, env_extra=None):
-    env = os.environ.copy()
-    env.pop("SEIRS_DELAY_LOG", None)
-    if env_extra:
-        env.update(env_extra)
+def cli_subprocess(args, env=None):
     code = "import sys; from seirs_delay.cli import main; sys.exit(main(sys.argv[1:]))"
     return subprocess.run([sys.executable, "-c", code, *args],
                           capture_output=True, text=True, env=env)
@@ -642,7 +638,6 @@ class TestMain:
 
 def python_m(module, *args):
     env = os.environ.copy()
-    env.pop("SEIRS_DELAY_LOG", None)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
@@ -674,23 +669,40 @@ def test_python_m_cli_module_route(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("validation error: beta")
 
 
-class TestLogging:
-    def test_info_level_reports_unknown_keys_on_stderr(self, tmp_path):
+class TestStderr:
+    """A run writes its results and notices to the report; stderr carries
+    one line, and only when the run fails."""
+
+    def test_coexistence_golden_writes_nothing_to_stderr(self):
+        # three real roots of the frequency cubic although delta < 0
+        golden = Path(__file__).parent / "golden"
+        out = cli_subprocess(["delay-margin", "--config",
+                              str(golden / "delay-margin-coexistence.cfg")])
+        assert out.returncode == EXIT_OK
+        assert out.stderr == ""
+        assert out.stdout == (golden / "delay-margin-coexistence.report.txt"
+                              ).read_text()
+
+    def test_ambiguous_crossing_is_one_line(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("params.beta = 0.8306449774640462\n"
+                       "params.mu = 0.7476362268226904\n"
+                       "params.gamma = 0.4237487175976112\n"
+                       "params.k_r = 6.843460382177602\n"
+                       "params.r = 0.2515978081682942\n")
+        out = cli_subprocess(["delay-margin", "--config", str(cfg)])
+        assert out.returncode == EXIT_NUMERICAL
+        assert out.stdout == ""
+        assert out.stderr == ("numerical failure: ambiguous crossing: 0 "
+                              "positive roots of the frequency cubic\n")
+
+    def test_unknown_key_is_a_report_warning_only(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(MINIMAL + "params.bogus = 1\n")
-        quiet = cli_subprocess(["equilibria", "--config", str(cfg)])
-        assert quiet.returncode == EXIT_OK
-        assert "unknown key" not in quiet.stderr
-        chatty = cli_subprocess(["equilibria", "--config", str(cfg)],
-                                env_extra={"SEIRS_DELAY_LOG": "info"})
-        assert chatty.returncode == EXIT_OK
-        assert "unknown key 'params.bogus'" in chatty.stderr
-        assert quiet.stdout == chatty.stdout
-
-    def test_unrecognized_level_warns_and_runs(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(MINIMAL)
+        # the verbosity variable of earlier versions is ignored
         out = cli_subprocess(["equilibria", "--config", str(cfg)],
-                             env_extra={"SEIRS_DELAY_LOG": "bogus"})
+                             env=dict(os.environ, SEIRS_DELAY_LOG="info"))
         assert out.returncode == EXIT_OK
-        assert "not recognized" in out.stderr
+        assert out.stderr == ""
+        assert ("warning.0 = unknown key 'params.bogus' ignored (line 5)\n"
+                in out.stdout)

@@ -256,6 +256,13 @@ class TestDeg3Crossing:
         assert deg3_abc(q).delta > 0.0
         assert deg3_crossing(q) is None
 
+    def test_cubic_overflow_fails_whatever_the_discriminant(self):
+        # delta > 0 alone would give None, but the cubic is solved first
+        q = QuasiPolynomial(a=(1.0, 0.0, 1e30), b=(2.0, 0.0, 0.0), r=0.0)
+        assert deg3_abc(q).delta > 0.0
+        with pytest.raises(OverflowError, match=r"q/2 \*\* 2 overflows"):
+            deg3_crossing(q)
+
     def test_no_crossing_without_positive_root(self):
         # unique real root of z^3 + 2.25z^2 - 6z + 4 is z = -4
         q = QuasiPolynomial(a=(2.0, 2.0, 2.5), b=(0.0, 0.0, 0.0), r=1.0)

@@ -123,8 +123,7 @@ FAMILIES = {"moderate": moderate, "log-uniform": log_uniform,
             "boundary": boundary, "malformed": malformed}
 
 
-def exits_cleanly(command, family, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("SEIRS_DELAY_LOG", raising=False)
+def exits_cleanly(command, family, tmp_path, capsys):
     rng = random.Random(f"{command} {family}")
     cfg = tmp_path / "fuzz.cfg"
     codes = set()
@@ -148,15 +147,15 @@ def exits_cleanly(command, family, tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_lyapunov_exits_cleanly(family, tmp_path, capsys, monkeypatch):
-    codes = exits_cleanly("lyapunov", family, tmp_path, capsys, monkeypatch)
+def test_lyapunov_exits_cleanly(family, tmp_path, capsys):
+    codes = exits_cleanly("lyapunov", family, tmp_path, capsys)
     # every family reaches more than one outcome
     assert len(codes) >= 2
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_equilibria_exits_cleanly(family, tmp_path, capsys, monkeypatch):
-    codes = exits_cleanly("equilibria", family, tmp_path, capsys, monkeypatch)
+def test_equilibria_exits_cleanly(family, tmp_path, capsys):
+    codes = exits_cleanly("equilibria", family, tmp_path, capsys)
     # every moderate draw is admissible once r > 0 is; every other family
     # reaches more than one outcome
     assert codes == {EXIT_OK} if family == "moderate" else len(codes) >= 2

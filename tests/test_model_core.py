@@ -104,6 +104,14 @@ class TestValidateParams:
         with pytest.raises(ValidationError, match="r\\*e"):
             dataclasses.replace(valid, k_r=1.0)
 
+    def test_a_bool_is_not_a_number(self):
+        rep = validate_params(0.3, 0.5, 0.25, True, False, False)
+        assert violated_fields(rep) == {"k_r", "r", "epsilon"}
+        with pytest.raises(ValidationError) as err:
+            Params(0.3, 0.5, 0.25, True, False, False)
+        for name in ("k_r", "r", "epsilon"):
+            assert f"{name}: must be finite" in str(err.value)
+
 
 class TestMakeState:
     def test_free_disease_point(self):
@@ -136,6 +144,10 @@ class TestMakeState:
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError, match="must be finite"):
             make_state(float("nan"), 0.5, 0.25, 0.25)
+
+    def test_a_bool_is_not_a_fraction(self):
+        with pytest.raises(ValidationError, match="^s: must be finite$"):
+            make_state(True, 0.0, 0.0, 0.0)
 
     def test_components_always_in_unit_interval(self):
         rng = np.random.default_rng(13)

@@ -15,6 +15,7 @@ import pytest
 
 import seirs_delay
 from seirs_delay import det_integrator, lyapunov, model_core, sde_simulator
+from seirs_delay.cli import COMMANDS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -25,7 +26,6 @@ ARRAY_MODULES = ("numpy", "seirs_delay.det_integrator", "seirs_delay._kernels",
 def loaded_after(code):
     """The names in sys.modules after code ran in a fresh interpreter."""
     env = os.environ.copy()
-    env.pop("SEIRS_DELAY_LOG", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     out = subprocess.run(
@@ -65,6 +65,17 @@ def test_analytic_commands_load_no_array_module():
 def test_each_analytic_command_loads_only_its_modules(command, unused):
     loaded = loaded_after(main_quietly((command, GOLDEN / f"{command}.cfg")))
     assert [m for m in unused if f"seirs_delay.{m}" in loaded] == []
+
+
+def test_no_golden_run_loads_logging():
+    # a report carries results and notices, stderr one line per failure;
+    # neither needs the logging package
+    commands = {"simulate-ode": "simulate",
+                "delay-margin-coexistence": "delay-margin"}
+    runs = [(commands.get(cfg.stem, cfg.stem), cfg)
+            for cfg in sorted(GOLDEN.glob("*.cfg"))]
+    assert {command for command, _ in runs} == set(COMMANDS)
+    assert "logging" not in loaded_after(main_quietly(*runs))
 
 
 def test_lyapunov_with_a_false_condition_loads_no_numpy(tmp_path):

@@ -96,8 +96,7 @@ def test_panel_renders_the_recorded_bytes():
      "(0, 1); gamma: must lie strictly in (0, 1); k_r: must satisfy "
      "k_r >= r*e when r > 0\n"),
 ], ids=["malformed", "missing-key", "inadmissible"])
-def test_error_texts(text, code, message, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("SEIRS_DELAY_LOG", raising=False)
+def test_error_texts(text, code, message, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     assert main(["equilibria", "--config", str(cfg)]) == code
