@@ -44,18 +44,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import importlib
 import math
 import sys
-from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from . import __version__
 # validate_params is not called here; perfbench/tracer.py wraps cli.validate_params
 from .model_core import (InitialCondition, NoCrossingError, Params,
-                         ValidationError, _rho_grid, default_step,
+                         ValidationError, _Checked, _rho_grid, default_step,
                          make_initial_condition, step_grid, validate_params)
 
 if TYPE_CHECKING:
@@ -141,20 +139,7 @@ class ParseError(ValueError):
     """The config document is malformed; the message carries the line."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one command invocation needs; every instance is valid.
-
-    Construction, also through dataclasses.replace, raises ValidationError
-    naming the config key (and its flag) unless the horizon is positive and
-    finite, an explicit step passes step_grid, n_rep >= 1, 0 <= seed < 2**64
-    and rho_grid (stored sorted) is nonempty, positive and finite. step =
-    None takes the default when a run command resolves it: the largest step
-    <= min(0.01, r/50) that divides the delay exactly. warnings carries
-    unknown-key notices and is excluded from equality so round-trips
-    compare clean.
-    """
-
+class _RunConfigFields(NamedTuple):
     params: Params
     initial: InitialCondition
     horizon: float = 100.0
@@ -163,28 +148,56 @@ class RunConfig:
     n_rep: int = 200
     seed: int = 0
     rho_grid: Optional[tuple[float, ...]] = None
-    warnings: tuple[str, ...] = field(default=(), compare=False)
+    warnings: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+
+class RunConfig(_Checked, _RunConfigFields):
+    """Everything one command invocation needs; every instance is valid.
+
+    Construction, also through _replace, raises ValidationError naming the
+    config key (and its flag) unless the horizon is positive and finite, an
+    explicit step passes step_grid, n_rep >= 1, 0 <= seed < 2**64 and
+    rho_grid (stored sorted) is nonempty, positive and finite. step = None
+    takes the default when a run command resolves it: the largest step
+    <= min(0.01, r/50) that divides the delay exactly. warnings carries
+    unknown-key notices and is excluded from ==, != and hash so round-trips
+    compare clean.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, params, initial, horizon=100.0, step=None, trajectory=None,
+                n_rep=200, seed=0, rho_grid=None, warnings=()):
+        if not (math.isfinite(horizon) and horizon > 0.0):
             raise ValidationError(
-                f"run.horizon: must be a positive finite time, got {self.horizon!r}")
-        if self.step is not None:
-            if not (math.isfinite(self.step) and self.step > 0.0):
+                f"run.horizon: must be a positive finite time, got {horizon!r}")
+        if step is not None:
+            if not (math.isfinite(step) and step > 0.0):
                 raise ValidationError(
-                    f"run.step: must be a positive finite step, got {self.step!r}")
-            self.grid()
+                    f"run.step: must be a positive finite step, got {step!r}")
+            _grid(params.r, horizon, step)
         # exactly int: a bool is an int too, but no count and no seed
-        if not (type(self.n_rep) is int and self.n_rep >= 1):
+        if not (type(n_rep) is int and n_rep >= 1):
             raise ValidationError(
-                f"ensemble.n_rep (--reps): must be an integer >= 1, got {self.n_rep!r}")
-        if not (type(self.seed) is int and 0 <= self.seed < 2 ** 64):
+                f"ensemble.n_rep (--reps): must be an integer >= 1, got {n_rep!r}")
+        if not (type(seed) is int and 0 <= seed < 2 ** 64):
             raise ValidationError(
                 "ensemble.seed (--seed): must be an integer that fits in 64 "
-                f"unsigned bits, got {self.seed!r}")
-        if self.rho_grid is not None:
-            object.__setattr__(self, "rho_grid",
-                               _rho_grid(self.rho_grid, "ensemble.rho_grid"))
+                f"unsigned bits, got {seed!r}")
+        if rho_grid is not None:
+            rho_grid = _rho_grid(rho_grid, "ensemble.rho_grid")
+        return tuple.__new__(cls, (params, initial, horizon, step, trajectory,
+                                   n_rep, seed, rho_grid, warnings))
+
+    def __eq__(self, other):
+        return (self[:-1] == other[:-1] if other.__class__ is self.__class__
+                else NotImplemented)
+
+    # object's != inverts __eq__; tuple's would compare warnings too
+    __ne__ = object.__ne__
+
+    def __hash__(self):
+        return hash(self[:-1])
 
     def resolved_step(self) -> float:
         return self.step if self.step is not None else default_step(self.params.r)
@@ -192,10 +205,14 @@ class RunConfig:
     def grid(self) -> tuple[int, int, float]:
         """step_grid of the run at the resolved step; its errors name the
         run.horizon and run.step keys."""
-        try:
-            return step_grid(self.params.r, self.horizon, self.resolved_step())
-        except ValidationError as exc:
-            raise ValidationError(f"run.horizon / run.step: {exc}") from None
+        return _grid(self.params.r, self.horizon, self.resolved_step())
+
+
+def _grid(r: float, horizon: float, h: float) -> tuple[int, int, float]:
+    try:
+        return step_grid(r, horizon, h)
+    except ValidationError as exc:
+        raise ValidationError(f"run.horizon / run.step: {exc}") from None
 
 
 _REQUIRED_KEYS = ("params.beta", "params.mu", "params.gamma", "params.k_r")
@@ -625,9 +642,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ParseError(f"cannot read config {args.config!r}: {exc}") from exc
         cfg = parse_config(text)
         if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
+            cfg = cfg._replace(seed=args.seed)
         if args.reps is not None:
-            cfg = dataclasses.replace(cfg, n_rep=args.reps)
+            cfg = cfg._replace(n_rep=args.reps)
         report = run(args.command, cfg).render()
         if args.out:
             with _writing(args.out) as fh:

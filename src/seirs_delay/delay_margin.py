@@ -10,8 +10,7 @@ showing the admissible delay range (r <= k_r/e) never reaches the crossing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ._cubic import cubic_real_roots as _cubic_real_roots
 from .linear_stability import QuasiPolynomial
@@ -36,8 +35,7 @@ __all__ = [
 RESIDUAL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CrossingReport:
+class CrossingReport(NamedTuple):
     """An imaginary-axis crossing of the quasi-polynomial.
 
     omega > 0 is the crossing frequency, theta in [0, 2*pi) the angle
@@ -52,8 +50,7 @@ class CrossingReport:
     residual: float
 
 
-@dataclass(frozen=True)
-class CubicABC:
+class CubicABC(NamedTuple):
     """Coefficients of the frequency cubic z^3 + A z^2 + B z + C (z = omega^2)
     together with its discriminant delta as printed for this model:
 

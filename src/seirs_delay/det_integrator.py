@@ -21,7 +21,6 @@ threshold behind the k_r >= r*e admissibility bound).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +56,6 @@ class IntegrationError(RuntimeError):
         self.node = node
 
 
-@dataclass(eq=False)
 class Trajectory:
     """Node times, states (rows of S, E, I, R) and the step used.
 
@@ -66,9 +64,10 @@ class Trajectory:
     integration instead of being stored.
     """
 
-    times: np.ndarray
-    states: np.ndarray
-    step: float
+    __slots__ = ("times", "states", "step")
+
+    def __init__(self, times: np.ndarray, states: np.ndarray, step: float):
+        self.times, self.states, self.step = times, states, step
 
     def __len__(self) -> int:
         return len(self.times)

@@ -14,8 +14,7 @@ the fixed points do not depend on r.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model_core import Params, State, make_state
 
@@ -79,8 +78,7 @@ def equilibrium_residual(p: Params, x: State) -> float:
     return max(abs(f1), abs(f2), abs(f3), abs(f4))
 
 
-@dataclass(frozen=True)
-class EquilibriumSet:
+class EquilibriumSet(NamedTuple):
     """All equilibria of one parameter set.
 
     x_star is None iff r0 <= 1. Both stored points have vector-field residual

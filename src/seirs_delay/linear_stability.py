@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ._cubic import cubic_roots
-from .model_core import Params, ValidationError
+from .model_core import Params, ValidationError, _Checked
 
 __all__ = [
     "MARGINAL_TOL",
@@ -38,8 +37,7 @@ __all__ = [
 MARGINAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Criterion:
+class Criterion(NamedTuple):
     """One signed stability inequality: its name, value and truth."""
 
     name: str
@@ -47,8 +45,7 @@ class Criterion:
     satisfied: bool
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     """Bundle of signed criteria with an overall conclusion."""
 
     criteria: tuple[Criterion, ...]
@@ -96,10 +93,11 @@ def free_disease_eigenvalues_closed_form(p: Params) -> tuple[float, float, float
     (lam_plus, lam_minus, -gamma). All three are negative iff beta < mu.
     """
     c = p.mu * p.k_r + 1.0
-    rad = c * c - 4.0 * p.k_r * (p.mu - p.beta)
+    # scaling by 4 and 0.5 is exact; here it cannot overflow at a huge k_r
+    rad = c * c - 4.0 * (p.k_r * (p.mu - p.beta))
     sq = math.sqrt(rad)
-    lam_p = (-c + sq) / (2.0 * p.k_r)
-    lam_m = (-c - sq) / (2.0 * p.k_r)
+    lam_p = 0.5 * (-c + sq) / p.k_r
+    lam_m = 0.5 * (-c - sq) / p.k_r
     return (lam_p, lam_m, -p.gamma)
 
 
@@ -188,8 +186,13 @@ def routh_hurwitz_coexistence(p: Params) -> StabilityVerdict:
     ))
 
 
-@dataclass(frozen=True)
-class QuasiPolynomial:
+class _QuasiPolynomialFields(NamedTuple):
+    a: tuple[float, ...]
+    b: tuple[float, ...]
+    r: float
+
+
+class QuasiPolynomial(_Checked, _QuasiPolynomialFields):
     """Characteristic function lam^d + sum a_k lam^k + exp(-lam*r) * sum b_k lam^k.
 
     a and b hold the coefficients (a_0, ..., a_{d-1}) and (b_0, ..., b_{d-1});
@@ -197,17 +200,16 @@ class QuasiPolynomial:
     was built with; evaluation may override it to probe other delays.
     """
 
-    a: tuple[float, ...]
-    b: tuple[float, ...]
-    r: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.a) != len(self.b) or len(self.a) not in (2, 3):
+    def __new__(cls, a, b, r):
+        if len(a) != len(b) or len(a) not in (2, 3):
             raise ValidationError(
                 f"coefficient arrays must both have length 2 or 3, "
-                f"got {len(self.a)} and {len(self.b)}")
-        if not (math.isfinite(self.r) and self.r >= 0.0):
+                f"got {len(a)} and {len(b)}")
+        if not (math.isfinite(r) and r >= 0.0):
             raise ValidationError("r: must be finite and >= 0")
+        return tuple.__new__(cls, (a, b, r))
 
     @property
     def degree(self) -> int:

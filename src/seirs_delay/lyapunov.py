@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model_core import Params, ValidationError
 
@@ -61,8 +60,7 @@ def lyapunov_condition(p: Params) -> bool:
     return lyapunov_margin(p) > 0.0
 
 
-@dataclass(frozen=True)
-class LyapunovCertificate:
+class LyapunovCertificate(NamedTuple):
     """Witness for negativity of the generator on V = u1^2 + v2 u2^2 + v3 u3^2.
 
     ineq1..ineq3 are the three coefficient bounds obtained after splitting

@@ -8,7 +8,7 @@ an optional noise term on the S <-> E transfer.
 
 Admissibility of the delayed model requires k_r >= r*e; below that bound the
 exposed fraction can be driven negative by the lagged outflow. Every Params
-is admissible: building one, directly or through dataclasses.replace, raises
+is admissible: building one, directly or through _replace, raises
 ValidationError listing all violations. validate_params reports on raw
 values without raising.
 
@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 __all__ = [
     "SUM_TOL",
@@ -59,8 +58,7 @@ class NoCrossingError(ValueError):
     """No imaginary-axis crossing exists (or can be located) for this input."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed constraint: the field involved and the constraint text."""
 
     field: str
@@ -70,8 +68,7 @@ class Violation:
         return f"{self.field}: {self.constraint}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of validating a parameter set."""
 
     ok: bool
@@ -81,8 +78,26 @@ class ValidationReport:
         return "; ".join(str(v) for v in self.violations)
 
 
-@dataclass(frozen=True)
-class Params:
+class _Checked:
+    """Base of a record whose __new__ checks: _make and _replace check too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _ParamsFields(NamedTuple):
+    beta: float
+    mu: float
+    gamma: float
+    k_r: float
+    r: float = 0.0
+    epsilon: float = 0.0
+
+
+class Params(_Checked, _ParamsFields):
     """Model constants.
 
     beta, mu, gamma are the transmission, recovery and immunity-loss rates,
@@ -92,18 +107,13 @@ class Params:
     constraint, so every instance is admissible.
     """
 
-    beta: float
-    mu: float
-    gamma: float
-    k_r: float
-    r: float = 0.0
-    epsilon: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        rep = validate_params(self.beta, self.mu, self.gamma, self.k_r,
-                              self.r, self.epsilon)
+    def __new__(cls, beta, mu, gamma, k_r, r=0.0, epsilon=0.0):
+        rep = validate_params(beta, mu, gamma, k_r, r, epsilon)
         if not rep.ok:
             raise ValidationError(rep.message())
+        return tuple.__new__(cls, (beta, mu, gamma, k_r, r, epsilon))
 
 
 def _finite(x) -> bool:
@@ -158,8 +168,7 @@ def _violations(beta, mu, gamma, k_r, r, epsilon) -> tuple[Violation, ...]:
     return tuple(bad)
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     """A point on the population simplex: s + e + i + rcv = 1, all in [0, 1].
 
     Build instances through :func:`make_state`, which enforces the invariants.
@@ -215,8 +224,7 @@ def _checked_state(s, e, i, rcv) -> State:
     return State(*comps)
 
 
-@dataclass(frozen=True)
-class InitialCondition:
+class InitialCondition(NamedTuple):
     """Initial data for the delayed model.
 
     e0 is the constant exposed-fraction history on [-r, 0] (and the exposed

@@ -15,8 +15,7 @@ for the nondelayed disease-free point is lyapunov's, exported from here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .det_integrator import IntegrationError, Trajectory
 from .lyapunov import (LyapunovCertificate, lyapunov_certificate,
                        lyapunov_condition, lyapunov_margin)
 from .model_core import (InitialCondition, Params, State, ValidationError,
-                         _rho_grid, make_run_state, step_grid)
+                         _Checked, _rho_grid, make_run_state, step_grid)
 
 __all__ = [
     "EXCURSION_BAND",
@@ -63,8 +62,11 @@ def _check_int(name: str, value, low: int) -> None:
             f"{name}: must be an integer >= {low}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Seed:
+class _SeedFields(NamedTuple):
+    master: int
+
+
+class Seed(_Checked, _SeedFields):
     """Master seed plus the replica-stream derivation rule.
 
     Stream i is spawned as SeedSequence(master, spawn_key=(i,)), so the pair
@@ -72,10 +74,11 @@ class Seed:
     run or in which order.
     """
 
-    master: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_int("master", self.master, 0)
+    def __new__(cls, master):
+        _check_int("master", master, 0)
+        return tuple.__new__(cls, (master,))
 
     def rng(self, replica: int = 0) -> np.random.Generator:
         _check_int("replica", replica, 0)
@@ -293,8 +296,7 @@ def deterministic_euler(p: Params, ic: InitialCondition, t_end: float,
     return Trajectory(times=np.arange(n + 1) * h, states=out, step=h)
 
 
-@dataclass(frozen=True)
-class EnsembleSummary:
+class EnsembleSummary(NamedTuple):
     """Replica statistics against the deterministic reference.
 
     sup_deviations[i] is the max over nodes and components of the absolute
@@ -317,7 +319,7 @@ def _tail(sups: np.ndarray, rho_grid: Sequence[float]) -> tuple[tuple[float, flo
 def _reference(p: Params, ic: InitialCondition, h: float, n: int,
                m: int) -> np.ndarray:
     """The (n + 1, 4) eps = 0 path that sup deviations are measured from."""
-    return _run_path(replace(p, epsilon=0.0), ic, h, m, np.zeros(n), -1).states
+    return _run_path(p._replace(epsilon=0.0), ic, h, m, np.zeros(n), -1).states
 
 
 def _default_rho_grid(sups: np.ndarray) -> np.ndarray:
@@ -354,8 +356,7 @@ def ensemble(p: Params, ic: InitialCondition, t_end: float, h: float,
     )
 
 
-@dataclass(frozen=True)
-class ConcentrationReport:
+class ConcentrationReport(NamedTuple):
     """Fit of the concentration tail P(sup > rho) ~ exp(-c*rho^2/eps^2).
 
     c_hat is the through-origin least-squares slope on log-tail points with
@@ -425,7 +426,7 @@ def concentration_check(p: Params, ic: InitialCondition, t_end: float,
 
     n, m, _ = step_grid(p.r, t_end, h)
     # an inadmissible transfer noise level fails as a Params would
-    eps2 = replace(p, epsilon=p.epsilon * TRANSFER_FACTOR).epsilon
+    eps2 = p._replace(epsilon=p.epsilon * TRANSFER_FACTOR).epsilon
     sups, _, first = _run_replicas(
         p, ic, h, n, m, seed, 0, np.repeat([p.epsilon, eps2], n_rep),
         _reference(p, ic, h, n, m))
@@ -461,8 +462,7 @@ def concentration_check(p: Params, ic: InitialCondition, t_end: float,
         safety=SAFETY, degenerate=False)
 
 
-@dataclass(frozen=True)
-class StochasticStabilityReport:
+class StochasticStabilityReport(NamedTuple):
     """Terminal spread of E+I+R over an ensemble from a perturbed start."""
 
     n_rep: int

@@ -5,7 +5,6 @@ prints a single summary line; `pytest -v` therefore shows one pass/fail
 line per guarantee.
 """
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -261,7 +260,7 @@ def test_criterion_06_degree3_pipeline():
             if r_test * math.e > p.k_r:
                 continue
             n_sim += 1
-            pr = replace(p, r=r_test)
+            pr = p._replace(r=r_test)
             shift = min(0.01, float(x_star[3]) / 2.0)
             ic = make_initial_condition(
                 e0=float(x_star[1]), s0=float(x_star[0]) + shift,
@@ -287,7 +286,7 @@ def test_criterion_07_stochastic_conservation_and_reduction():
         worst = max(worst, tr.max_sum_defect())
     assert worst <= 5e-14
 
-    quiet = replace(P_NOISY, epsilon=0.0)
+    quiet = P_NOISY._replace(epsilon=0.0)
     sde = simulate_sde(quiet, IC_MAIN, 20.0, 0.01, Seed(5))
     det = deterministic_euler(quiet, IC_MAIN, 20.0, 0.01)
     assert np.array_equal(sde.states, det.states)
@@ -301,7 +300,7 @@ def test_criterion_07_stochastic_conservation_and_reduction():
 
 def test_criterion_08_concentration_scaling():
     hi = ensemble(P_NOISY, IC_MAIN, 20.0, 0.01, 2000, Seed(77))
-    lo = ensemble(replace(P_NOISY, epsilon=0.05), IC_MAIN, 20.0, 0.01, 2000,
+    lo = ensemble(P_NOISY._replace(epsilon=0.05), IC_MAIN, 20.0, 0.01, 2000,
                   Seed(77))
     ratio = float(np.median(hi.sup_deviations) / np.median(lo.sup_deviations))
     assert 2.0 * 0.7 <= ratio <= 2.0 * 1.3

@@ -1,5 +1,4 @@
 """Config parsing, report rendering, command dispatch and process exit codes."""
-import dataclasses
 import math
 from fractions import Fraction
 import os
@@ -191,11 +190,11 @@ def test_run_config_is_valid_by_construction(key, name, value):
     doc = "".join(line for line in ENDEMIC.splitlines(True)
                   if not line.startswith(key)) + f"{key} = {text}\n"
     good = parse_config(ENDEMIC)
-    fields = {f.name: getattr(good, f.name) for f in dataclasses.fields(good)}
+    fields = {name: getattr(good, name) for name in good._fields}
     fields[name] = value
     errors = []
     for build in (lambda: parse_config(doc),
-                  lambda: dataclasses.replace(good, **{name: value}),
+                  lambda: good._replace(**{name: value}),
                   lambda: RunConfig(**fields)):
         with pytest.raises(ValidationError) as exc:
             build()
@@ -214,9 +213,9 @@ def test_run_config_rejects_a_bool_count_or_seed(key, name, value):
     # a config document cannot spell a bool as an integer, so only library
     # callers can pass one
     good = parse_config(ENDEMIC)
-    fields = {f.name: getattr(good, f.name) for f in dataclasses.fields(good)}
+    fields = {name: getattr(good, name) for name in good._fields}
     fields[name] = value
-    for build in (lambda: dataclasses.replace(good, **{name: value}),
+    for build in (lambda: good._replace(**{name: value}),
                   lambda: RunConfig(**fields)):
         with pytest.raises(ValidationError, match=key):
             build()
@@ -224,7 +223,7 @@ def test_run_config_rejects_a_bool_count_or_seed(key, name, value):
 
 def test_run_config_sorts_rho_grid():
     cfg = parse_config(ENDEMIC)
-    assert dataclasses.replace(cfg, rho_grid=[0.05, 0.01]).rho_grid == (0.01, 0.05)
+    assert cfg._replace(rho_grid=[0.05, 0.01]).rho_grid == (0.01, 0.05)
 
 
 class TestReport:
@@ -634,6 +633,21 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: cubic coefficient a2 = ")
         assert "a2 ** 3 overflows" in err
+
+    def test_free_eigenvalues_at_a_k_r_at_the_float_maximum(self, tmp_path,
+                                                            capsys):
+        # 4*k_r and 2*k_r overflow; k_r*(mu - beta) and (-c +- sq)/k_r do not
+        text = ("params.beta = 2.2250738585072014e-308\nparams.mu = 1e-300\n"
+                "params.gamma = 2.2250738585072014e-308\n"
+                "params.k_r = 1.7976931348623157e308\nparams.epsilon = 1.0\n")
+        rc = main(["stability", "--config", self.write(tmp_path, text)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_OK
+        assert captured.err == ""
+        out = dict(line.split(" = ", 1) for line in captured.out.splitlines())
+        eigs = [float(out[f"free.eig{j}"]) for j in (1, 2, 3)]
+        assert all(math.isfinite(v) and v < 0.0 for v in eigs)
+        assert out["free.stable"] == "true"
 
 
 def python_m(module, *args):

@@ -3,7 +3,6 @@ the history-buffer scheme for the delayed system, the interval-by-interval
 integral-representation construction used as a cross-oracle, and the scalar
 comparison equation behind the positivity threshold k_r >= r*e."""
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,7 +127,7 @@ class TestIntegrateOde:
             lambda: integrate_ode(p, make_state(0.9, 0.05, 0.05, 0.0), t_end,
                                   0.01),
             lambda: simulate_sde(p, ic, t_end, 0.01, Seed(0)),
-            lambda: ensemble(replace(p, r=0.5), ic, t_end, 0.01, 4, Seed(0)),
+            lambda: ensemble(p._replace(r=0.5), ic, t_end, 0.01, 4, Seed(0)),
         )
         for call in calls:
             with pytest.raises(ValidationError, match="t_end"):

@@ -11,7 +11,6 @@ current ones with
     PYTHONPATH=src python tests/test_kernels.py
 """
 import hashlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,7 +75,7 @@ CASES = {
     "scalar_dde": _scalar,
     # the concentration golden's pass: 2 x 800 columns over 2000 steps
     "replicas-concentration-golden": _replicas(P_CONC, 20.0, 800, 77),
-    "replicas-delayed-r0.5": _replicas(replace(P_CONC, r=0.5, epsilon=0.05),
+    "replicas-delayed-r0.5": _replicas(P_CONC._replace(r=0.5, epsilon=0.05),
                                        10.0, 300, 906),
     "replicas-stability-experiment": _replicas(P_CONC, 20.0, 200, 5,
                                                with_ref=False),

@@ -1,6 +1,5 @@
 """Parameter/state validation: admissibility checks, simplex construction,
 and the looser run-level state builder."""
-import dataclasses
 import math
 import random
 
@@ -102,7 +101,7 @@ class TestValidateParams:
     def test_replace_rechecks(self):
         valid = Params(0.1, 0.2, 0.3, k_r=2.0, r=0.5)
         with pytest.raises(ValidationError, match="r\\*e"):
-            dataclasses.replace(valid, k_r=1.0)
+            valid._replace(k_r=1.0)
 
     def test_a_bool_is_not_a_number(self):
         rep = validate_params(0.3, 0.5, 0.25, True, False, False)

@@ -49,12 +49,25 @@ def main_quietly(*runs):
                       for c, cfg in runs))
 
 
-def test_analytic_commands_load_no_array_module():
-    loaded = loaded_after(main_quietly(
+@pytest.fixture(scope="module")
+def after_analytic_goldens():
+    """sys.modules after main ran the four analytic goldens in one
+    interpreter."""
+    return loaded_after(main_quietly(
         *((c, GOLDEN / f"{c}.cfg") for c in ("equilibria", "stability",
                                             "delay-margin", "lyapunov"))))
-    assert [m for m in ARRAY_MODULES if m in loaded] == []
-    assert "seirs_delay.linear_stability" in loaded
+
+
+def test_analytic_commands_load_no_array_module(after_analytic_goldens):
+    assert [m for m in ARRAY_MODULES if m in after_analytic_goldens] == []
+    assert "seirs_delay.linear_stability" in after_analytic_goldens
+
+
+def test_analytic_commands_load_neither_dataclasses_nor_inspect(
+        after_analytic_goldens):
+    # a dataclass's import loads inspect and compiles its generated methods
+    assert [m for m in ("dataclasses", "inspect")
+            if m in after_analytic_goldens] == []
 
 
 @pytest.mark.parametrize("command, unused", [
@@ -67,15 +80,26 @@ def test_each_analytic_command_loads_only_its_modules(command, unused):
     assert [m for m in unused if f"seirs_delay.{m}" in loaded] == []
 
 
-def test_no_golden_run_loads_logging():
-    # a report carries results and notices, stderr one line per failure;
-    # neither needs the logging package
+@pytest.fixture(scope="module")
+def after_every_golden():
+    """sys.modules after main ran every golden config in one interpreter."""
     commands = {"simulate-ode": "simulate",
                 "delay-margin-coexistence": "delay-margin"}
     runs = [(commands.get(cfg.stem, cfg.stem), cfg)
             for cfg in sorted(GOLDEN.glob("*.cfg"))]
     assert {command for command, _ in runs} == set(COMMANDS)
-    assert "logging" not in loaded_after(main_quietly(*runs))
+    return loaded_after(main_quietly(*runs))
+
+
+def test_no_golden_run_loads_logging(after_every_golden):
+    # a report carries results and notices, stderr one line per failure;
+    # neither needs the logging package
+    assert "logging" not in after_every_golden
+
+
+def test_no_golden_run_loads_dataclasses(after_every_golden):
+    # the records are named tuples, whose classes generate no code at import
+    assert "dataclasses" not in after_every_golden
 
 
 def test_lyapunov_with_a_false_condition_loads_no_numpy(tmp_path):

@@ -3,7 +3,6 @@ exact conservation, the zero-noise reduction, ensemble tails, the fitted
 concentration exponent, and the quadratic Lyapunov certificate."""
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,12 +110,12 @@ class TestSeed:
 
 class TestSimulateSde:
     def test_replica_must_be_an_integer(self):
-        for p in (P_NOISY, replace(P_NOISY, epsilon=0.0)):
+        for p in (P_NOISY, P_NOISY._replace(epsilon=0.0)):
             with pytest.raises(ValidationError, match="replica"):
                 simulate_sde(p, IC, 1.0, 0.01, Seed(3), replica=1.5)
 
     def test_zero_noise_equals_deterministic_euler_bitwise(self):
-        p = replace(P_NOISY, epsilon=0.0)
+        p = P_NOISY._replace(epsilon=0.0)
         sde = simulate_sde(p, IC, 20.0, 0.01, Seed(5), replica=2)
         det = deterministic_euler(p, IC, 20.0, 0.01)
         assert np.array_equal(sde.states, det.states)
@@ -130,7 +129,7 @@ class TestSimulateSde:
 
     def test_degenerate_diffusion_at_free_point(self):
         ic = make_initial_condition(e0=0.0, s0=1.0, i0=0.0, r0=0.0)
-        tr = simulate_sde(replace(P_NOISY, epsilon=0.9), ic, 10.0, 0.01,
+        tr = simulate_sde(P_NOISY._replace(epsilon=0.9), ic, 10.0, 0.01,
                           Seed(7))
         assert np.array_equal(tr.states,
                               np.tile([1.0, 0.0, 0.0, 0.0], (len(tr), 1)))
@@ -163,13 +162,13 @@ class TestSimulateSde:
 
 class TestEnsemble:
     def test_zero_noise_sup_deviations_vanish(self):
-        p = replace(P_NOISY, epsilon=0.0)
+        p = P_NOISY._replace(epsilon=0.0)
         out = ensemble(p, IC, 10.0, 0.01, 10, Seed(3))
         assert np.array_equal(np.asarray(out.sup_deviations), np.zeros(10))
 
     def test_sup_deviation_matches_standalone_path(self):
         out = ensemble(P_NOISY, IC, 20.0, 0.01, 6, Seed(77))
-        ref = deterministic_euler(replace(P_NOISY, epsilon=0.0), IC, 20.0,
+        ref = deterministic_euler(P_NOISY._replace(epsilon=0.0), IC, 20.0,
                                   0.01)
         path = simulate_sde(P_NOISY, IC, 20.0, 0.01, Seed(77), replica=3)
         sup = float(np.max(np.abs(path.states - ref.states)))
@@ -183,7 +182,7 @@ class TestEnsemble:
                               np.asarray(tail_part.sup_deviations))
 
     def test_replica_base_must_be_nonnegative(self):
-        for p in (P_NOISY, replace(P_NOISY, epsilon=0.0)):
+        for p in (P_NOISY, P_NOISY._replace(epsilon=0.0)):
             with pytest.raises(ValidationError, match="replica_base"):
                 ensemble(p, IC, 10.0, 0.01, 4, Seed(3), replica_base=-5)
 
@@ -236,7 +235,7 @@ class TestEnsemble:
 
     def test_halving_noise_halves_median_sup_deviation(self):
         hi = ensemble(P_NOISY, IC, 20.0, 0.01, 500, Seed(77))
-        lo = ensemble(replace(P_NOISY, epsilon=0.05), IC, 20.0, 0.01, 500,
+        lo = ensemble(P_NOISY._replace(epsilon=0.05), IC, 20.0, 0.01, 500,
                       Seed(77))
         ratio = float(np.median(hi.sup_deviations)
                       / np.median(lo.sup_deviations))
@@ -271,12 +270,12 @@ class TestBatchedParity:
     # replica block
     CASES = {
         "no-delay": (P_NOISY, 10.0, 12, 0),
-        "m=3": (replace(P_NOISY, r=0.03), 5.0, 12, 0),
-        "t_end=r": (replace(P_NOISY, r=0.5), 0.5, 12, 0),
-        "zero-noise": (replace(P_NOISY, r=0.5, epsilon=0.0), 5.0, 4, 0),
-        "replica-base": (replace(P_NOISY, r=0.5, epsilon=0.2), 5.0, 12, 37),
+        "m=3": (P_NOISY._replace(r=0.03), 5.0, 12, 0),
+        "t_end=r": (P_NOISY._replace(r=0.5), 0.5, 12, 0),
+        "zero-noise": (P_NOISY._replace(r=0.5, epsilon=0.0), 5.0, 4, 0),
+        "replica-base": (P_NOISY._replace(r=0.5, epsilon=0.2), 5.0, 12, 37),
         "one-chunk": (P_NOISY, sde_simulator._NOISE_CHUNK * 0.01, 12, 0),
-        "chunk-plus-one": (replace(P_NOISY, r=0.03),
+        "chunk-plus-one": (P_NOISY._replace(r=0.03),
                            (sde_simulator._NOISE_CHUNK + 1) * 0.01, 12, 0),
         "two-blocks": (P_NOISY, 0.5, sde_simulator._REPLICA_BLOCK + 6, 5),
     }
@@ -293,7 +292,7 @@ class TestBatchedParity:
         p, t_end, n_rep, base = self.CASES[case]
         out = ensemble(p, IC, t_end, 0.01, n_rep, Seed(21),
                        replica_base=base)
-        ref = deterministic_euler(replace(p, epsilon=0.0), IC, t_end, 0.01)
+        ref = deterministic_euler(p._replace(epsilon=0.0), IC, t_end, 0.01)
         paths = [simulate_sde(p, IC, t_end, 0.01, Seed(21),
                               replica=base + j).states for j in range(n_rep)]
         sups = np.array([np.max(np.abs(path - ref.states)) for path in paths])
@@ -305,15 +304,15 @@ class TestBatchedParity:
     def test_mixed_noise_levels_in_one_block(self, r):
         # columns alternate between two noise levels, as a concentration
         # check's reference and transfer replicas share one block
-        p = replace(P_NOISY, r=r)
+        p = P_NOISY._replace(r=r)
         n, m, _ = step_grid(r, 5.0, 0.01)
         levels = np.resize([0.1, 0.25], 12)
-        ref = deterministic_euler(replace(p, epsilon=0.0), IC, 5.0, 0.01)
+        ref = deterministic_euler(p._replace(epsilon=0.0), IC, 5.0, 0.01)
         sups, finals, first = sde_simulator._run_replicas(
             p, IC, 0.01, n, m, Seed(21), 3, levels, ref.states)
         assert first is None
         for j, eps in enumerate(levels):
-            path = simulate_sde(replace(p, epsilon=eps), IC, 5.0, 0.01,
+            path = simulate_sde(p._replace(epsilon=eps), IC, 5.0, 0.01,
                                 Seed(21), replica=3 + j).states
             assert sups[j] == np.max(np.abs(path - ref.states))
             assert bits(finals[j]) == bits(path[-1])
@@ -322,7 +321,7 @@ class TestBatchedParity:
         # the eps = 1 columns leave the band; the eps = 0.1 columns below
         # them must still equal their scalar paths
         levels = np.repeat([0.1, 1.0], 6)
-        ref = deterministic_euler(replace(P_NOISY, epsilon=0.0), IC, 10.0,
+        ref = deterministic_euler(P_NOISY._replace(epsilon=0.0), IC, 10.0,
                                   0.01)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -334,7 +333,7 @@ class TestBatchedParity:
             assert sups[j] == np.max(np.abs(path.states - ref.states))
 
     def test_stability_experiment_equals_scalar_loop(self):
-        p = replace(P_NOISY, epsilon=0.3)
+        p = P_NOISY._replace(epsilon=0.3)
         out = stochastic_stability_experiment(p, IC, 5.0, 0.01, 30, Seed(4))
         eir = np.array([float(simulate_sde(p, IC, 5.0, 0.01, Seed(4),
                                            replica=j).states[-1, 1:].sum())
@@ -347,7 +346,7 @@ class TestConcentrationCheck:
     GRID = (0.0148, 0.0182, 0.022, 0.0249, 0.0297, 0.0344)
 
     def test_zero_noise_degenerate_report(self):
-        p = replace(P_NOISY, epsilon=0.0)
+        p = P_NOISY._replace(epsilon=0.0)
         out = concentration_check(p, IC, 5.0, 0.01, 20, (0.01, 0.02), Seed(1))
         assert out.degenerate
         assert out.tail == (0.0, 0.0)
@@ -388,7 +387,7 @@ class TestConcentrationCheck:
     def test_equals_two_ensembles(self, r, grid):
         # one replica pass must give what an ensemble at eps and one at
         # 2*eps on the next n_rep streams give
-        p = replace(P_NOISY, r=r)
+        p = P_NOISY._replace(r=r)
         out = concentration_check(p, IC, 5.0, 0.01, 200, grid, Seed(8))
         ref = ensemble(p, IC, 5.0, 0.01, 200, Seed(8), rho_grid=grid)
         rho = tuple(v for v, _ in ref.tail)
@@ -399,7 +398,7 @@ class TestConcentrationCheck:
         ys = [math.log(pr) for (_, pr), cnt in zip(ref.tail, counts)
               if 5 <= cnt < 200]
         xa, ya = np.asarray(xs), np.asarray(ys)
-        transfer = ensemble(replace(p, epsilon=2.0 * p.epsilon), IC, 5.0,
+        transfer = ensemble(p._replace(epsilon=2.0 * p.epsilon), IC, 5.0,
                             0.01, 200, Seed(8), rho_grid=rho,
                             replica_base=200)
         assert bits(out.rho_grid) == bits(rho)
@@ -412,13 +411,13 @@ class TestConcentrationCheck:
     def test_reference_excursion_wins_over_earlier_transfer_excursion(self):
         # eps 0.5 on stream 0: reference replica 1 leaves the band at step
         # 746, after some transfer replica (eps 1.0, replicas 10..19) did
-        p = replace(P_NOISY, epsilon=0.5)
+        p = P_NOISY._replace(epsilon=0.5)
         with pytest.raises(ExcursionError) as scalar:
             simulate_sde(p, IC, 10.0, 0.01, Seed(0), replica=1)
         transfer_nodes = []
         for j in range(10, 20):
             try:
-                simulate_sde(replace(p, epsilon=1.0), IC, 10.0, 0.01, Seed(0),
+                simulate_sde(p._replace(epsilon=1.0), IC, 10.0, 0.01, Seed(0),
                              replica=j)
             except ExcursionError as err:
                 transfer_nodes.append(err.node)
@@ -439,7 +438,7 @@ class TestConcentrationCheck:
 
     def test_transfer_excursion_raised_after_a_fit(self):
         with pytest.raises(ExcursionError) as scalar:
-            simulate_sde(replace(P_906, epsilon=0.2), IC, 10.0, 0.01,
+            simulate_sde(P_906._replace(epsilon=0.2), IC, 10.0, 0.01,
                          Seed(906), replica=598)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -455,7 +454,7 @@ class TestConcentrationCheck:
         with pytest.raises(ValidationError, match="n_rep"):
             concentration_check(P_NOISY, IC, 1.0, 0.01, n_rep, self.GRID,
                                 Seed(3))
-        zero = replace(P_NOISY, epsilon=0.0)
+        zero = P_NOISY._replace(epsilon=0.0)
         assert concentration_check(zero, IC, 1.0, 0.01, n_rep, self.GRID,
                                    Seed(3)).degenerate
 
