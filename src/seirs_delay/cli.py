@@ -448,12 +448,20 @@ def _writing(path: str):
             f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
+# rows per writer chunk: .tolist() gives plain floats (no np.float64 per
+# value), and a chunk's floats and text stay a few tens of kB at any length
+_CSV_CHUNK = 512
+
+
 def _write_trajectory(path: str, traj: Trajectory) -> None:
+    times, states = traj.times, traj.states
     with _writing(path) as fh:
         fh.write("t,S,E,I,R\n")
-        for t, row in zip(traj.times, traj.states):
-            fh.write(f"{float(t)!r},{float(row[0])!r},{float(row[1])!r},"
-                     f"{float(row[2])!r},{float(row[3])!r}\n")
+        for a in range(0, len(times), _CSV_CHUNK):
+            b = a + _CSV_CHUNK
+            fh.write("".join([
+                f"{t!r},{s!r},{e!r},{i!r},{rc!r}\n" for t, (s, e, i, rc)
+                in zip(times[a:b].tolist(), states[a:b].tolist())]))
 
 
 def _add_state(rep: Report, prefix: str, values) -> None:

@@ -69,6 +69,15 @@ class Trajectory:
     def __init__(self, times: np.ndarray, states: np.ndarray, step: float):
         self.times, self.states, self.step = times, states, step
 
+    @classmethod
+    def on_grid(cls, states: np.ndarray, h: float) -> Trajectory:
+        """states at the nodes k*h, k = 0 .. len(states) - 1; the times are
+        built as floats and scaled in place, so no second path-long array
+        is made."""
+        times = np.arange(len(states), dtype=float)
+        times *= h
+        return cls(times, states, h)
+
     def __len__(self) -> int:
         return len(self.times)
 
@@ -77,7 +86,9 @@ class Trajectory:
         return make_run_state(float(s), float(e), float(i), float(rcv))
 
     def max_sum_defect(self) -> float:
-        return float(np.max(np.abs(self.states.sum(axis=1) - 1.0)))
+        d = self.states.sum(axis=1)
+        d -= 1.0
+        return float(np.abs(d, out=d).max())
 
     def min_component(self) -> float:
         return float(self.states.min())
@@ -107,7 +118,7 @@ def integrate_ode(p: Params, x0: State, t_end: float, h: float) -> Trajectory:
         PROPAGATION_SUM_TOL, NEGATIVITY_TOL)
     if status != _kernels.OK:
         raise _status_error(status, node)
-    return Trajectory(times=np.arange(n + 1) * h, states=out, step=h)
+    return Trajectory.on_grid(out, h)
 
 
 def integrate_dde(p: Params, ic: InitialCondition, t_end: float,
@@ -127,7 +138,7 @@ def integrate_dde(p: Params, ic: InitialCondition, t_end: float,
         p.beta, p.mu, p.gamma, p.k_r, PROPAGATION_SUM_TOL, NEGATIVITY_TOL)
     if status != _kernels.OK:
         raise _status_error(status, node)
-    return Trajectory(times=np.arange(n + 1) * h, states=out, step=h)
+    return Trajectory.on_grid(out, h)
 
 
 def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:

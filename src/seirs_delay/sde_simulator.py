@@ -15,6 +15,7 @@ for the nondelayed disease-free point is lyapunov's, exported from here too.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -119,7 +120,7 @@ def _run_path(p: Params, ic: InitialCondition, h: float, m: int,
         -EXCURSION_BAND, 1.0 + EXCURSION_BAND)
     if status == _kernels.EXCURSION:
         raise _excursion_error(node, comp, out[node, comp], replica)
-    return Trajectory(times=np.arange(n + 1) * h, states=out, step=h)
+    return Trajectory.on_grid(out, h)
 
 
 # Replicas step together over a replica axis, in blocks of at most
@@ -293,7 +294,7 @@ def deterministic_euler(p: Params, ic: InitialCondition, t_end: float,
         i = i + b - c
         rc = rc + c - d
         out[k + 1] = (s, e, i, rc)
-    return Trajectory(times=np.arange(n + 1) * h, states=out, step=h)
+    return Trajectory.on_grid(out, h)
 
 
 class EnsembleSummary(NamedTuple):
@@ -398,8 +399,9 @@ def concentration_check(p: Params, ic: InitialCondition, t_end: float,
     exceedances". The decay constants of the underlying bound are
     existential; this estimates, never asserts, their values. With the
     fitted c the tail of a second ensemble at eps' = TRANSFER_FACTOR*eps
-    (2) is compared against exp(-c*rho^2/eps'^2)*SAFETY (3) pointwise; eps'
-    must be admissible as a Params epsilon. rho_grid = None
+    (2) is compared against exp(-c*rho^2/eps'^2)*SAFETY (3) pointwise; an
+    eps' that overflows to inf is a ValidationError, raised before any
+    stepping. rho_grid = None
     takes the quantile grid that ensemble derives from the reference
     ensemble's sup deviations (empty when eps = 0). With eps > 0, n_rep
     must be at least MIN_EXCEEDANCES + 1, the fewest replicas that can give
@@ -425,8 +427,14 @@ def concentration_check(p: Params, ic: InitialCondition, t_end: float,
     _check_int("n_rep", n_rep, MIN_EXCEEDANCES + 1)
 
     n, m, _ = step_grid(p.r, t_end, h)
-    # an inadmissible transfer noise level fails as a Params would
-    eps2 = p._replace(epsilon=p.epsilon * TRANSFER_FACTOR).epsilon
+    # the user's epsilon is admissible, so the transfer level can only fail
+    # by overflowing
+    eps2 = p.epsilon * TRANSFER_FACTOR
+    if eps2 == math.inf:
+        raise ValidationError(
+            f"epsilon: transfer level epsilon * TRANSFER_FACTOR = "
+            f"{p.epsilon!r} * {TRANSFER_FACTOR!r} overflows to {eps2!r}; "
+            f"epsilon must be at most {sys.float_info.max / TRANSFER_FACTOR!r}")
     sups, _, first = _run_replicas(
         p, ic, h, n, m, seed, 0, np.repeat([p.epsilon, eps2], n_rep),
         _reference(p, ic, h, n, m))

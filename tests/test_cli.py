@@ -471,6 +471,22 @@ class TestMain:
         for row in lines[1:]:
             assert row.split(",")[1:] == ["1.0", "0.0", "0.0", "0.0"]
 
+    def test_trajectory_csv_reads_back_every_node(self, tmp_path, capsys):
+        # 2001 nodes span several writer chunks: each one is written once,
+        # in order, and its text reads back to the same doubles
+        from seirs_delay import integrate_dde
+
+        dest = tmp_path / "traj.csv"
+        text = ENDEMIC + f"run.trajectory = {dest}\n"
+        assert main(["simulate", "--config", self.write(tmp_path, text)]) == EXIT_OK
+        cfg = parse_config(text)
+        traj = integrate_dde(cfg.params, cfg.initial, cfg.horizon, 0.01)
+        lines = dest.read_text().splitlines()
+        assert lines[0] == "t,S,E,I,R"
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert rows == [[t, *x] for t, x in zip(traj.times.tolist(),
+                                                traj.states.tolist())]
+
     def test_off_grid_horizon_reports_last_node(self, tmp_path, capsys):
         dest = tmp_path / "traj.csv"
         text = (ENDEMIC.replace("run.horizon = 20.0", "run.horizon = 20.005")
@@ -503,6 +519,26 @@ class TestMain:
         assert rc == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "validation error" in err and "n_rep" in err
+
+    @pytest.mark.parametrize("eps", ["1.7976931348623157e308", "1e308"])
+    def test_concentration_transfer_level_overflow(self, tmp_path, capsys,
+                                                   monkeypatch, eps):
+        # the user's epsilon is finite; only epsilon * TRANSFER_FACTOR is not
+        from seirs_delay import sde_simulator
+
+        def no_stepping(*args):
+            raise AssertionError("stepped before refusing the transfer level")
+        monkeypatch.setattr(sde_simulator, "_run_replicas", no_stepping)
+        golden = Path(__file__).parent / "golden" / "concentration.cfg"
+        text = golden.read_text().replace("params.epsilon = 0.1",
+                                          f"params.epsilon = {eps}")
+        rc = main(["concentration", "--config", self.write(tmp_path, text)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("validation error: epsilon: transfer level ")
+        assert "TRANSFER_FACTOR" in err and "overflows to inf" in err
+        assert "must be finite" not in err and "must be >= 0" not in err
 
     def test_warnings_echoed_in_report(self, tmp_path, capsys):
         cfg = self.write(tmp_path, MINIMAL + "params.bogus = 1\n")
