@@ -33,7 +33,9 @@ document with dotted sections::
                                            # of the sup deviations
 
 The config is read as UTF-8. Reports are deterministic "key = value" lines
-(floats with 17 significant digits) so byte-level golden comparisons work.
+(floats with 17 significant digits) so byte-level golden comparisons work;
+the keys of a record's fields (params.*, init.*, x_star.*, certificate.*,
+...) follow the record's field order, as do the config keys.
 Exit codes: 0 ok; 2 parse error, including a config that cannot be read or
 decoded; 3 validation error, including a report (--out) or trajectory file
 that cannot be written and a run too large to store; 4 numerical failure.
@@ -47,12 +49,11 @@ import contextlib
 import importlib
 import math
 import sys
-from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from . import __version__
 # validate_params is not called here; perfbench/tracer.py wraps cli.validate_params
-from .model_core import (InitialCondition, NoCrossingError, Params,
+from .model_core import (InitialCondition, NoCrossingError, Params, State,
                          ValidationError, _Checked, _rho_grid, default_step,
                          make_initial_condition, step_grid, validate_params)
 
@@ -77,9 +78,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
-
-COMMANDS = ("equilibria", "simulate", "simulate-sde", "stability",
-            "delay-margin", "concentration", "lyapunov")
 
 
 def _on_first_call(module: str, name: str):
@@ -215,20 +213,20 @@ def _grid(r: float, horizon: float, h: float) -> tuple[int, int, float]:
         raise ValidationError(f"run.horizon / run.step: {exc}") from None
 
 
-_REQUIRED_KEYS = ("params.beta", "params.mu", "params.gamma", "params.k_r")
-_PARAM_KEYS = _REQUIRED_KEYS + ("params.r", "params.epsilon")
-_PARAM_FIELDS = {key: key.partition(".")[2] for key in _PARAM_KEYS}
-_INIT_DEFAULTS = {"init.e0": 0.05, "init.s0": 0.9, "init.i0": 0.05,
-                  "init.r0": 0.0}
-# the initial state of a document that sets none of the init keys
-_DEFAULT_INITIAL = make_initial_condition(*_INIT_DEFAULTS.values())
+# the config and report keys of the model constants and the initial data,
+# in record field order: Params, then InitialCondition
+_PARAM_FIELDS = {f"params.{name}": name for name in Params._fields}
+_INIT_KEYS = tuple(f"init.{name}" for name in InitialCondition._fields)
+_ECHO = (*_PARAM_FIELDS, *_INIT_KEYS)
+# the initial state when no init key is set; its fields are their defaults
+_DEFAULT_INITIAL = make_initial_condition(e0=0.05, s0=0.9, i0=0.05, r0=0.0)
 # RunConfig field and value type of each run and ensemble key, in
 # RunConfig's check order
 _RUN_KEYS = {"run.horizon": ("horizon", float), "run.step": ("step", float),
              "run.trajectory": ("trajectory", str),
              "ensemble.n_rep": ("n_rep", int), "ensemble.seed": ("seed", int),
              "ensemble.rho_grid": ("rho_grid", tuple)}
-_KNOWN_KEYS = set(_PARAM_KEYS) | set(_INIT_DEFAULTS) | set(_RUN_KEYS)
+_KNOWN_KEYS = {*_ECHO, *_RUN_KEYS}
 
 
 def _scan(text: str) -> dict[str, tuple[str, int]]:
@@ -298,17 +296,18 @@ def parse_config(text: str) -> RunConfig:
         entry = entries.get(key)
         if entry is not None:
             rates[name] = _number(key, *entry)
-        elif key in _REQUIRED_KEYS:
+        elif name not in Params._field_defaults:
             raise ValidationError(f"missing required key {key!r}")
     params = Params(**rates)
 
-    if entries.keys().isdisjoint(_INIT_DEFAULTS):
+    if entries.keys().isdisjoint(_INIT_KEYS):
         initial = _DEFAULT_INITIAL
     else:
-        # _INIT_DEFAULTS is in make_initial_condition's argument order
+        # InitialCondition's field order is make_initial_condition's
+        # argument order
         initial = make_initial_condition(*[
             _number(key, *entries[key]) if key in entries else default
-            for key, default in _INIT_DEFAULTS.items()])
+            for key, default in zip(_INIT_KEYS, _DEFAULT_INITIAL)])
 
     settings = {}
     for key, (name, kind) in _RUN_KEYS.items():
@@ -322,55 +321,33 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(params, initial, warnings=warnings, **settings)
 
 
-def _fnum(x: float) -> str:
-    return repr(float(x))
-
-
 def serialize_config(cfg: RunConfig) -> str:
-    """Canonical config document; parse_config(serialize_config(c)) == c."""
-    p, ic = cfg.params, cfg.initial
-    lines = [
-        f"params.beta = {_fnum(p.beta)}",
-        f"params.mu = {_fnum(p.mu)}",
-        f"params.gamma = {_fnum(p.gamma)}",
-        f"params.k_r = {_fnum(p.k_r)}",
-        f"params.r = {_fnum(p.r)}",
-        f"params.epsilon = {_fnum(p.epsilon)}",
-        f"init.e0 = {_fnum(ic.e0)}",
-        f"init.s0 = {_fnum(ic.s0)}",
-        f"init.i0 = {_fnum(ic.i0)}",
-        f"init.r0 = {_fnum(ic.r0)}",
-        f"run.horizon = {_fnum(cfg.horizon)}",
-    ]
-    if cfg.step is not None:
-        lines.append(f"run.step = {_fnum(cfg.step)}")
-    if cfg.trajectory is not None:
-        lines.append(f"run.trajectory = {cfg.trajectory}")
-    lines.append(f"ensemble.n_rep = {cfg.n_rep}")
-    lines.append(f"ensemble.seed = {cfg.seed}")
-    if cfg.rho_grid is not None:
-        lines.append("ensemble.rho_grid = " + ", ".join(_fnum(v) for v in cfg.rho_grid))
-    return "\n".join(lines) + "\n"
+    """Canonical config document; parse_config(serialize_config(c)) == c.
+
+    A setting that is None (no step, trajectory or rho_grid) is left out."""
+    echo = [(key, value, float) for key, value in zip(_ECHO, cfg.params + cfg.initial)]
+    settings = [(key, getattr(cfg, name), kind)
+                for key, (name, kind) in _RUN_KEYS.items()]
+    lines = []
+    for key, value, kind in echo + settings:
+        if value is None:
+            continue
+        if kind is tuple:
+            value = ", ".join([repr(float(v)) for v in value])
+        elif kind is float:
+            value = repr(float(value))
+        lines.append(f"{key} = {value}\n")
+    return "".join(lines)
 
 
-# the text of a report value, by its class: a float as 17 significant
-# digits, a bool as true/false, None as none
+# the text of a report value, by its exact class: a float as 17
+# significant digits, a bool as true/false, None as none
 _FORMAT = {float: "%.17g".__mod__, bool: ("false", "true").__getitem__,
            int: str, str: str, type(None): lambda _: "none"}
 
 
-def _fmt(value) -> str:
-    """value as report text: the formatter of the first class of value's MRO
-    in _FORMAT, else str."""
-    for cls in type(value).__mro__:
-        fmt = _FORMAT.get(cls)
-        if fmt is not None:
-            return fmt(value)
-    return str(value)
-
-
 class Report:
-    """Ordered key/value lines with deterministic rendering."""
+    """Ordered key/value lines, rendered by the exact class of each value."""
 
     def __init__(self, command: str):
         self._items: list[tuple[str, object]] = [("command", command)]
@@ -393,37 +370,25 @@ class Report:
         raise KeyError(key)
 
     def render(self) -> str:
-        # _fmt handles only the classes the table lacks
-        fmt = _FORMAT.get
-        lines = [f"{k} = {fmt(type(v), _fmt)(v)}\n" for k, v in self._items]
+        lines = [f"{k} = {_FORMAT[type(v)](v)}\n" for k, v in self._items]
         lines.extend(f"warning.{j} = {w}\n" for j, w in enumerate(self._warnings))
         return "".join(lines)
 
 
-def _keyed(prefix: str, names: Sequence[str]):
-    """The report keys prefix + name, and a function giving an object's
-    attributes of those names as a tuple in the same order."""
-    return tuple(prefix + name for name in names), attrgetter(*names)
-
-
-_ECHO_PARAMS, _param_values = _keyed("params.", ("beta", "mu", "gamma", "k_r",
-                                                 "r", "epsilon"))
-_ECHO_INIT, _init_values = _keyed("init.", ("e0", "s0", "i0", "r0"))
-_ECHO = _ECHO_PARAMS + _ECHO_INIT
-_STATE_NAMES = ("s", "e", "i", "rcv")
-_state_values = attrgetter(*_STATE_NAMES)
-_STATE_KEYS = {prefix: tuple(f"{prefix}.{name}" for name in _STATE_NAMES)
+# report keys in record field order; the modules of the last three records
+# load lazily, so their keys are spelled out (a test pins them to _fields)
+_STATE_KEYS = {prefix: tuple(f"{prefix}.{name}" for name in State._fields)
                for prefix in ("x_free", "x_star", "final")}
-_CROSSING, _crossing_values = _keyed("", ("omega", "theta", "r_star", "residual"))
-_ABC, _abc_values = _keyed("abc.", ("A", "B", "C", "delta"))
-_CERTIFICATE, _certificate_values = _keyed(
-    "certificate.", ("v2", "v3", "lambda1_sq", "lambda3_sq", "alpha0", "ineq1",
-                     "ineq2", "ineq3", "lv_bound", "holds"))
+_CROSSING = ("omega", "theta", "r_star", "residual")
+_ABC = ("abc.A", "abc.B", "abc.C", "abc.delta")
+_CERTIFICATE = tuple(f"certificate.{name}" for name in (
+    "v2", "v3", "lambda1_sq", "lambda3_sq", "alpha0", "ineq1", "ineq2", "ineq3",
+    "lv_bound", "holds"))
 
 
 def _echo(rep: Report, cfg: RunConfig, with_run: bool = False,
           with_ensemble: bool = False) -> None:
-    rep.extend(zip(_ECHO, _param_values(cfg.params) + _init_values(cfg.initial)))
+    rep.extend(zip(_ECHO, cfg.params + cfg.initial))
     if with_run:
         rep.add("run.horizon", cfg.horizon)
         rep.add("run.step", cfg.resolved_step())
@@ -473,11 +438,11 @@ def _cmd_equilibria(cfg: RunConfig) -> Report:
     _echo(rep, cfg)
     eqs = equilibrium_set(cfg.params)
     rep.add("r0", eqs.r0)
-    _add_state(rep, "x_free", _state_values(eqs.x_free))
+    _add_state(rep, "x_free", eqs.x_free)
     rep.add("x_free.residual", equilibrium_residual(cfg.params, eqs.x_free))
     rep.add("x_star.present", eqs.x_star is not None)
     if eqs.x_star is not None:
-        _add_state(rep, "x_star", _state_values(eqs.x_star))
+        _add_state(rep, "x_star", eqs.x_star)
         rep.add("x_star.residual", equilibrium_residual(cfg.params, eqs.x_star))
     return rep
 
@@ -551,20 +516,20 @@ def _cmd_delay_margin(cfg: RunConfig) -> Report:
     rep.extend((f"qp.b{j}", v) for j, v in enumerate(q.b))
     if free:
         rep.add("instability_possible", deg2_instability_possible(q))
-        rep.extend(zip(_CROSSING, _crossing_values(deg2_crossing(q))))
+        rep.extend(zip(_CROSSING, deg2_crossing(q)))
         rep.extend((("margin", free_disease_margin(p)),
                     ("half_pi_k_r", 0.5 * math.pi * p.k_r),
                     ("max_admissible_delay", p.k_r / math.e),
                     ("verdict", "stable for all admissible delays")))
         return rep
-    rep.extend(zip(_ABC, _abc_values(deg3_abc(q))))
+    rep.extend(zip(_ABC, deg3_abc(q)))
     rep.add("instability_possible", deg3_instability_possible(q))
     cr = deg3_crossing(q)
     rep.add("crossing.found", cr is not None)
     if cr is None:
         rep.add("verdict", "inconclusive (discriminant >= 0)")
     else:
-        rep.extend(zip(_CROSSING, _crossing_values(cr)))
+        rep.extend(zip(_CROSSING, cr))
         if p.r < cr.r_star:
             rep.add("verdict", "stable below critical delay")
         else:
@@ -580,7 +545,7 @@ def _cmd_concentration(cfg: RunConfig) -> Report:
     out = concentration_check(cfg.params, cfg.initial, cfg.horizon,
                               cfg.resolved_step(), cfg.n_rep, cfg.rho_grid,
                               Seed(cfg.seed))
-    rep.add("rho_grid", ", ".join(_fmt(v) for v in out.rho_grid) or None)
+    rep.add("rho_grid", ", ".join(map(_FORMAT[float], out.rho_grid)) or None)
     rep.add("degenerate", out.degenerate)
     for j, rho in enumerate(out.rho_grid):
         rep.add(f"tail.{j}.rho", rho)
@@ -605,8 +570,7 @@ def _cmd_lyapunov(cfg: RunConfig) -> Report:
     rep.extend((("condition", ok), ("condition_value", margin),
                 ("certificate.present", ok)))
     if ok:
-        cert = lyapunov_certificate(cfg.params)
-        rep.extend(zip(_CERTIFICATE, _certificate_values(cert)))
+        rep.extend(zip(_CERTIFICATE, lyapunov_certificate(cfg.params)))
     return rep
 
 
@@ -619,6 +583,7 @@ _DISPATCH = {
     "concentration": _cmd_concentration,
     "lyapunov": _cmd_lyapunov,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def run(command: str, cfg: RunConfig) -> Report:

@@ -152,7 +152,10 @@ def deg2_crossing(q: QuasiPolynomial) -> CrossingReport:
     if not (c < 0.0 or second):
         raise NoCrossingError("no crossing: no positive root of the "
                               "frequency equation")
-    w2 = 0.5 * (gap + math.sqrt(gap * gap - 4.0 * c))
+    sq = math.sqrt(gap * gap - 4.0 * c)
+    # for gap < 0 (then c < 0), gap + sq cancels; the roots' product c
+    # gives the same root without the subtraction
+    w2 = 0.5 * (gap + sq) if gap >= 0.0 else -2.0 * c / (sq - gap)
     if not w2 > 0.0:
         raise NoCrossingError(f"no crossing: omega^2 = {float(w2)!r} is not positive")
     omega = math.sqrt(w2)
@@ -180,8 +183,12 @@ def free_disease_margin(p: Params) -> float:
             f"(beta={p.beta!r}, mu={p.mu!r})")
     ik2 = 1.0 / (p.k_r * p.k_r)
     d = ik2 - p.mu * p.mu
-    inner = math.sqrt(d * d + 4.0 * ik2 * (p.mu - p.beta) ** 2)
-    return math.pi / (math.sqrt(2.0) * math.sqrt(d + inner))
+    term = 4.0 * ik2 * (p.mu - p.beta) ** 2
+    inner = math.sqrt(d * d + term)
+    # for d < 0, d + inner cancels (to 0 once term is below d*d's rounding);
+    # (inner + d)(inner - d) = term gives it without the subtraction
+    d_inner = d + inner if d >= 0.0 else term / (inner - d)
+    return math.pi / (math.sqrt(2.0) * math.sqrt(d_inner))
 
 
 def deg3_abc(q: QuasiPolynomial) -> CubicABC:

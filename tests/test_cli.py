@@ -73,6 +73,13 @@ class TestParseConfig:
         assert again.rho_grid == (0.01, 0.02, 0.05)
         assert again.trajectory == "path.csv"
 
+    def test_serialized_text_leaves_out_unset_settings(self):
+        assert serialize_config(parse_config(MINIMAL)) == (
+            "params.beta = 0.3\nparams.mu = 0.5\nparams.gamma = 0.25\n"
+            "params.k_r = 1.0\nparams.r = 0.0\nparams.epsilon = 0.0\n"
+            "init.e0 = 0.05\ninit.s0 = 0.9\ninit.i0 = 0.05\ninit.r0 = 0.0\n"
+            "run.horizon = 100.0\nensemble.n_rep = 200\nensemble.seed = 0\n")
+
     def test_unknown_key_becomes_warning(self):
         cfg = parse_config(MINIMAL + "params.bogus = 1.0\n")
         assert len(cfg.warnings) == 1
@@ -249,6 +256,38 @@ class TestReport:
         assert rep.get("key") == 3
         with pytest.raises(KeyError):
             rep.get("absent")
+
+
+def test_config_keys_are_the_fields_of_params_and_initial_condition():
+    from seirs_delay import InitialCondition, cli
+
+    assert cli._ECHO == (
+        "params.beta", "params.mu", "params.gamma", "params.k_r", "params.r",
+        "params.epsilon", "init.e0", "init.s0", "init.i0", "init.r0")
+    assert cli._ECHO == (tuple(f"params.{name}" for name in Params._fields)
+                         + tuple(f"init.{name}" for name in InitialCondition._fields))
+    assert cli._DEFAULT_INITIAL == make_initial_condition(0.05, 0.9, 0.05, 0.0)
+    # the required keys are the Params fields without a default
+    for key in cli._ECHO:
+        text = "".join(line for line in MINIMAL.splitlines(True)
+                       if not line.startswith(key))
+        if key in ("params.beta", "params.mu", "params.gamma", "params.k_r"):
+            with pytest.raises(ValidationError, match=f"missing required key '{key}'"):
+                parse_config(text)
+        else:
+            assert parse_config(text) == parse_config(MINIMAL)
+
+
+def test_report_keys_are_the_record_fields():
+    # the records load lazily, so cli spells their keys out
+    from seirs_delay import cli
+    from seirs_delay.delay_margin import CrossingReport, CubicABC
+    from seirs_delay.lyapunov import LyapunovCertificate
+
+    assert cli._CROSSING == CrossingReport._fields
+    assert cli._ABC == tuple(f"abc.{name}" for name in CubicABC._fields)
+    assert cli._CERTIFICATE == tuple(f"certificate.{name}"
+                                     for name in LyapunovCertificate._fields)
 
 
 class TestRun:
@@ -684,6 +723,22 @@ class TestMain:
         eigs = [float(out[f"free.eig{j}"]) for j in (1, 2, 3)]
         assert all(math.isfinite(v) and v < 0.0 for v in eigs)
         assert out["free.stable"] == "true"
+
+    @pytest.mark.parametrize("k_r", ["1e7", "1e10"])
+    def test_free_delay_margin_at_a_large_k_r(self, tmp_path, capsys, k_r):
+        # 1/k_r^2 is far below mu^2, where omega^2 and M cancelled: at 1e10
+        # omega^2 came out 0 and the margin divided by zero
+        text = FREE.replace("params.mu = 0.2", "params.mu = 0.5").replace(
+            "params.k_r = 2.0", f"params.k_r = {k_r}").replace(
+            "params.r = 0.5", "params.r = 1.0")
+        rc = main(["delay-margin", "--config", self.write(tmp_path, text)])
+        captured = capsys.readouterr()
+        assert (rc, captured.err) == (EXIT_OK, "")
+        out = dict(line.split(" = ", 1) for line in captured.out.splitlines())
+        bound, half_pi_k_r, margin, r_star = (float(out[key]) for key in (
+            "max_admissible_delay", "half_pi_k_r", "margin", "r_star"))
+        assert bound < half_pi_k_r <= margin <= r_star
+        assert out["verdict"] == "stable for all admissible delays"
 
 
 def python_m(module, *args):

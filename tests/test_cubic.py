@@ -3,7 +3,7 @@ numpy.roots oracles, including multiple-root cases."""
 import numpy as np
 import pytest
 
-from seirs_delay import cubic_real_roots
+from seirs_delay import ValidationError, cubic_real_roots
 from seirs_delay._cubic import cubic_roots
 
 
@@ -12,6 +12,15 @@ def residual_scale(A, B, C):
 
 
 class TestCubicRealRoots:
+    @pytest.mark.parametrize("A, B, C, name", [
+        (float("nan"), 0.0, 0.0, "A"),
+        (0.0, float("inf"), 0.0, "B"),
+        (0.0, 0.0, -float("inf"), "C"),
+    ])
+    def test_non_finite_coefficient_rejected(self, A, B, C, name):
+        with pytest.raises(ValidationError, match=f"^{name}: must be finite$"):
+            cubic_real_roots(A, B, C)
+
     def test_three_distinct_roots(self):
         # (x-1)(x-2)(x-3)
         roots = cubic_real_roots(-6.0, 11.0, -6.0)

@@ -7,6 +7,7 @@ linear system that lam = i*omega imposes on the delayed part, then checked
 against the reported angle; frequencies are checked as polynomial roots."""
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -84,6 +85,13 @@ class TestDeg2InstabilityPossible:
         q = QuasiPolynomial(a=(1.0, 1.0), b=(0.0, 0.0), r=0.5)
         assert not deg2_instability_possible(q)
 
+    def test_false_on_equal_constants(self):
+        # a0 = b0 > 0: a0^2 - b0^2 = 0, the degree-2 analogue of beta = mu
+        # with a stable zero-delay polynomial (the model's own beta = mu
+        # polynomial has a0 = b0 = 0 and fails the stability test first)
+        q = QuasiPolynomial(a=(0.5, 2.0), b=(0.5, 0.1), r=0.5)
+        assert not deg2_instability_possible(q)
+
 
 class TestDeg2Crossing:
     def test_frozen_report(self):
@@ -141,6 +149,25 @@ class TestDeg2Crossing:
             assert c < 0.0 and s > 0.0
             assert rep.theta >= math.pi / 2
             assert 0.0 <= rep.theta < 2.0 * math.pi
+
+    @pytest.mark.parametrize("k_r", [1e7, 1e10])
+    def test_omega_squared_at_a_large_k_r_is_the_exact_root(self, k_r):
+        # 1/k_r^2 << mu^2 makes the linear coefficient of the frequency
+        # quadratic negative, where the textbook root formula cancels
+        q = char_poly_delay_free(Params(0.1, 0.5, 0.3, k_r, r=1.0))
+        a0, a1, b0, b1 = map(Fraction, q.a + q.b)
+
+        def quadratic(z):
+            z = Fraction(z)
+            return z * z + (a1 * a1 - 2 * a0 - b1 * b1) * z + a0 * a0 - b0 * b0
+
+        # the one positive root: negative below it, positive above
+        lo, hi = 0.0, 1.0
+        while math.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if quadratic(mid) < 0 else (lo, mid)
+        w2 = deg2_crossing(q).omega ** 2
+        assert lo - 4 * math.ulp(lo) <= w2 <= hi + 4 * math.ulp(hi)
 
     def test_no_crossing_when_constant_terms_cancel(self):
         q = char_poly_delay_free(Params(0.2, 0.2, 0.3, 2.0, r=0.5))
@@ -215,6 +242,20 @@ class TestDeg3Abc:
         assert min(abc.A, abc.B, abc.C) > 0.0
         assert not deg3_instability_possible(q)
 
+    @pytest.mark.parametrize("a, b, possible", [
+        ((2.0, 2.5, 2.8), (-0.6, 1.5, 0.7), True),
+        ((0.5, 1.0, 1.0), (0.0, 0.0, 0.0), False),
+    ])
+    def test_positive_constant_term(self, a, b, possible):
+        # C > 0 with A or B not positive: the roots multiply to -C < 0, so
+        # onset needs the two positive roots the closed-form test predicts
+        q = QuasiPolynomial(a=a, b=b, r=1.0)
+        abc = deg3_abc(q)
+        assert abc.C > 0.0 and min(abc.A, abc.B) <= 0.0
+        assert deg3_instability_possible(q) is possible
+        roots = cubic_real_roots(abc.A, abc.B, abc.C)
+        assert len([z for z in roots if z > 0.0]) == (2 if possible else 0)
+
     def test_unstable_at_zero_delay_blocks_onset(self):
         q = QuasiPolynomial(a=(-1.0, 1.0, 1.0), b=(0.0, 0.0, 0.0), r=1.0)
         assert not deg3_instability_possible(q)
@@ -277,7 +318,34 @@ class TestDeg3Crossing:
             deg3_crossing(q)
 
 
+@pytest.mark.parametrize("call, degree", [
+    (lambda: deg2_instability_possible(Q_ENDEMIC), 2),
+    (lambda: deg2_crossing(Q_ENDEMIC), 2),
+    (lambda: deg3_abc(Q_FREE), 3),
+    (lambda: deg3_instability_possible(Q_FREE), 3),
+    (lambda: deg3_crossing(Q_FREE), 3),
+])
+def test_wrong_degree_rejected(call, degree):
+    with pytest.raises(ValidationError,
+                       match=f"expected a degree-{degree} quasi-polynomial, "
+                             f"got degree {5 - degree}"):
+        call()
+
+
 class TestVerifyCrossing:
+    @pytest.mark.parametrize("omega, r, message", [
+        (0.0, 1.0, "omega: must be > 0, got 0.0"),
+        (-0.5, 1.0, "omega: must be > 0, got -0.5"),
+        (math.nan, 1.0, "omega: must be > 0, got nan"),
+        (0.5, -1.0, "r: must be >= 0, got -1.0"),
+        (0.5, math.nan, "r: must be >= 0, got nan"),
+    ])
+    def test_rejects_nonpositive_omega_and_negative_delay(self, omega, r,
+                                                           message):
+        with pytest.raises(ValidationError) as exc:
+            verify_crossing(Q_FREE, omega, r)
+        assert str(exc.value) == message
+
     def test_consistent_pair_has_tiny_residual(self):
         rep = deg2_crossing(Q_FREE)
         assert verify_crossing(Q_FREE, rep.omega, rep.r_star) <= 1e-9

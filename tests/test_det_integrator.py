@@ -275,6 +275,29 @@ class TestCascade:
         with pytest.raises(ValidationError, match="quad_n"):
             integrate_dde_cascade(p, ic, 10.0, quad_n=4)
 
+    @pytest.mark.parametrize("r, t_end, quad_n, message", [
+        (0.5, 10.0, 8.0, "quad_n: must be an integer >= 8, got 8.0"),
+        (0.0, 10.0, 64, "integrate_dde_cascade requires r > 0"),
+        (0.5, 0.25, 64, "t_end=0.25 must be at least the delay r=0.5"),
+    ])
+    def test_rejects_bad_arguments(self, r, t_end, quad_n, message):
+        p = Params(0.1, 0.2, 0.3, 2.0, r=r)
+        ic = make_initial_condition(e0=0.1, s0=0.8, i0=0.1, r0=0.0)
+        with pytest.raises(ValidationError) as exc:
+            integrate_dde_cascade(p, ic, t_end, quad_n=quad_n)
+        assert str(exc.value) == message
+
+    def test_odd_quad_n_agrees_with_a_fine_quadrature(self):
+        p = Params(0.1, 0.2, 0.3, 2.0, r=0.5)
+        ic = make_initial_condition(e0=0.1, s0=0.8, i0=0.1, r0=0.0)
+        # an odd count reuses the last Simpson parabola for its trailing
+        # subinterval; the windows' ends are nodes of both runs
+        c9 = integrate_dde_cascade(p, ic, 10.0, quad_n=9)
+        c64 = integrate_dde_cascade(p, ic, 10.0, quad_n=64)
+        assert c9.step == 0.5 / 9
+        assert np.allclose(c9.times[::9], c64.times[::64], rtol=0.0, atol=1e-12)
+        assert np.abs(c9.states[::9] - c64.states[::64]).max() < 2e-8
+
 
 class TestScalarComparison:
     def test_at_threshold_rate_decays_without_sign_change(self):
@@ -298,6 +321,19 @@ class TestScalarComparison:
         with pytest.raises(ValidationError, match="r"):
             integrate_scalar_comparison(k=0.3, r=1.0, f0=1.0, t_end=10.0,
                                         h=0.3)
+
+    @pytest.mark.parametrize("k, r, f0, message", [
+        (0.0, 1.0, 1.0, "k: must be > 0, got 0.0"),
+        (math.inf, 1.0, 1.0, "k: must be > 0, got inf"),
+        (0.3, -1.0, 1.0, "r: must be > 0, got -1.0"),
+        (0.3, math.nan, 1.0, "r: must be > 0, got nan"),
+        (0.3, 1.0, -0.5, "f0: must be >= 0, got -0.5"),
+        (0.3, 1.0, math.inf, "f0: must be >= 0, got inf"),
+    ])
+    def test_rejects_bad_arguments(self, k, r, f0, message):
+        with pytest.raises(ValidationError) as exc:
+            integrate_scalar_comparison(k=k, r=r, f0=f0, t_end=10.0, h=0.01)
+        assert str(exc.value) == message
 
 
 class TestTrajectory:

@@ -19,7 +19,7 @@ from seirs_delay import (
 from seirs_delay import model_core
 from seirs_delay.model_core import (NEGATIVITY_TOL, PROPAGATION_SUM_TOL,
                                     SUM_TOL, ValidationReport, _checked_state,
-                                    _violations)
+                                    _violations, step_grid)
 
 
 def violated_fields(report):
@@ -276,3 +276,11 @@ class TestQuickAccept:
                 assert outcome(make_state, comps) == outcome(_checked_state,
                                                              comps), comps
         assert 0.2 * n < full[0] < 0.8 * n
+
+
+@pytest.mark.parametrize("h", [0.0, -0.01, math.nan, math.inf])
+def test_step_grid_rejects_a_nonpositive_or_non_finite_step(h):
+    for r in (0.0, 0.5):
+        with pytest.raises(ValidationError) as exc:
+            step_grid(r, 10.0, h)
+        assert str(exc.value) == f"h: must be a positive finite step, got {h!r}"

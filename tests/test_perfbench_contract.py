@@ -45,3 +45,11 @@ def test_step_arguments_are_the_kernels_n_steps(tracer):
         fn = getattr(_kernels, name.split(".", 1)[1])
         params = list(inspect.signature(fn).parameters)
         assert params[index] == "n_steps", name
+
+
+def test_kernel_path_flag_that_run_reads():
+    # perfbench/run.py imports seirs_delay._accel and labels its timings by
+    # NUMBA_ENABLED; nothing else in the package reads the stub
+    from seirs_delay import _accel
+
+    assert _accel.NUMBA_ENABLED is False

@@ -651,6 +651,18 @@ class TestStochasticStabilityExperiment:
         with pytest.raises(ValidationError, match="nondelayed"):
             stochastic_stability_experiment(p, IC, 10.0, 0.01, 5, Seed(9))
 
+    def test_excursion_raised_as_its_scalar_path_raises_it(self):
+        # replica 0 leaves the band at node 1500 (TestSimulateSde), first
+        p = Params(0.9, 0.05, 0.05, 1.0, r=0.0, epsilon=4.0)
+        ic = make_initial_condition(e0=0.1, s0=0.5, i0=0.4, r0=0.0)
+        with pytest.raises(ExcursionError) as scalar:
+            simulate_sde(p, ic, 50.0, 0.01, Seed(0), replica=0)
+        with pytest.raises(ExcursionError) as batched:
+            stochastic_stability_experiment(p, ic, 50.0, 0.01, 4, Seed(0))
+        err = batched.value
+        assert (err.replica, err.node, err.component) == (0, 1500, "E")
+        assert str(err) == str(scalar.value)
+
     def test_n_rep_must_be_an_integer(self):
         with pytest.raises(ValidationError, match="n_rep"):
             stochastic_stability_experiment(P_NOISY, IC, 1.0, 0.01, 2.5,
