@@ -49,16 +49,13 @@ import contextlib
 import importlib
 import math
 import sys
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import __version__
 # validate_params is not called here; perfbench/tracer.py wraps cli.validate_params
 from .model_core import (InitialCondition, NoCrossingError, Params, State,
                          ValidationError, _Checked, _rho_grid, default_step,
                          make_initial_condition, step_grid, validate_params)
-
-if TYPE_CHECKING:
-    from .det_integrator import Trajectory
 
 __all__ = [
     "ParseError",
@@ -169,10 +166,15 @@ class RunConfig(_Checked, _RunConfigFields):
         if not (math.isfinite(horizon) and horizon > 0.0):
             raise ValidationError(
                 f"run.horizon: must be a positive finite time, got {horizon!r}")
+        # as in Params, an int or a float subclass is stored as a float
+        if type(horizon) is not float:
+            horizon = float(horizon)
         if step is not None:
             if not (math.isfinite(step) and step > 0.0):
                 raise ValidationError(
                     f"run.step: must be a positive finite step, got {step!r}")
+            if type(step) is not float:
+                step = float(step)
             _grid(params.r, horizon, step)
         # exactly int: a bool is an int too, but no count and no seed
         if not (type(n_rep) is int and n_rep >= 1):
@@ -418,7 +420,7 @@ def _writing(path: str):
 _CSV_CHUNK = 512
 
 
-def _write_trajectory(path: str, traj: Trajectory) -> None:
+def _write_trajectory(path: str, traj) -> None:
     times, states = traj.times, traj.states
     with _writing(path) as fh:
         fh.write("t,S,E,I,R\n")
@@ -447,7 +449,7 @@ def _cmd_equilibria(cfg: RunConfig) -> Report:
     return rep
 
 
-def _simulate_common(rep: Report, cfg: RunConfig, traj: Trajectory) -> None:
+def _simulate_common(rep: Report, cfg: RunConfig, traj) -> None:
     rep.add("nodes", len(traj))
     _add_state(rep, "final", traj.states[-1])
     rep.add("max_sum_defect", traj.max_sum_defect())

@@ -156,9 +156,8 @@ def _negative_definite(a11: float, a12: float, a22: float, a23: float,
     d3 = a33 - a23^2/d2 of the tridiagonal matrix are all negative
     (Sylvester's criterion; Kahan 1966). They settle the sign where the
     top eigenvalue, accurate to a few ulps of max|a_ij|, cannot: a form
-    whose top eigenvalue is exactly 0 can read as slightly negative."""
-    if not a11 < 0.0:
-        return False
+    whose top eigenvalue is exactly 0 can read as slightly negative.
+    Requires a11 < 0, as _lv_matrix's a11 = -2/k_r is for every k_r > 0."""
     d2 = a22 - a12 * (a12 / a11)
     return d2 < 0.0 and a33 - a23 * (a23 / d2) < 0.0
 

@@ -111,9 +111,14 @@ class Params(_Checked, _ParamsFields):
 
     def __new__(cls, beta, mu, gamma, k_r, r=0.0, epsilon=0.0):
         rep = validate_params(beta, mu, gamma, k_r, r, epsilon)
+        if rep is _VALID:
+            return tuple.__new__(cls, (beta, mu, gamma, k_r, r, epsilon))
         if not rep.ok:
             raise ValidationError(rep.message())
-        return tuple.__new__(cls, (beta, mu, gamma, k_r, r, epsilon))
+        # an int or a float subclass (a numpy scalar) is stored as the plain
+        # float that reports format and that the fast path takes
+        return tuple.__new__(cls, (float(beta), float(mu), float(gamma),
+                                   float(k_r), float(r), float(epsilon)))
 
 
 def _finite(x) -> bool:
@@ -220,8 +225,7 @@ def _checked_state(s, e, i, rcv) -> State:
     total = ((comps[0] + comps[1]) + comps[2]) + comps[3]
     if abs(total - 1.0) > SUM_TOL:
         raise ValidationError(f"component sum {total!r} differs from 1 by more than {SUM_TOL}")
-    comps = [1.0 if v > 1.0 else v for v in comps]
-    return State(*comps)
+    return State(*[1.0 if v > 1.0 else float(v) for v in comps])
 
 
 class InitialCondition(NamedTuple):

@@ -334,6 +334,27 @@ class TestRun:
         assert rep.get("r_star") == pytest.approx(4.655972125652921, rel=1e-13)
         assert rep.get("verdict") == "stable below critical delay"
 
+    @pytest.mark.parametrize("r_star, verdict", [
+        (math.nextafter(1.337, math.inf), "stable below critical delay"),
+        (1.337, "delay at or beyond critical delay"),
+        (1.0, "delay at or beyond critical delay"),
+    ])
+    def test_delay_margin_verdict_at_the_critical_delay(self, monkeypatch,
+                                                        r_star, verdict):
+        # no admissible coexistence draw is known to put r* at or below
+        # r <= k_r/e, so a stand-in crossing puts it there
+        from seirs_delay import cli
+        from seirs_delay.delay_margin import CrossingReport
+
+        monkeypatch.setattr(cli, "deg3_crossing", lambda q: CrossingReport(
+            omega=0.5, theta=0.5 * r_star, r_star=r_star, residual=0.0))
+        golden = Path(__file__).parent / "golden" / "delay-margin-coexistence.cfg"
+        cfg = parse_config(golden.read_text())
+        assert cfg.params.r == 1.337
+        text = run("delay-margin", cfg).render()
+        assert f"r_star = {r_star:.17g}\n" in text
+        assert text.endswith(f"verdict = {verdict}\n")
+
     def test_delay_margin_boundary_rejected(self):
         with pytest.raises(ValidationError, match="boundary"):
             run("delay-margin",

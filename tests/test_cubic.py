@@ -4,11 +4,22 @@ import numpy as np
 import pytest
 
 from seirs_delay import ValidationError, cubic_real_roots
-from seirs_delay._cubic import cubic_roots
+from seirs_delay._cubic import _polish, _polish_double, cubic_roots
 
 
 def residual_scale(A, B, C):
     return 1e-12 * max(1.0, abs(A), abs(B), abs(C))
+
+
+@pytest.mark.parametrize("polish, args", [
+    (_polish, (1.0, 0.0, -3.0, 2.0)),    # f'(1) = 0 at the double root
+    (_polish, (1e200, 0.0, 0.0, 0.0)),   # f and f' overflow: inf / inf
+    (_polish_double, (0.0, 0.0, 1.0)),   # g'(0) = 0
+    (_polish_double, (1e300, 0.0, 0.0)),  # g overflows: inf / 6e300
+])
+def test_polish_keeps_x_where_the_newton_step_is_undefined(polish, args):
+    # dividing by f' = 0 would raise, and a NaN or inf step would replace x
+    assert polish(*args) == args[0]
 
 
 class TestCubicRealRoots:

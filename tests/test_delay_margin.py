@@ -29,6 +29,7 @@ from seirs_delay import (
     free_disease_margin,
     verify_crossing,
 )
+from seirs_delay.delay_margin import _report
 
 Q_FREE = char_poly_delay_free(Params(0.1, 0.2, 0.3, 2.0, r=0.5))
 Q_ENDEMIC = char_poly_delay_coexistence(Params(0.4, 0.2, 0.1, 2.0, r=0.5))
@@ -180,6 +181,25 @@ class TestDeg2Crossing:
         with pytest.raises(NoCrossingError):
             deg2_crossing(q)
 
+    def test_no_crossing_when_omega_squared_underflows(self):
+        # c = -b0^2 is subnormal, so -2c / (sq - gap) rounds to 0
+        q = QuasiPolynomial(a=(0.0, 1e5), b=(1e-160, 0.0), r=0.0)
+        with pytest.raises(NoCrossingError) as exc:
+            deg2_crossing(q)
+        assert str(exc.value) == "no crossing: omega^2 = 0.0 is not positive"
+
+    def test_angle_past_pi_is_taken_in_range(self):
+        # sin(theta) < 0: atan2 gives a negative angle, and a negative r*
+        q = QuasiPolynomial(a=(0.9595942989597228, 1.689299986661668),
+                            b=(-1.883979086865541, -0.1375093824875786), r=0.0)
+        rep = deg2_crossing(q)
+        c, s = solve_cos_sin(q, rep.omega)
+        assert s < 0.0
+        assert math.pi < rep.theta < 2.0 * math.pi
+        assert rep.theta == pytest.approx(angle_of(c, s), abs=1e-12)
+        assert rep.r_star == rep.theta / rep.omega
+        assert rep.residual <= 1e-9
+
 
 class TestFreeDiseaseMargin:
     def test_frozen_value_and_ordering(self):
@@ -245,13 +265,16 @@ class TestDeg3Abc:
     @pytest.mark.parametrize("a, b, possible", [
         ((2.0, 2.5, 2.8), (-0.6, 1.5, 0.7), True),
         ((0.5, 1.0, 1.0), (0.0, 0.0, 0.0), False),
+        # C = 0 (a zero root) with a complex pair: A = -2.25, B = 5.75
+        ((1.0, 3.0, 2.0), (1.0, -0.5, 0.5), False),
     ])
     def test_positive_constant_term(self, a, b, possible):
         # C > 0 with A or B not positive: the roots multiply to -C < 0, so
-        # onset needs the two positive roots the closed-form test predicts
+        # onset needs the two positive roots the closed-form test predicts;
+        # at C = 0 the test answers no
         q = QuasiPolynomial(a=a, b=b, r=1.0)
         abc = deg3_abc(q)
-        assert abc.C > 0.0 and min(abc.A, abc.B) <= 0.0
+        assert abc.C >= 0.0 and min(abc.A, abc.B) <= 0.0
         assert deg3_instability_possible(q) is possible
         roots = cubic_real_roots(abc.A, abc.B, abc.C)
         assert len([z for z in roots if z > 0.0]) == (2 if possible else 0)
@@ -353,6 +376,15 @@ class TestVerifyCrossing:
     def test_perturbed_frequency_detected(self):
         rep = deg2_crossing(Q_FREE)
         assert verify_crossing(Q_FREE, 1.1 * rep.omega, rep.r_star) > 1e-3
+
+    def test_report_refuses_a_residual_beyond_tolerance(self):
+        q = char_poly_delay_free(Params(0.1, 0.5, 0.3, 2.0, r=0.5))
+        rep = deg2_crossing(q)
+        with pytest.raises(RuntimeError, match=(
+                r"^crossing residual 0\.028\d* exceeds 1e-09; the located "
+                r"point does not satisfy the crossing equations$")):
+            _report(q, 1.1 * rep.omega, math.cos(rep.theta),
+                    math.sin(rep.theta))
 
     def test_delay_independent_without_delayed_part(self):
         q = QuasiPolynomial(a=(1.0, 1.0), b=(0.0, 0.0), r=0.5)

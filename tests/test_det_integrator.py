@@ -140,12 +140,19 @@ class TestIntegrateOde:
         with pytest.raises(ValidationError, match="nodes, more than the"):
             integrate_ode(p, make_state(0.9, 0.05, 0.05, 0.0), t_end, h)
 
-    def test_invariant_breach_aborts_with_node(self):
-        # oversized step drives a stiff decay negative on the first update
-        p = Params(0.9, 0.95, 0.05, 0.3)
+    @pytest.mark.parametrize("rates, x0, h, message", [
+        # an oversized step drives a stiff decay negative on the first update
+        ((0.9, 0.95, 0.05, 0.3), (0.05, 0.0, 0.95, 0.0), 2.0,
+         "component below -1e-09 at node 1"),
+        # a fast latency outflow (k_r = 0.01) breaks the sum first
+        ((0.9, 0.5, 0.5, 0.01), (0.5, 0.2, 0.2, 0.1), 1.0,
+         "component sum drifted beyond 1e-10 at node 1"),
+    ], ids=["negative", "sum"])
+    def test_invariant_breach_aborts_with_node(self, rates, x0, h, message):
         with pytest.raises(IntegrationError) as exc:
-            integrate_ode(p, make_state(0.05, 0.0, 0.95, 0.0), 100.0, 2.0)
+            integrate_ode(Params(*rates), make_state(*x0), 100.0, h)
         assert exc.value.node == 1
+        assert str(exc.value) == message
 
 
 class TestIntegrateDde:
@@ -297,6 +304,21 @@ class TestCascade:
         assert c9.step == 0.5 / 9
         assert np.allclose(c9.times[::9], c64.times[::64], rtol=0.0, atol=1e-12)
         assert np.abs(c9.states[::9] - c64.states[::64]).max() < 2e-8
+
+    @pytest.mark.parametrize("p, ic, t_end, message", [
+        (Params(0.9, 0.5, 0.5, 20.0, r=7.0),
+         make_initial_condition(e0=0.2, s0=0.5, i0=0.2, r0=0.1), 35.0,
+         "component sum drifted beyond 1e-06 at node 1"),
+        (Params(0.5, 0.99, 0.5, 60.0, r=20.0),
+         make_initial_condition(e0=1e-7, s0=1 - 1e-7, i0=0.0, r0=0.0), 20.0,
+         "component below -1e-09 at node 1"),
+    ], ids=["sum", "negative"])
+    def test_invariant_breach_aborts_with_node(self, p, ic, t_end, message):
+        # 8 Simpson subintervals over a long delay window are too coarse
+        with pytest.raises(IntegrationError) as exc:
+            integrate_dde_cascade(p, ic, t_end, quad_n=8)
+        assert exc.value.node == 1
+        assert str(exc.value) == message
 
 
 class TestScalarComparison:

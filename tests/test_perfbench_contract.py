@@ -13,6 +13,7 @@ import sys
 import pytest
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +37,33 @@ def test_every_traced_name_installs_and_uninstalls(tracer):
     finally:
         t.uninstall()
     assert cli.run is original
+
+
+def test_every_cli_name_the_tracer_wraps_is_called(tracer, tmp_path):
+    # the tracer wraps cli's globals; a command that calls a function by
+    # another name leaves its wrapper unused, and the traced run's numbers
+    # for that layer read 0. validate_params is the exception: no command
+    # calls it through cli (Params runs the check, traced as model_core's).
+    from seirs_delay import cli
+
+    golden = sorted(GOLDEN.glob("*.cfg"))
+    assert len(golden) == 9
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for cfg in golden:
+            expected = cfg.with_suffix(".report.txt").read_text()
+            command = expected.partition("\n")[0].removeprefix("command = ")
+            out = tmp_path / f"{cfg.stem}.txt"
+            assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            assert out.read_text() == expected
+    finally:
+        t.uninstall()
+    called = {span[0] for span in t.spans}
+    wrapped = {name for module, attr, name in tracer.TARGETS
+               if module == "seirs_delay.cli" and attr != "validate_params"}
+    assert len(wrapped) == 13
+    assert wrapped - called == set()
 
 
 def test_step_arguments_are_the_kernels_n_steps(tracer):

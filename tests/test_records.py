@@ -115,3 +115,20 @@ def test_trajectory_compares_by_identity():
     assert len(a) == 3 and a.step == 0.5 and a.times is times
     with pytest.raises(AttributeError):
         a.extra = 1
+
+
+@pytest.mark.parametrize("command, r", [
+    ("equilibria", 0.5), ("stability", 0.5), ("delay-margin", 0.5),
+    ("lyapunov", 0.0), ("simulate", 0.5)])
+def test_numpy_scalars_are_stored_and_rendered_as_plain_floats(command, r):
+    plain = RunConfig(Params(0.4, 0.2, 0.1, 2.0, r, 0.1),
+                      make_initial_condition(0.05, 0.9, 0.05, 0.0),
+                      horizon=1.0, step=0.01)
+    f64 = np.float64
+    cfg = RunConfig(Params(*map(f64, plain.params)),
+                    make_initial_condition(*map(f64, plain.initial)),
+                    horizon=f64(1.0), step=f64(0.01))
+    assert cfg == plain
+    assert {type(v) for v in (*cfg.params, *cfg.initial, cfg.horizon,
+                              cfg.step)} == {float}
+    assert cli.run(command, cfg).render() == cli.run(command, plain).render()

@@ -11,10 +11,11 @@ each child and writes its lines to a scratch directory at exit, where this
 script merges them. A child started with -I, -S or -E is not traced.
 
 Extra arguments go to pytest after the Tier-1 ones, for instance
-`-k "not criterion_02"` to leave out the slowest test. The exit code is
-pytest's. Executable lines are the line starts of each module's compiled
-code, so a line of an `if TYPE_CHECKING:` block or a condition part that
-short-circuits counts as unreached when it never runs.
+`-k "not criterion_02"` to leave out the slowest test. It is a check: the
+exit code is pytest's when the tests fail, else 1 when any line is
+unreached and 0 when none is. Executable lines are the line starts of each
+module's compiled code, so a line of an `if TYPE_CHECKING:` block or a
+condition part that short-circuits counts as unreached when it never runs.
 """
 import dis
 import glob
@@ -125,7 +126,7 @@ def main(argv: list[str]) -> int:
         if missed:
             print(f"{os.path.relpath(path, ROOT)}: {', '.join(map(str, missed))}")
     print(f"{total} unreached lines in src/seirs_delay")
-    return int(rc)
+    return int(rc) or int(total > 0)
 
 
 if __name__ == "__main__":
