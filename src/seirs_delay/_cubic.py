@@ -9,7 +9,7 @@ from __future__ import annotations
 import cmath
 import math
 
-__all__ = ["cubic_roots", "cubic_real_roots"]
+__all__ = ["cubic_roots"]
 
 
 def _cbrt(x: float) -> float:
@@ -102,9 +102,3 @@ def cubic_roots(a2: float, a1: float, a0: float) -> tuple[complex, complex, comp
     ts = [mfac * math.cos((phi - 2.0 * math.pi * k) / 3.0) for k in range(3)]
     xs = sorted(_polish(t - shift, a2, a1, a0) for t in ts)
     return (xs[0], xs[1], xs[2])
-
-
-def cubic_real_roots(a2: float, a1: float, a0: float) -> list[float]:
-    """Real roots only, ascending, repeated according to multiplicity."""
-    roots = cubic_roots(a2, a1, a0)
-    return sorted(r.real for r in roots if isinstance(r, float) or r.imag == 0.0)

@@ -11,14 +11,10 @@ rounding alone. Kernels never raise: they return a status code and the index
 of the first offending node (0 = ok, 1 = simplex-sum breach, 2 = negative
 component, 3 = excursion outside the allowed band).
 
-The RK4 stages and the ABM4 right-hand sides do not call _deriv. Each one
+Every right-hand side (S', E', I', R') with exposed source ed = E(t - r)
 forms the products bsi = beta*s*i, mi = mu*i, grc = gamma*rc and
 edk = ed/kr once and takes the rates as grc - bsi, bsi - edk, edk - mi and
-mi - grc. This is bitwise equal to _deriv, whose S' is written
--beta*s*i + gamma*rc. IEEE negation is exact and round-to-nearest is
-symmetric in sign, so ((-beta)*s)*i == -((beta*s)*i); and -y + x is x - y,
-signed zeros included. A right-hand side so costs four products, a
-negation and a division fewer than _deriv's expression does.
+mi - grc.
 
 Delayed lookups assume the delay is an exact multiple ``m`` of the step, so
 ``E(t_k - r)`` is the stored node value ``m`` slots back; no interpolation.
@@ -33,12 +29,6 @@ NEGATIVE = 2
 EXCURSION = 3
 
 
-def _deriv(s, i, rc, ed, beta, mu, gamma, kr):
-    """Right-hand side (S', E', I', R') with exposed source ed = E(t - r)."""
-    return (-beta * s * i + gamma * rc, beta * s * i - ed / kr,
-            ed / kr - mu * i, mu * i - gamma * rc)
-
-
 def _rk4_steps(x, s, e, i, rc, e_hist, h, n_steps, beta, mu, gamma, kr,
                sum_tol, neg_tol):
     """Classical RK4 from the node (s, e, i, rc) over n_steps steps, storing
@@ -47,9 +37,9 @@ def _rk4_steps(x, s, e, i, rc, e_hist, h, n_steps, beta, mu, gamma, kr,
     The exposed source E(t - r) of every stage is the constant history e_hist
     when it is given (all stage times lie in [0, r]), else the stage's own E
     (the nondelayed system, e_hist None). The four stages are written out
-    with the shared products of the module docstring rather than calling
-    _deriv; with a constant history its ed / kr is computed once, before the
-    loop. Returns (status, bad_node).
+    with the shared products of the module docstring; with a constant
+    history its ed / kr is computed once, before the loop. Returns
+    (status, bad_node).
     """
     x[0], x[1], x[2], x[3] = s, e, i, rc
     h2 = 0.5 * h
@@ -153,11 +143,16 @@ def dde_rk4_abm4(s, e, i, rc, e_hist, h, n_steps, m, beta, mu, gamma, kr,
     # derivatives at nodes k, k-1, k-2, k-3 as float locals (the corrector
     # never reads E' at node k-3); the delayed value at node j is the
     # constant history while j < m, afterwards the stored node j - m
+    f = []
+    for j in range(m, m - 4, -1):
+        i, rc = x[4 * j + 2], x[4 * j + 3]
+        bsi = beta * x[4 * j] * i
+        mi = mu * i
+        grc = gamma * rc
+        edk = (e_hist if j < m else x[4 * (j - m) + 1]) / kr
+        f.append((grc - bsi, bsi - edk, edk - mi, mi - grc))
     ((f0s, f0e, f0i, f0r), (f1s, f1e, f1i, f1r), (f2s, f2e, f2i, f2r),
-     (f3s, _, f3i, f3r)) = (
-        _deriv(x[4 * j], x[4 * j + 2], x[4 * j + 3],
-               e_hist if j < m else x[4 * (j - m) + 1], beta, mu, gamma, kr)
-        for j in range(m, m - 4, -1))
+     (f3s, _, f3i, f3r)) = f
     s, e, i, rc = x[4 * m], x[4 * m + 1], x[4 * m + 2], x[4 * m + 3]
     c = h / 24.0
     back = 4 * m - 1

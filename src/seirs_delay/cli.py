@@ -155,8 +155,7 @@ class RunConfig(_Checked, _RunConfigFields):
     rho_grid (stored sorted) is nonempty, positive and finite. step = None
     takes the default when a run command resolves it: the largest step
     <= min(0.01, r/50) that divides the delay exactly. warnings carries
-    unknown-key notices and is excluded from ==, != and hash so round-trips
-    compare clean.
+    unknown-key notices.
     """
 
     __slots__ = ()
@@ -188,16 +187,6 @@ class RunConfig(_Checked, _RunConfigFields):
             rho_grid = _rho_grid(rho_grid, "ensemble.rho_grid")
         return tuple.__new__(cls, (params, initial, horizon, step, trajectory,
                                    n_rep, seed, rho_grid, warnings))
-
-    def __eq__(self, other):
-        return (self[:-1] == other[:-1] if other.__class__ is self.__class__
-                else NotImplemented)
-
-    # object's != inverts __eq__; tuple's would compare warnings too
-    __ne__ = object.__ne__
-
-    def __hash__(self):
-        return hash(self[:-1])
 
     def resolved_step(self) -> float:
         return self.step if self.step is not None else default_step(self.params.r)
@@ -324,7 +313,8 @@ def parse_config(text: str) -> RunConfig:
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Canonical config document; parse_config(serialize_config(c)) == c.
+    """Canonical config document of cfg, without its warnings:
+    parse_config(serialize_config(c)) == c._replace(warnings=()).
 
     A setting that is None (no step, trajectory or rho_grid) is left out."""
     echo = [(key, value, float) for key, value in zip(_ECHO, cfg.params + cfg.initial)]

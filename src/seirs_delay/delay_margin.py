@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from ._cubic import cubic_real_roots as _cubic_real_roots
+from ._cubic import cubic_roots
 from .linear_stability import QuasiPolynomial
 from .model_core import NoCrossingError, Params, ValidationError
 
@@ -31,7 +31,8 @@ __all__ = [
     "verify_crossing",
 ]
 
-# every reported crossing must satisfy the defining equations this tightly
+# every reported crossing must satisfy the defining equations this tightly,
+# relative to the sum of the moduli of the terms of q(i*omega)
 RESIDUAL_TOL = 1e-9
 
 
@@ -41,7 +42,8 @@ class CrossingReport(NamedTuple):
     omega > 0 is the crossing frequency, theta in [0, 2*pi) the angle
     omega*r at the crossing, r_star = theta/omega the critical delay, and
     residual the modulus of the quasi-polynomial at lambda = i*omega with
-    delay r_star (at most RESIDUAL_TOL).
+    delay r_star (at most RESIDUAL_TOL times the scale
+    omega^d + sum |a_k| omega^k + sum |b_k| omega^k of its terms).
     """
 
     omega: float
@@ -68,7 +70,7 @@ def cubic_real_roots(A: float, B: float, C: float) -> list[float]:
     for name, v in (("A", A), ("B", B), ("C", C)):
         if not math.isfinite(v):
             raise ValidationError(f"{name}: must be finite")
-    return _cubic_real_roots(A, B, C)
+    return sorted(z.real for z in cubic_roots(A, B, C) if z.imag == 0.0)
 
 
 def verify_crossing(q: QuasiPolynomial, omega: float, r: float) -> float:
@@ -93,10 +95,14 @@ def _report(q: QuasiPolynomial, omega: float, cos_t: float,
     theta = _theta_from(cos_t, sin_t)
     r_star = theta / omega
     residual = verify_crossing(q, omega, r_star)
-    if residual > RESIDUAL_TOL:
+    scale = 1.0
+    for a, b in zip(reversed(q.a), reversed(q.b)):
+        scale = scale * omega + (abs(a) + abs(b))
+    if residual > RESIDUAL_TOL * scale:
         raise RuntimeError(
-            f"crossing residual {residual!r} exceeds {RESIDUAL_TOL}; "
-            "the located point does not satisfy the crossing equations")
+            f"crossing residual {residual!r} exceeds {RESIDUAL_TOL} times "
+            f"the scale {scale!r} of the terms of q(i*omega); the located "
+            "point does not satisfy the crossing equations")
     return CrossingReport(omega=omega, theta=theta, r_star=r_star,
                           residual=residual)
 
@@ -223,7 +229,9 @@ def deg3_instability_possible(q: QuasiPolynomial) -> bool:
     True iff (A, B, C) are not all positive, the zero-delay cubic built on
     a + b passes Routh-Hurwitz, and the frequency cubic admits a positive
     root: either C < 0, or C > 0 together with A^2 - 3B > 0 and
-    4*(B^2 - 3*A*C)*(A^2 - 3*B) - (9*C - A*B)^2 > 0.
+    4*(B^2 - 3*A*C)*(A^2 - 3*B) - (9*C - A*B)^2 > 0, or C = 0 (z = 0 is a
+    root) and z^2 + A z + B has a positive root: B < 0, or A < 0 and
+    A^2 >= 4B.
     """
     _require_degree(q, 3)
     abc = deg3_abc(q)
@@ -241,7 +249,7 @@ def deg3_instability_possible(q: QuasiPolynomial) -> bool:
         p2 = (4.0 * (abc.B * abc.B - 3.0 * abc.A * abc.C) * p1
               - (9.0 * abc.C - abc.A * abc.B) ** 2)
         return p1 > 0.0 and p2 > 0.0
-    return False
+    return abc.B < 0.0 or (abc.A < 0.0 and abc.A * abc.A >= 4.0 * abc.B)
 
 
 def deg3_crossing(q: QuasiPolynomial) -> Optional[CrossingReport]:

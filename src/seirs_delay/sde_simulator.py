@@ -100,7 +100,7 @@ def _hash_steps(hc: int, mult: int, count: int) -> list[tuple[int, int]]:
     return steps
 
 
-def _hash(value: int, xor: int, mul: int, rep: int = 1) -> int:
+def _hash(value: int, xor: int, mul: int, rep: int) -> int:
     """SeedSequence's hash of value with constants xor and mul, in every
     64-bit lane of value at once; rep holds a 1 in every lane. A lane holds
     a uint32 with room for its product with a uint32 constant, and each
@@ -110,34 +110,13 @@ def _hash(value: int, xor: int, mul: int, rep: int = 1) -> int:
     return (value ^ value >> 16) & mask
 
 
-def _mix(x: int, y: int, rep: int = 1) -> int:
+def _mix(x: int, y: int, rep: int) -> int:
     """SeedSequence's mix of hash y into pool word x, lane by lane:
     L x - R y (mod 2**32), formed as L x + (2**32 - R) y because a lane
     cannot borrow from the next."""
     mask = _M32 * rep
     r = ((_MIX_L * x & mask) + ((_M32 + 1 - _MIX_R) * y & mask)) & mask
     return (r ^ r >> 16) & mask
-
-
-def _master_pool(master: int) -> tuple[list[int], int]:
-    """The pool after master's words, zero-padded to the pool size as for a
-    spawned sequence, are mixed in, and the hash constant that the
-    replica's key words start from."""
-    entropy = _words(master)
-    entropy += [0] * (_POOL - len(entropy))
-    # _POOL hashes per entropy word, counting the mixing of the pool words
-    # into one another
-    steps = _hash_steps(_INIT_A, _MULT_A, _POOL * len(entropy))
-    hashes = iter(steps)
-    pool = [_hash(word, *next(hashes)) for word in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(hashes)))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], _hash(word, *next(hashes)))
-    return pool, steps[-1][1]
 
 
 # generate_state(4, np.uint64) hashes out 8 uint32 words, cycling the pool
@@ -227,7 +206,12 @@ class Seed(_Checked, _SeedFields):
         _check_int("replica", first, 0)
         _check_int("count", count, 0)
         first = int(first)
-        pool, hc = _master_pool(int(self.master))
+        master = int(self.master)
+        # a spawned sequence mixes its key words into the master's pool,
+        # which took _POOL hashes per master word (at least _POOL words)
+        pool = np.random.SeedSequence(master).pool.tolist()
+        hc = _INIT_A * pow(_MULT_A, _POOL * max(_POOL, len(_words(master))),
+                           _M32 + 1) & _M32
         states = np.empty((count, _POOL), dtype=np.uint64)
         done = 0
         while done < count:
@@ -474,10 +458,9 @@ class EnsembleSummary(NamedTuple):
     tail: tuple[tuple[float, float], ...]
 
 
-def _tail(sups: np.ndarray, rho_grid: Sequence[float]) -> tuple[tuple[float, float], ...]:
-    n = len(sups)
-    return tuple((float(rho), float(np.count_nonzero(sups > rho) / n))
-                 for rho in rho_grid)
+def _counts(sups: np.ndarray, rho_grid: Sequence[float]) -> tuple[int, ...]:
+    """How many of sups exceed each rho of rho_grid."""
+    return tuple(int(np.count_nonzero(sups > rho)) for rho in rho_grid)
 
 
 def _reference(p: Params, ic: InitialCondition, h: float, n: int,
@@ -511,12 +494,14 @@ def ensemble(p: Params, ic: InitialCondition, t_end: float, h: float,
                                         _reference(p, ic, h, n, m))
     if first is not None:
         raise first
+    grid = _default_rho_grid(sups) if grid is None else grid
     mf = finals.mean(axis=0)
     return EnsembleSummary(
         n_rep=n_rep,
         sup_deviations=sups,
         mean_final=make_run_state(*(float(v) for v in mf)),
-        tail=_tail(sups, _default_rho_grid(sups) if grid is None else grid),
+        tail=tuple((float(rho), cnt / n_rep)
+                   for rho, cnt in zip(grid, _counts(sups, grid))),
     )
 
 
@@ -605,8 +590,8 @@ def concentration_check(p: Params, ic: InitialCondition, t_end: float,
         raise first
     if rho_grid is None:
         grid = tuple(float(rho) for rho in _default_rho_grid(sups[:n_rep]))
-    tail = tuple(pr for _, pr in _tail(sups[:n_rep], grid))
-    counts = tuple(int(round(pr * n_rep)) for pr in tail)
+    counts = _counts(sups[:n_rep], grid)
+    tail = tuple(cnt / n_rep for cnt in counts)
     xs, ys = [], []
     for rho, pr, cnt in zip(grid, tail, counts):
         if cnt >= MIN_EXCEEDANCES and pr < 1.0:
@@ -622,7 +607,7 @@ def concentration_check(p: Params, ic: InitialCondition, t_end: float,
 
     if first is not None:
         raise first
-    tail2 = tuple(pr for _, pr in _tail(sups[n_rep:], grid))
+    tail2 = tuple(cnt / n_rep for cnt in _counts(sups[n_rep:], grid))
     bound = tuple(SAFETY * math.exp(-c_hat * rho * rho / (eps2 * eps2))
                   for rho in grid)
     ok = all(pr <= bd for pr, bd in zip(tail2, bound))

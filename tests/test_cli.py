@@ -730,6 +730,19 @@ class TestMain:
         assert err.startswith("numerical failure: cubic coefficient a2 = ")
         assert "a2 ** 3 overflows" in err
 
+    def test_delay_margin_refuses_a_crossing_off_by_rounding_at_its_scale(
+            self, tmp_path, capsys):
+        # the located omega is 8.0019e-161 where the exact one is 8e-161: an
+        # absolute residual of 1e-164, but 1.2e-4 of the terms' scale
+        text = ("params.beta = 0.1\nparams.mu = 0.5\nparams.gamma = 0.3\n"
+                "params.k_r = 1e160\nparams.r = 1.0\n")
+        rc = main(["delay-margin", "--config", self.write(tmp_path, text)])
+        assert rc == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: crossing residual ")
+        assert "exceeds 1e-09 times the scale 8.00" in captured.err
+
     def test_free_eigenvalues_at_a_k_r_at_the_float_maximum(self, tmp_path,
                                                             capsys):
         # 4*k_r and 2*k_r overflow; k_r*(mu - beta) and (-c +- sq)/k_r do not

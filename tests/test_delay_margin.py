@@ -170,6 +170,16 @@ class TestDeg2Crossing:
         w2 = deg2_crossing(q).omega ** 2
         assert lo - 4 * math.ulp(lo) <= w2 <= hi + 4 * math.ulp(hi)
 
+    def test_residual_is_measured_against_the_scale_of_the_terms(self):
+        # coefficients near 1e7 round q(i*omega) to about 4e-9: above an
+        # absolute 1e-9, but 6e-17 of the sum of the terms' moduli
+        q = QuasiPolynomial(a=(1e7, 3e3), b=(-2e7, 1.0), r=0.0)
+        rep = deg2_crossing(q)
+        w = rep.omega
+        scale = w * w + (3e3 + 1.0) * w + 3e7
+        assert 1e-9 < rep.residual < 1e-15 * scale
+        assert rep.residual == verify_crossing(q, w, rep.r_star)
+
     def test_no_crossing_when_constant_terms_cancel(self):
         q = char_poly_delay_free(Params(0.2, 0.2, 0.3, 2.0, r=0.5))
         with pytest.raises(NoCrossingError):
@@ -267,11 +277,13 @@ class TestDeg3Abc:
         ((0.5, 1.0, 1.0), (0.0, 0.0, 0.0), False),
         # C = 0 (a zero root) with a complex pair: A = -2.25, B = 5.75
         ((1.0, 3.0, 2.0), (1.0, -0.5, 0.5), False),
+        # C = 0 with A = -3, B = 1: z^2 - 3z + 1 has roots 0.382 and 2.618
+        ((1.0, 2.0, 1.0), (1.0, 1.0, 0.0), True),
     ])
     def test_positive_constant_term(self, a, b, possible):
         # C > 0 with A or B not positive: the roots multiply to -C < 0, so
         # onset needs the two positive roots the closed-form test predicts;
-        # at C = 0 the test answers no
+        # at C = 0 they are the roots of z^2 + A z + B
         q = QuasiPolynomial(a=a, b=b, r=1.0)
         abc = deg3_abc(q)
         assert abc.C >= 0.0 and min(abc.A, abc.B) <= 0.0
@@ -381,8 +393,9 @@ class TestVerifyCrossing:
         q = char_poly_delay_free(Params(0.1, 0.5, 0.3, 2.0, r=0.5))
         rep = deg2_crossing(q)
         with pytest.raises(RuntimeError, match=(
-                r"^crossing residual 0\.028\d* exceeds 1e-09; the located "
-                r"point does not satisfy the crossing equations$")):
+                r"^crossing residual 0\.028\d* exceeds 1e-09 times the scale "
+                r"0\.93\d* of the terms of q\(i\*omega\); the located point "
+                r"does not satisfy the crossing equations$")):
             _report(q, 1.1 * rep.omega, math.cos(rep.theta),
                     math.sin(rep.theta))
 

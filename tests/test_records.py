@@ -96,17 +96,6 @@ def test_run_config_replace_sorts_rho_grid():
     assert CFG._replace(rho_grid=[0.5, 0.05]).rho_grid == (0.05, 0.5)
 
 
-def test_run_config_equality_and_hash_ignore_warnings():
-    quiet = CFG._replace(warnings=())
-    assert quiet.warnings != CFG.warnings
-    assert quiet == CFG and not quiet != CFG
-    assert hash(quiet) == hash(CFG)
-    other = CFG._replace(n_rep=7)
-    assert other != CFG and not other == CFG
-    # a plain tuple of the same fields is another kind of value
-    assert CFG != tuple(CFG[:-1])
-
-
 def test_trajectory_compares_by_identity():
     times, states = np.arange(3) * 0.5, np.full((3, 4), 0.25)
     a = Trajectory(times, states, 0.5)

@@ -1,0 +1,162 @@
+"""An independent spectral verdict on every delay-margin report.
+
+The linearisation is built here from the model equations, not taken from
+linear_stability. In the reduced coordinates (E, I, R), with
+S = 1 - E - I - R,
+
+    E' = beta*S*I - E(t - r)/k_r,  I' = E(t - r)/k_r - mu*I,  R' = mu*I - gamma*R,
+
+so near an equilibrium x' = A0 x(t) + A1 x(t - r). The infinitesimal
+generator of that linear DDE is discretised at N + 1 Chebyshev points of
+[-r, 0] (Breda, Maset & Vermiglio 2005, SIAM J. Sci. Comput. 27(2)): the
+first row block is the right-hand side A0 u(0) + A1 u(-r), the others are
+the Chebyshev derivative scaled by 2/r. The rightmost eigenvalues of the
+3(N + 1) matrix converge spectrally to the rightmost roots of
+det(lam - A0 - A1 exp(-lam*r)), so its spectral abscissa decides stability
+at delay r. At N = 10, 20, 40 and 60 the abscissae around both goldens'
+r* agree to 6 digits.
+"""
+import functools
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from seirs_delay import cli
+from seirs_delay.delay_margin import NoCrossingError
+
+GOLDEN = Path(__file__).parent / "golden"
+N = 20
+# the analysis-sweep panel's distribution and seed (perfbench/workloads.py)
+PANEL_SEED = 1702_06180
+PANEL_DRAWS = 150
+STABLE = ("stable for all admissible delays", "stable below critical delay")
+
+
+def linearisation(beta, mu, gamma, k_r):
+    """(A0, A1) at the disease-free point when beta < mu, else at the
+    closed-form coexistence point S = mu/beta, E = mu*k_r*I, R = mu*I/gamma."""
+    if beta < mu:
+        s, i = 1.0, 0.0
+    else:
+        s = mu / beta
+        i = (1.0 - s) / (1.0 + mu * k_r + mu / gamma)
+    a0 = np.array([[-beta * i, beta * (s - i), -beta * i],
+                   [0.0, -mu, 0.0],
+                   [0.0, mu, -gamma]])
+    a1 = np.array([[-1.0 / k_r, 0.0, 0.0],
+                   [1.0 / k_r, 0.0, 0.0],
+                   [0.0, 0.0, 0.0]])
+    return a0, a1
+
+
+@functools.cache
+def chebyshev_derivative(n):
+    """The differentiation matrix at x_j = cos(j*pi/n), j = 0 .. n, acting on
+    3-vectors (Trefethen, Spectral Methods in MATLAB, cheb)."""
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    c = np.ones(n + 1)
+    c[0] = c[-1] = 2.0
+    c *= (-1.0) ** np.arange(n + 1)
+    d = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
+    d -= np.diag(d.sum(axis=1))
+    return np.kron(d, np.eye(3))
+
+
+def abscissa(a0, a1, r, n=N):
+    """The spectral abscissa of the discretised generator at delay r; at
+    r = 0 that of A0 + A1."""
+    if r == 0.0:
+        return float(np.linalg.eigvals(a0 + a1).real.max())
+    # node 0 is theta = 0, node n is theta = -r
+    m = chebyshev_derivative(n) * (2.0 / r)
+    m[:3] = 0.0
+    m[:3, :3] = a0
+    m[:3, -3:] += a1
+    return float(np.linalg.eigvals(m).real.max())
+
+
+def routh_hurwitz(c):
+    """Are all roots of lam^d + c[d-1] lam^(d-1) + ... + c[0] in the open
+    left half-plane (d = 2 or 3)?"""
+    if len(c) == 2:
+        return c[0] > 0.0 and c[1] > 0.0
+    return c[2] > 0.0 and c[0] > 0.0 and c[2] * c[1] > c[0]
+
+
+def check_report(rep):
+    beta, mu, gamma, k_r, r = (float(rep[f"params.{key}"])
+                               for key in ("beta", "mu", "gamma", "k_r", "r"))
+    a0, a1 = linearisation(beta, mu, gamma, k_r)
+    d = 2 if beta < mu else 3
+    zero_delay = [float(rep[f"qp.a{j}"]) + float(rep[f"qp.b{j}"])
+                  for j in range(d)]
+    assert (abscissa(a0, a1, 0.0) < 0.0) == routh_hurwitz(zero_delay)
+    if rep["verdict"] in STABLE:
+        assert abscissa(a0, a1, 0.0) < 0.0
+        assert abscissa(a0, a1, r) < 0.0
+    if "r_star" in rep:
+        r_star = float(rep["r_star"])
+        assert abscissa(a0, a1, 0.995 * r_star) < 0.0
+        assert abscissa(a0, a1, 1.005 * r_star) > 0.0
+
+
+def parse_report(text):
+    return dict(line.split(" = ", 1) for line in text.splitlines())
+
+
+@pytest.mark.parametrize("name", ["delay-margin", "delay-margin-coexistence"])
+def test_golden_reports_agree_with_the_spectrum(name):
+    rep = parse_report((GOLDEN / f"{name}.report.txt").read_text())
+    assert rep["verdict"] in STABLE and "r_star" in rep
+    check_report(rep)
+
+
+def test_golden_abscissa_changes_sign_across_r_star_at_a_converged_n():
+    # the free golden's r* = 3.748 and the coexistence golden's r* = 36.66
+    for params, r_star, below, above in (
+            ((0.1, 0.2, 0.3, 2.0), 3.7484134972974887, -8.306e-4, 8.181e-4),
+            ((0.752, 0.022, 0.448, 18.178), 36.662991718097423,
+             -7.372e-5, 7.256e-5)):
+        a0, a1 = linearisation(*params)
+        for factor, expected in ((0.995, below), (1.005, above)):
+            value = abscissa(a0, a1, factor * r_star)
+            assert value == pytest.approx(expected, rel=1e-3)
+            assert abscissa(a0, a1, factor * r_star, 2 * N) == pytest.approx(
+                value, rel=1e-6)
+
+
+def panel():
+    """The first PANEL_DRAWS draws (beta, mu, gamma, k_r, r) of the sweep
+    panel."""
+    rng = np.random.default_rng(PANEL_SEED)
+    out = []
+    while len(out) < PANEL_DRAWS:
+        beta, mu, gamma = (float(v) for v in rng.uniform(0.02, 0.98, 3))
+        k_r = math.exp(float(rng.uniform(math.log(0.5), math.log(25.0))))
+        r = float(rng.uniform(0.0, 0.999)) * k_r / math.e
+        rng.uniform(0.0, 0.5)   # epsilon, which delay-margin does not read
+        if abs(beta - mu) > 1e-6:
+            out.append((beta, mu, gamma, k_r, r))
+    return out
+
+
+def test_panel_reports_agree_with_the_spectrum():
+    branches = {"free": 0, "coexistence": 0}
+    for beta, mu, gamma, k_r, r in panel():
+        doc = (f"params.beta = {beta!r}\nparams.mu = {mu!r}\n"
+               f"params.gamma = {gamma!r}\nparams.k_r = {k_r!r}\n"
+               f"params.r = {r!r}\n")
+        try:
+            text = cli.run("delay-margin", cli.parse_config(doc)).render()
+        except NoCrossingError:
+            # only the coexistence branch refuses; ROADMAP item 1 owes an
+            # answer there
+            assert beta > mu
+            continue
+        rep = parse_report(text)
+        check_report(rep)
+        if "r_star" in rep:
+            branches["free" if beta < mu else "coexistence"] += 1
+    assert min(branches.values()) >= 30
