@@ -36,10 +36,9 @@ _EXPORTS = {
         "jacobian_coexistence", "jacobian_free_disease", "matrix_eigenvalues",
         "routh_hurwitz_coexistence"),
     "delay_margin": (
-        "CrossingReport", "CubicABC", "cubic_real_roots",
-        "deg2_crossing", "deg2_instability_possible", "deg3_abc",
-        "deg3_crossing", "deg3_instability_possible", "free_disease_margin",
-        "verify_crossing"),
+        "CrossingReport", "CubicABC", "cubic_real_roots", "deg2_crossing",
+        "deg3_abc", "deg3_crossing", "free_disease_margin", "verify_crossing",
+        "zero_delay_stable"),
     "lyapunov": (
         "LyapunovCertificate", "lyapunov_certificate", "lyapunov_condition",
         "lyapunov_margin"),

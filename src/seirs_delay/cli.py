@@ -115,13 +115,10 @@ routh_hurwitz_coexistence = _on_first_call("linear_stability",
 char_poly_delay_free = _on_first_call("linear_stability", "char_poly_delay_free")
 char_poly_delay_coexistence = _on_first_call("linear_stability",
                                              "char_poly_delay_coexistence")
-deg2_instability_possible = _on_first_call("delay_margin",
-                                           "deg2_instability_possible")
+zero_delay_stable = _on_first_call("delay_margin", "zero_delay_stable")
 deg2_crossing = _on_first_call("delay_margin", "deg2_crossing")
 free_disease_margin = _on_first_call("delay_margin", "free_disease_margin")
 deg3_abc = _on_first_call("delay_margin", "deg3_abc")
-deg3_instability_possible = _on_first_call("delay_margin",
-                                           "deg3_instability_possible")
 deg3_crossing = _on_first_call("delay_margin", "deg3_crossing")
 lyapunov_margin = _on_first_call("lyapunov", "lyapunov_margin")
 lyapunov_certificate = _on_first_call("lyapunov", "lyapunov_certificate")
@@ -506,20 +503,23 @@ def _cmd_delay_margin(cfg: RunConfig) -> Report:
     rep.add("branch", "free-disease (degree 2)" if free else "coexistence (degree 3)")
     rep.extend((f"qp.a{j}", v) for j, v in enumerate(q.a))
     rep.extend((f"qp.b{j}", v) for j, v in enumerate(q.b))
+    stable = zero_delay_stable(q)
     if free:
-        rep.add("instability_possible", deg2_instability_possible(q))
-        rep.extend(zip(_CROSSING, deg2_crossing(q)))
+        cr = deg2_crossing(q)
+        rep.add("instability_possible", stable)
+        rep.extend(zip(_CROSSING, cr))
         rep.extend((("margin", free_disease_margin(p)),
                     ("half_pi_k_r", 0.5 * math.pi * p.k_r),
                     ("max_admissible_delay", p.k_r / math.e),
                     ("verdict", "stable for all admissible delays")))
         return rep
     rep.extend(zip(_ABC, deg3_abc(q)))
-    rep.add("instability_possible", deg3_instability_possible(q))
     cr = deg3_crossing(q)
+    rep.add("instability_possible", stable and cr is not None)
     rep.add("crossing.found", cr is not None)
     if cr is None:
-        rep.add("verdict", "inconclusive (discriminant >= 0)")
+        rep.add("verdict", "stable for all delays" if stable
+                else "unstable for all delays")
     else:
         rep.extend(zip(_CROSSING, cr))
         if p.r < cr.r_star:

@@ -21,11 +21,10 @@ __all__ = [
     "NoCrossingError",
     "CrossingReport",
     "CubicABC",
-    "deg2_instability_possible",
+    "zero_delay_stable",
     "deg2_crossing",
     "free_disease_margin",
     "deg3_abc",
-    "deg3_instability_possible",
     "deg3_crossing",
     "cubic_real_roots",
     "verify_crossing",
@@ -54,9 +53,12 @@ class CrossingReport(NamedTuple):
 
 class CubicABC(NamedTuple):
     """Coefficients of the frequency cubic z^3 + A z^2 + B z + C (z = omega^2)
-    together with its discriminant delta as printed for this model:
+    together with the paper's printed expression
 
         delta = 18*A*B*C - 4*A^3*C + A^2*B^2 - 4*B^2 - 27*C^2
+
+    which is reported but decides nothing: it is not the cubic's
+    discriminant, which has 4*B^3 in place of 4*B^2.
     """
 
     A: float
@@ -113,26 +115,11 @@ def _require_degree(q: QuasiPolynomial, d: int) -> None:
                               f"got degree {q.degree}")
 
 
-def deg2_instability_possible(q: QuasiPolynomial) -> bool:
-    """Can the degree-2 quasi-polynomial lose stability as the delay grows?
-
-    True iff the zero-delay polynomial is stable (a0+b0 > 0 and a1+b1 > 0)
-    and a positive crossing frequency exists: either a0^2 < b0^2, or
-    a0^2 > b0^2 together with a1^2 < b1^2 + 2*a0 and
-    (a1^2 - b1^2 - 2*a0)^2 > 4*(a0^2 - b0^2).
-    """
-    _require_degree(q, 2)
-    a0, a1 = q.a
-    b0, b1 = q.b
-    if not (a0 + b0 > 0.0 and a1 + b1 > 0.0):
-        return False
-    c = a0 * a0 - b0 * b0
-    if c < 0.0:
-        return True
-    if c > 0.0:
-        gap = a1 * a1 - b1 * b1 - 2.0 * a0
-        return gap < 0.0 and gap * gap > 4.0 * c
-    return False
+def zero_delay_stable(q: QuasiPolynomial) -> bool:
+    """Routh-Hurwitz for the zero-delay polynomial lam^d + sum c_k lam^k,
+    c_k = a_k + b_k: every c_k is positive and, for d = 3, c2*c1 > c0."""
+    c = [a + b for a, b in zip(q.a, q.b)]
+    return all(v > 0.0 for v in c) and (q.degree == 2 or c[2] * c[1] > c[0])
 
 
 def deg2_crossing(q: QuasiPolynomial) -> CrossingReport:
@@ -218,54 +205,16 @@ def deg3_abc(q: QuasiPolynomial) -> CubicABC:
     return CubicABC(A=A, B=B, C=C, delta=delta)
 
 
-def _rh_cubic(c2: float, c1: float, c0: float) -> bool:
-    """Routh-Hurwitz for lam^3 + c2 lam^2 + c1 lam + c0."""
-    return c2 > 0.0 and c0 > 0.0 and c2 * c1 > c0
-
-
-def deg3_instability_possible(q: QuasiPolynomial) -> bool:
-    """Can the degree-3 quasi-polynomial lose stability as the delay grows?
-
-    True iff (A, B, C) are not all positive, the zero-delay cubic built on
-    a + b passes Routh-Hurwitz, and the frequency cubic admits a positive
-    root: either C < 0, or C > 0 together with A^2 - 3B > 0 and
-    4*(B^2 - 3*A*C)*(A^2 - 3*B) - (9*C - A*B)^2 > 0, or C = 0 (z = 0 is a
-    root) and z^2 + A z + B has a positive root: B < 0, or A < 0 and
-    A^2 >= 4B.
-    """
-    _require_degree(q, 3)
-    abc = deg3_abc(q)
-    if abc.A > 0.0 and abc.B > 0.0 and abc.C > 0.0:
-        return False
-    c2 = q.a[2] + q.b[2]
-    c1 = q.a[1] + q.b[1]
-    c0 = q.a[0] + q.b[0]
-    if not _rh_cubic(c2, c1, c0):
-        return False
-    if abc.C < 0.0:
-        return True
-    if abc.C > 0.0:
-        p1 = abc.A * abc.A - 3.0 * abc.B
-        p2 = (4.0 * (abc.B * abc.B - 3.0 * abc.A * abc.C) * p1
-              - (9.0 * abc.C - abc.A * abc.B) ** 2)
-        return p1 > 0.0 and p2 > 0.0
-    return abc.B < 0.0 or (abc.A < 0.0 and abc.A * abc.A >= 4.0 * abc.B)
-
-
 def deg3_crossing(q: QuasiPolynomial) -> Optional[CrossingReport]:
-    """Locate the imaginary-axis crossing of a degree-3 quasi-polynomial.
+    """Locate the first imaginary-axis crossing of a degree-3 quasi-polynomial.
 
-    Returns None ("inconclusive") when the printed discriminant delta of the
-    frequency cubic is nonnegative: the single-crossing criterion only covers
-    delta < 0. For delta < 0 the unique real root omega0^2 must be positive,
-    and (cos theta, sin theta) solve q(i*omega0) = 0 with the modulus-squared
-    denominator b1^2*omega0^2 + (b0 - b2*omega0^2)^2.
-
-    The closed-form root count provides a second opinion on delta's sign
-    and decides which root to use. Where the two disagree, delta still
-    decides between None and a crossing; a count of three real roots then
-    needs a unique positive one. The roots are computed first, so a cubic
-    that overflows fails whatever delta's sign.
+    A root can reach the imaginary axis only at lambda = i*omega with
+    omega^2 a positive root of the frequency cubic (deg3_abc). For each
+    positive root, (cos theta, sin theta) solve q(i*omega) = 0 with the
+    modulus-squared denominator b1^2*omega^2 + (b0 - b2*omega^2)^2. Returns
+    the crossing with the smallest critical delay r* over all positive roots,
+    or None when the cubic has none: then no root crosses at any delay, and
+    stability is that of the zero-delay polynomial (zero_delay_stable).
     """
     _require_degree(q, 3)
     a0, a1, a2 = q.a
@@ -273,25 +222,15 @@ def deg3_crossing(q: QuasiPolynomial) -> Optional[CrossingReport]:
     if a0 + b0 == 0.0:
         raise NoCrossingError("a0 + b0 = 0: zero is a root at every delay")
     abc = deg3_abc(q)
-    roots = cubic_real_roots(abc.A, abc.B, abc.C)
-    if abc.delta >= 0.0:
-        return None
-    if len(roots) == 1:
-        w2 = roots[0]
-    else:
-        positive = [z for z in roots if z > 0.0]
-        if len(positive) != 1:
-            raise NoCrossingError(
-                f"ambiguous crossing: {len(positive)} positive roots of the "
-                "frequency cubic")
-        w2 = positive[0]
-    if not w2 > 0.0:
-        raise NoCrossingError(
-            f"no crossing: the real root omega^2 = {float(w2)!r} is not positive")
-    omega = math.sqrt(w2)
-    pdel = b0 - b2 * w2
-    den = b1 * b1 * w2 + pdel * pdel
-    w3 = w2 * omega
-    cos_t = ((a2 * w2 - a0) * pdel + b1 * omega * (w3 - a1 * omega)) / den
-    sin_t = ((a2 * w2 - a0) * b1 * omega - pdel * (w3 - a1 * omega)) / den
-    return _report(q, omega, cos_t, sin_t)
+    crossings = []
+    for w2 in cubic_real_roots(abc.A, abc.B, abc.C):
+        if w2 <= 0.0:
+            continue
+        omega = math.sqrt(w2)
+        pdel = b0 - b2 * w2
+        den = b1 * b1 * w2 + pdel * pdel
+        w3 = w2 * omega
+        cos_t = ((a2 * w2 - a0) * pdel + b1 * omega * (w3 - a1 * omega)) / den
+        sin_t = ((a2 * w2 - a0) * b1 * omega - pdel * (w3 - a1 * omega)) / den
+        crossings.append(_report(q, omega, cos_t, sin_t))
+    return min(crossings, key=lambda cr: cr.r_star, default=None)

@@ -226,7 +226,7 @@ def test_criterion_05_degree2_crossing_pipeline():
 
 def test_criterion_06_degree3_pipeline():
     rng = np.random.default_rng(3002)
-    n_conclusive = n_sim = 0
+    n_sim = 0
     for _ in range(50):
         mu = rng.uniform(0.05, 0.45)
         beta = mu + rng.uniform(0.05, 0.5)
@@ -239,11 +239,8 @@ def test_criterion_06_degree3_pipeline():
         c0 = q.a[0] + q.b[0]
         assert c2 > 0.0 and c1 > 0.0 and c0 > 0.0 and c2 * c1 > c0
         abc = deg3_abc(q)
+        # C < 0: the frequency cubic has a positive root, so a crossing
         assert abc.C < 0.0
-        if abc.delta >= 0.0:
-            assert deg3_crossing(q) is None
-            continue
-        n_conclusive += 1
         cr = deg3_crossing(q)
         assert cr is not None
         z = cr.omega ** 2
@@ -272,9 +269,8 @@ def test_criterion_06_degree3_pipeline():
                 assert dev1 <= 0.5 * dev0
             else:
                 assert dev1 >= dev0
-    assert n_conclusive >= 25
     print(f"criterion 6: PASS - 50 draws satisfy the zero-delay sign "
-          f"conditions; {n_conclusive} conclusive crossings checked; "
+          f"conditions and pass the crossing checks; "
           f"{n_sim} admissible near-critical simulations")
 
 

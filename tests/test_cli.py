@@ -355,6 +355,26 @@ class TestRun:
         assert f"r_star = {r_star:.17g}\n" in text
         assert text.endswith(f"verdict = {verdict}\n")
 
+    def test_delay_margin_unstable_at_zero_delay(self, monkeypatch):
+        # no admissible coexistence point is known to fail Routh-Hurwitz at
+        # r = 0, so a stand-in test fails it, first on a draw whose
+        # frequency cubic has no positive root
+        from seirs_delay import cli
+
+        monkeypatch.setattr(cli, "zero_delay_stable", lambda q: False)
+        text = run("delay-margin", parse_config(
+            "params.beta = 0.8306449774640462\n"
+            "params.mu = 0.7476362268226904\n"
+            "params.gamma = 0.4237487175976112\n"
+            "params.k_r = 6.843460382177602\n")).render()
+        assert text.endswith("instability_possible = false\n"
+                             "crossing.found = false\n"
+                             "verdict = unstable for all delays\n")
+        # a crossing does not make stability possible to lose either
+        golden = Path(__file__).parent / "golden" / "delay-margin-coexistence.cfg"
+        text = run("delay-margin", parse_config(golden.read_text())).render()
+        assert "instability_possible = false\ncrossing.found = true\n" in text
+
     def test_delay_margin_boundary_rejected(self):
         with pytest.raises(ValidationError, match="boundary"):
             run("delay-margin",
@@ -822,7 +842,9 @@ class TestStderr:
         assert out.stdout == (golden / "delay-margin-coexistence.report.txt"
                               ).read_text()
 
-    def test_ambiguous_crossing_is_one_line(self, tmp_path):
+    def test_no_positive_root_writes_nothing_to_stderr(self, tmp_path):
+        # three real roots of the frequency cubic, none positive: no root
+        # crosses at any delay, so the verdict is the zero-delay one
         cfg = tmp_path / "run.cfg"
         cfg.write_text("params.beta = 0.8306449774640462\n"
                        "params.mu = 0.7476362268226904\n"
@@ -830,10 +852,10 @@ class TestStderr:
                        "params.k_r = 6.843460382177602\n"
                        "params.r = 0.2515978081682942\n")
         out = cli_subprocess(["delay-margin", "--config", str(cfg)])
-        assert out.returncode == EXIT_NUMERICAL
-        assert out.stdout == ""
-        assert out.stderr == ("numerical failure: ambiguous crossing: 0 "
-                              "positive roots of the frequency cubic\n")
+        assert out.returncode == EXIT_OK
+        assert out.stderr == ""
+        assert out.stdout.endswith("crossing.found = false\n"
+                                   "verdict = stable for all delays\n")
 
     def test_unknown_key_is_a_report_warning_only(self, tmp_path):
         cfg = tmp_path / "run.cfg"

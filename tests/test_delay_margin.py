@@ -1,6 +1,7 @@
-"""Imaginary-axis crossings of the characteristic quasi-polynomials: onset
-predicates, crossing frequency/angle/critical delay, the all-delays margin
-for the disease-free branch, and the cubic discriminant pipeline.
+"""Imaginary-axis crossings of the characteristic quasi-polynomials: the
+zero-delay Routh-Hurwitz test, crossing frequency/angle/critical delay, the
+all-delays margin for the disease-free branch, and the frequency-cubic
+pipeline.
 
 Independent oracles: the (cos, sin) pair is recovered by solving the 2x2
 linear system that lam = i*omega imposes on the delayed part, then checked
@@ -22,12 +23,11 @@ from seirs_delay import (
     char_poly_delay_free,
     cubic_real_roots,
     deg2_crossing,
-    deg2_instability_possible,
     deg3_abc,
     deg3_crossing,
-    deg3_instability_possible,
     free_disease_margin,
     verify_crossing,
+    zero_delay_stable,
 )
 from seirs_delay.delay_margin import _report
 
@@ -75,23 +75,32 @@ def random_free_setup(rng):
 
 
 class TestDeg2InstabilityPossible:
+    """Stability can be lost as the delay grows iff the zero-delay
+    polynomial is stable and a crossing exists."""
+
     def test_true_on_free_disease_polynomial(self):
-        assert deg2_instability_possible(Q_FREE)
+        assert zero_delay_stable(Q_FREE)
+        assert deg2_crossing(Q_FREE).omega > 0.0
 
     def test_false_on_boundary_beta_equals_mu(self):
         q = char_poly_delay_free(Params(0.2, 0.2, 0.3, 2.0, r=0.5))
-        assert not deg2_instability_possible(q)
+        assert not zero_delay_stable(q)
 
     def test_false_without_delayed_part(self):
+        # stable at r = 0, and with no delayed part no root moves with r
         q = QuasiPolynomial(a=(1.0, 1.0), b=(0.0, 0.0), r=0.5)
-        assert not deg2_instability_possible(q)
+        assert zero_delay_stable(q)
+        with pytest.raises(NoCrossingError, match="no positive root"):
+            deg2_crossing(q)
 
     def test_false_on_equal_constants(self):
         # a0 = b0 > 0: a0^2 - b0^2 = 0, the degree-2 analogue of beta = mu
         # with a stable zero-delay polynomial (the model's own beta = mu
         # polynomial has a0 = b0 = 0 and fails the stability test first)
         q = QuasiPolynomial(a=(0.5, 2.0), b=(0.5, 0.1), r=0.5)
-        assert not deg2_instability_possible(q)
+        assert zero_delay_stable(q)
+        with pytest.raises(NoCrossingError, match="no positive root"):
+            deg2_crossing(q)
 
 
 class TestDeg2Crossing:
@@ -263,14 +272,16 @@ class TestDeg3Abc:
     def test_instability_possible_on_endemic_polynomial(self):
         abc = deg3_abc(Q_ENDEMIC)
         assert abc.C < 0.0
-        assert deg3_instability_possible(Q_ENDEMIC)
+        assert zero_delay_stable(Q_ENDEMIC)
+        assert deg3_crossing(Q_ENDEMIC) is not None
 
     def test_all_positive_coefficients_block_onset(self):
         # roots -1, -2, -3 and no delayed part: A, B, C all positive
         q = QuasiPolynomial(a=(6.0, 11.0, 6.0), b=(0.0, 0.0, 0.0), r=1.0)
         abc = deg3_abc(q)
         assert min(abc.A, abc.B, abc.C) > 0.0
-        assert not deg3_instability_possible(q)
+        assert zero_delay_stable(q)
+        assert deg3_crossing(q) is None
 
     @pytest.mark.parametrize("a, b, possible", [
         ((2.0, 2.5, 2.8), (-0.6, 1.5, 0.7), True),
@@ -282,18 +293,26 @@ class TestDeg3Abc:
     ])
     def test_positive_constant_term(self, a, b, possible):
         # C > 0 with A or B not positive: the roots multiply to -C < 0, so
-        # onset needs the two positive roots the closed-form test predicts;
-        # at C = 0 they are the roots of z^2 + A z + B
+        # onset needs two positive roots; at C = 0 they are the roots of
+        # z^2 + A z + B
         q = QuasiPolynomial(a=a, b=b, r=1.0)
         abc = deg3_abc(q)
         assert abc.C >= 0.0 and min(abc.A, abc.B) <= 0.0
-        assert deg3_instability_possible(q) is possible
+        assert zero_delay_stable(q)
+        assert (deg3_crossing(q) is not None) is possible
         roots = cubic_real_roots(abc.A, abc.B, abc.C)
         assert len([z for z in roots if z > 0.0]) == (2 if possible else 0)
 
     def test_unstable_at_zero_delay_blocks_onset(self):
+        # lam^3 + lam^2 + lam - 1 has a positive real root, and with no
+        # delayed part no root crosses: unstable at every delay
         q = QuasiPolynomial(a=(-1.0, 1.0, 1.0), b=(0.0, 0.0, 0.0), r=1.0)
-        assert not deg3_instability_possible(q)
+        assert not zero_delay_stable(q)
+        assert deg3_crossing(q) is None
+        # every coefficient of lam^3 + lam^2 + lam + 2 is positive, but
+        # c2*c1 = 1 < c0 = 2 puts a complex pair in the right half-plane
+        q = QuasiPolynomial(a=(1.0, 0.5, 0.5), b=(1.0, 0.5, 0.5), r=1.0)
+        assert not zero_delay_stable(q)
 
 
 class TestDeg3Crossing:
@@ -328,12 +347,13 @@ class TestDeg3Crossing:
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_inconclusive_when_discriminant_nonnegative(self):
+        # the printed delta is positive but decides nothing: None because
+        # z = -9, -4 and -1 are all negative, so no root crosses
         q = QuasiPolynomial(a=(6.0, 11.0, 6.0), b=(0.0, 0.0, 0.0), r=1.0)
         assert deg3_abc(q).delta > 0.0
         assert deg3_crossing(q) is None
 
     def test_cubic_overflow_fails_whatever_the_discriminant(self):
-        # delta > 0 alone would give None, but the cubic is solved first
         q = QuasiPolynomial(a=(1.0, 0.0, 1e30), b=(2.0, 0.0, 0.0), r=0.0)
         assert deg3_abc(q).delta > 0.0
         with pytest.raises(OverflowError, match=r"q/2 \*\* 2 overflows"):
@@ -344,8 +364,24 @@ class TestDeg3Crossing:
         q = QuasiPolynomial(a=(2.0, 2.0, 2.5), b=(0.0, 0.0, 0.0), r=1.0)
         abc = deg3_abc(q)
         assert abc.delta < 0.0 and abc.C > 0.0
-        with pytest.raises(NoCrossingError, match="not positive"):
-            deg3_crossing(q)
+        assert deg3_crossing(q) is None
+
+    def test_smallest_delay_over_three_positive_roots(self):
+        # a sweep-panel draw whose frequency cubic has three positive roots;
+        # each is a crossing, and the report is the one with the smallest r*
+        q = char_poly_delay_coexistence(Params(
+            0.779440113612007, 0.4249283804900264, 0.03278635945231798,
+            1.1759702800598113))
+        abc = deg3_abc(q)
+        roots = cubic_real_roots(abc.A, abc.B, abc.C)
+        assert len(roots) == 3 and min(roots) > 0.0
+        rep = deg3_crossing(q)
+        r_stars = []
+        for w2 in roots:
+            c, s = solve_cos_sin(q, math.sqrt(w2))
+            r_stars.append(angle_of(c, s) / math.sqrt(w2))
+        assert rep.r_star == pytest.approx(min(r_stars), rel=1e-12)
+        assert rep.r_star < sorted(r_stars)[1]
 
     def test_constant_term_cancellation_rejected(self):
         q = QuasiPolynomial(a=(0.5, 1.0, 1.0), b=(-0.5, 0.0, 0.0), r=1.0)
@@ -354,10 +390,12 @@ class TestDeg3Crossing:
 
 
 @pytest.mark.parametrize("call, degree", [
-    (lambda: deg2_instability_possible(Q_ENDEMIC), 2),
+    # instability_possible is zero_delay_stable(q) and a crossing, and
+    # zero_delay_stable serves both degrees
+    (lambda: zero_delay_stable(Q_ENDEMIC) and deg2_crossing(Q_ENDEMIC), 2),
     (lambda: deg2_crossing(Q_ENDEMIC), 2),
     (lambda: deg3_abc(Q_FREE), 3),
-    (lambda: deg3_instability_possible(Q_FREE), 3),
+    (lambda: zero_delay_stable(Q_FREE) and deg3_crossing(Q_FREE), 3),
     (lambda: deg3_crossing(Q_FREE), 3),
 ])
 def test_wrong_degree_rejected(call, degree):

@@ -6,10 +6,12 @@ unknown keys and optional settings) is rendered and hashed as a whole, so
 any change to the scanner, the checks, the commands or the formatting of a
 single value changes the digest. The digest was recorded before the front
 end was last rewritten; a deliberate change to the report format must
-re-record it. It was re-recorded once for a change of values: the
+re-record it. It was re-recorded twice for a change of values: the
 disease-free omega and margin without cancellation moved 60 of the 800
 reports, all free-branch delay-margin ones, each to within a few ulps of
-the exact value. Errors are pinned as exact text.
+the exact value; deciding coexistence delay margins by the positive roots
+of the frequency cubic alone moved 30, each a no-crossing refusal or an
+"inconclusive" verdict before. Errors are pinned as exact text.
 """
 import hashlib
 import math
@@ -22,7 +24,7 @@ from seirs_delay.cli import EXIT_PARSE, EXIT_VALIDATION, main, parse_config, run
 
 COMMANDS = ("equilibria", "stability", "delay-margin", "lyapunov")
 N_DRAWS = 200
-PANEL_SHA256 = "379a33eac34f4d9cda0f3a47ea1d11245da3103b8a4d9d3e61ea195ac820ed16"
+PANEL_SHA256 = "5e4fba30b02b6c791e82b5f4cd5910f0656ba091ecbd12576e7098051a55ba7e"
 DELAY_KEY = re.compile(r"^(\s*)params\.r\b", re.M)
 
 

@@ -15,23 +15,32 @@ the Chebyshev derivative scaled by 2/r. The rightmost eigenvalues of the
 det(lam - A0 - A1 exp(-lam*r)), so its spectral abscissa decides stability
 at delay r. At N = 10, 20, 40 and 60 the abscissae around both goldens'
 r* agree to 6 digits.
+
+Whether a crossing exists at all is checked against two counts of the
+positive roots of the frequency cubic: an exact one in rational arithmetic
+and one from numpy's companion-matrix eigenvalues.
 """
 import functools
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from seirs_delay import cli
-from seirs_delay.delay_margin import NoCrossingError
+from seirs_delay import (Params, char_poly_delay_coexistence, cli, deg3_abc,
+                         deg3_crossing)
 
 GOLDEN = Path(__file__).parent / "golden"
 N = 20
 # the analysis-sweep panel's distribution and seed (perfbench/workloads.py)
 PANEL_SEED = 1702_06180
+PANEL_SIZE = 2500
 PANEL_DRAWS = 150
-STABLE = ("stable for all admissible delays", "stable below critical delay")
+STABLE = ("stable for all admissible delays", "stable below critical delay",
+          "stable for all delays")
+# a delay-independent verdict is also checked at these multiples of k_r/e
+BEYOND_ADMISSIBLE = (1.0, 10.0, 100.0)
 
 
 def linearisation(beta, mu, gamma, k_r):
@@ -96,6 +105,9 @@ def check_report(rep):
     if rep["verdict"] in STABLE:
         assert abscissa(a0, a1, 0.0) < 0.0
         assert abscissa(a0, a1, r) < 0.0
+    if rep["verdict"] == "stable for all delays":
+        for factor in BEYOND_ADMISSIBLE:
+            assert abscissa(a0, a1, factor * k_r / math.e) < 0.0
     if "r_star" in rep:
         r_star = float(rep["r_star"])
         assert abscissa(a0, a1, 0.995 * r_star) < 0.0
@@ -127,12 +139,11 @@ def test_golden_abscissa_changes_sign_across_r_star_at_a_converged_n():
                 value, rel=1e-6)
 
 
-def panel():
-    """The first PANEL_DRAWS draws (beta, mu, gamma, k_r, r) of the sweep
-    panel."""
+def panel(n=PANEL_DRAWS):
+    """The first n draws (beta, mu, gamma, k_r, r) of the sweep panel."""
     rng = np.random.default_rng(PANEL_SEED)
     out = []
-    while len(out) < PANEL_DRAWS:
+    while len(out) < n:
         beta, mu, gamma = (float(v) for v in rng.uniform(0.02, 0.98, 3))
         k_r = math.exp(float(rng.uniform(math.log(0.5), math.log(25.0))))
         r = float(rng.uniform(0.0, 0.999)) * k_r / math.e
@@ -142,21 +153,66 @@ def panel():
     return out
 
 
+def delay_margin_report(beta, mu, gamma, k_r, r):
+    doc = (f"params.beta = {beta!r}\nparams.mu = {mu!r}\n"
+           f"params.gamma = {gamma!r}\nparams.k_r = {k_r!r}\n"
+           f"params.r = {r!r}\n")
+    return parse_report(cli.run("delay-margin", cli.parse_config(doc)).render())
+
+
 def test_panel_reports_agree_with_the_spectrum():
     branches = {"free": 0, "coexistence": 0}
-    for beta, mu, gamma, k_r, r in panel():
-        doc = (f"params.beta = {beta!r}\nparams.mu = {mu!r}\n"
-               f"params.gamma = {gamma!r}\nparams.k_r = {k_r!r}\n"
-               f"params.r = {r!r}\n")
-        try:
-            text = cli.run("delay-margin", cli.parse_config(doc)).render()
-        except NoCrossingError:
-            # only the coexistence branch refuses; ROADMAP item 1 owes an
-            # answer there
-            assert beta > mu
-            continue
-        rep = parse_report(text)
+    delay_independent = 0
+    for draw in panel():
+        rep = delay_margin_report(*draw)
         check_report(rep)
         if "r_star" in rep:
-            branches["free" if beta < mu else "coexistence"] += 1
-    assert min(branches.values()) >= 30
+            branches["free" if draw[0] < draw[1] else "coexistence"] += 1
+        delay_independent += rep["verdict"] == "stable for all delays"
+    assert min(branches.values()) >= 30 and delay_independent >= 15
+
+
+def positive_root_count(A, B, C):
+    """The number of positive roots of z^3 + A z^2 + B z + C, exactly. With
+    a negative discriminant there is one real root, positive iff C < 0;
+    otherwise every root is real, and Descartes' rule of signs is exact."""
+    A, B, C = map(Fraction, (A, B, C))
+    disc = (18 * A * B * C - 4 * A ** 3 * C + A * A * B * B - 4 * B ** 3
+            - 27 * C * C)
+    if disc < 0:
+        return int(C < 0)
+    signs = [c > 0 for c in (1, A, B, C) if c != 0]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def numpy_root_count(A, B, C):
+    z = np.roots([1.0, A, B, C])
+    return int(np.count_nonzero((z.real > 0.0)
+                                & (np.abs(z.imag) <= 1e-9 * np.abs(z))))
+
+
+def moderate_coexistence(n):
+    """n seeded draws (beta, mu, gamma, k_r) with beta > mu from the rates
+    of the fuzz gate's moderate family."""
+    rng = np.random.default_rng(2107)
+    out = []
+    while len(out) < n:
+        beta, mu, gamma = (float(v) for v in rng.uniform(0.001, 0.999, 3))
+        k_r = float(rng.uniform(0.01, 10.0))
+        if beta > mu:
+            out.append((beta, mu, gamma, k_r))
+    return out
+
+
+def test_crossing_exists_iff_the_frequency_cubic_has_a_positive_root():
+    draws = [d[:4] for d in panel(PANEL_SIZE) if d[0] > d[1]]
+    draws += moderate_coexistence(500)
+    seen = set()
+    for draw in draws:
+        q = char_poly_delay_coexistence(Params(*draw))
+        abc = deg3_abc(q)
+        count = positive_root_count(abc.A, abc.B, abc.C)
+        assert numpy_root_count(abc.A, abc.B, abc.C) == count, draw
+        assert (deg3_crossing(q) is None) == (count == 0), draw
+        seen.add(count)
+    assert seen == {0, 1, 3}
