@@ -26,15 +26,12 @@ _EXPORTS = {
         "EquilibriumSet", "coexistence_equilibrium", "equilibrium_residual",
         "equilibrium_set", "free_disease_equilibrium", "reproduction_number"),
     "det_integrator": (
-        "IntegrationError", "Trajectory", "integrate_dde",
-        "integrate_dde_cascade", "integrate_ode",
-        "integrate_scalar_comparison"),
+        "IntegrationError", "Trajectory", "integrate_dde", "integrate_ode"),
     "linear_stability": (
         "Criterion", "QuasiPolynomial", "StabilityVerdict",
         "char_cubic_coefficients", "char_poly_delay_coexistence",
         "char_poly_delay_free", "free_disease_eigenvalues_closed_form",
-        "jacobian_coexistence", "jacobian_free_disease", "matrix_eigenvalues",
-        "routh_hurwitz_coexistence"),
+        "matrix_eigenvalues", "routh_hurwitz_coexistence"),
     "delay_margin": (
         "CrossingReport", "CubicABC", "cubic_real_roots", "deg2_crossing",
         "deg3_abc", "deg3_crossing", "free_disease_margin", "verify_crossing",
@@ -45,7 +42,7 @@ _EXPORTS = {
     "sde_simulator": (
         "ConcentrationReport", "EnsembleSummary", "ExcursionError",
         "InsufficientExceedances", "Seed", "StochasticStabilityReport",
-        "concentration_check", "deterministic_euler", "ensemble",
+        "concentration_check", "ensemble",
         "simulate_sde", "stochastic_stability_experiment"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -188,31 +188,6 @@ def dde_rk4_abm4(s, e, i, rc, e_hist, h, n_steps, m, beta, mu, gamma, kr,
     return out, OK, -1
 
 
-def scalar_dde(f0, kcoef, h, n_steps, m):
-    """Pure-delay test equation F'(t) = -k F(t - r) with constant history F = f0
-    (m = r/h >= 3).
-
-    On [0, r] the derivative is the constant -k*f0, so the update is exact;
-    afterwards 4-step Adams-Bashforth with stored-node delayed lookups.
-    """
-    vals = np.empty(n_steps + 1)
-    x = memoryview(vals)
-    d0 = -kcoef * f0
-    x[0] = v = f0
-    n1 = m if m < n_steps else n_steps
-    for k in range(n1):
-        v = v + h * d0
-        x[k + 1] = v
-    # derivatives at nodes k, k-1, k-2, k-3: the constant d0 up to node m
-    g0 = g1 = g2 = g3 = d0
-    c = h / 24.0
-    for k in range(n1, n_steps):
-        v = v + c * (55.0 * g0 - 59.0 * g1 + 37.0 * g2 - 9.0 * g3)
-        x[k + 1] = v
-        g3, g2, g1, g0 = g2, g1, g0, -kcoef * x[k + 1 - m]
-    return vals
-
-
 def euler_maruyama(s, e, i, rc, e_hist, h, n_steps, m, beta, mu, gamma, kr,
                    eps, dw, lo, hi):
     """Euler-Maruyama step loop with a single shared noise increment.

@@ -18,7 +18,6 @@ from .model_core import NoCrossingError, Params, ValidationError
 
 __all__ = [
     "RESIDUAL_TOL",
-    "NoCrossingError",
     "CrossingReport",
     "CubicABC",
     "zero_delay_stable",

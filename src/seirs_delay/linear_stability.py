@@ -1,4 +1,4 @@
-"""Linearization around the equilibria: Jacobians, eigenvalues, algebraic
+"""Linearization around the equilibria: Jacobian rows, eigenvalues, algebraic
 stability criteria, and the characteristic quasi-polynomials of the delayed
 linearization.
 
@@ -6,8 +6,8 @@ The fourth equation decouples through R = 1 - S - E - I, so every object
 here lives in the reduced (E, I, R) coordinates around the disease-free
 point and (S, I, R) around the coexistence point.
 
-Everything here is scalar arithmetic on floats; only the two public
-Jacobians, which return numpy arrays, import numpy, and only when called.
+Everything here is scalar arithmetic on floats, and the module imports no
+numpy: each Jacobian is a tuple of three rows of floats.
 """
 from __future__ import annotations
 
@@ -23,9 +23,7 @@ __all__ = [
     "Criterion",
     "StabilityVerdict",
     "QuasiPolynomial",
-    "jacobian_free_disease",
     "free_disease_eigenvalues_closed_form",
-    "jacobian_coexistence",
     "char_cubic_coefficients",
     "matrix_eigenvalues",
     "routh_hurwitz_coexistence",
@@ -66,18 +64,11 @@ class StabilityVerdict(NamedTuple):
 
 
 def _free_rows(p: Params) -> tuple[tuple[float, float, float], ...]:
-    """Rows of jacobian_free_disease(p), as floats."""
+    """Rows of the Jacobian of the reduced (E, I, R) system at the
+    disease-free point."""
     return ((-1.0 / p.k_r, p.beta, 0.0),
             (1.0 / p.k_r, -p.mu, 0.0),
             (0.0, p.mu, -p.gamma))
-
-
-def jacobian_free_disease(p: Params):
-    """Jacobian of the reduced (E, I, R) system at the disease-free point,
-    as a 3x3 numpy array."""
-    import numpy as np
-
-    return np.array(_free_rows(p))
 
 
 def free_disease_eigenvalues_closed_form(p: Params) -> tuple[float, float, float]:
@@ -128,14 +119,6 @@ def _coex_rows(p: Params) -> tuple[tuple[float, float, float], ...]:
             (0.0, p.mu, -p.gamma))
 
 
-def jacobian_coexistence(p: Params):
-    """Jacobian of the reduced (S, I, R) system at the coexistence point, as
-    a 3x3 numpy array; see _coex_rows."""
-    import numpy as np
-
-    return np.array(_coex_rows(p))
-
-
 def char_cubic_coefficients(m) -> tuple[float, float, float]:
     """(c2, c1, c0) of the characteristic cubic lam^3 + c2 lam^2 + c1 lam + c0
     of a 3x3 matrix, given as three rows of three numbers (a numpy array or
@@ -170,10 +153,11 @@ def matrix_eigenvalues(m) -> tuple[complex, complex, complex]:
 def routh_hurwitz_coexistence(p: Params) -> StabilityVerdict:
     """Degree-3 Routh-Hurwitz test at the coexistence point (r = 0 dynamics).
 
-    For the characteristic cubic of A = jacobian_coexistence(p) the three
-    conditions are trace(A) < 0, det(A) < 0 and -m2*trace(A) + det(A) > 0,
-    where m2 is the sum of the principal 2x2 minors of A. Values within
-    MARGINAL_TOL of zero make the verdict "marginal".
+    For the characteristic cubic of the matrix A with rows _coex_rows(p) the
+    three conditions are trace(A) < 0, det(A) < 0 and
+    -m2*trace(A) + det(A) > 0, where m2 is the sum of the principal 2x2
+    minors of A. Values within MARGINAL_TOL of zero make the verdict
+    "marginal".
     """
     c2, m2, negdet = char_cubic_coefficients(_coex_rows(p))
     tr = -c2

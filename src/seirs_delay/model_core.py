@@ -184,11 +184,6 @@ class State(NamedTuple):
     i: float
     rcv: float
 
-    def as_array(self):
-        import numpy as np
-
-        return np.array([self.s, self.e, self.i, self.rcv])
-
     @property
     def total(self) -> float:
         return ((self.s + self.e) + self.i) + self.rcv

@@ -9,8 +9,8 @@ is bitwise equal to deterministic Euler.
 
 On top of the path simulator: replica ensembles against the deterministic
 reference, an empirical check of the exp(-c*rho^2/eps^2) concentration tail,
-and the stochastic stability experiment. The quadratic Lyapunov certificate
-for the nondelayed disease-free point is lyapunov's, exported from here too.
+and the stochastic stability experiment, which reports lyapunov's
+noise-robust stability condition next to its terminal spread.
 """
 from __future__ import annotations
 
@@ -23,8 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .det_integrator import IntegrationError, Trajectory
-from .lyapunov import (LyapunovCertificate, lyapunov_certificate,
-                       lyapunov_condition, lyapunov_margin)
+from .lyapunov import lyapunov_condition
 from .model_core import (InitialCondition, Params, State, ValidationError,
                          _Checked, _rho_grid, make_run_state, step_grid)
 
@@ -37,15 +36,10 @@ __all__ = [
     "InsufficientExceedances",
     "EnsembleSummary",
     "ConcentrationReport",
-    "LyapunovCertificate",
     "StochasticStabilityReport",
     "simulate_sde",
-    "deterministic_euler",
     "ensemble",
     "concentration_check",
-    "lyapunov_margin",
-    "lyapunov_condition",
-    "lyapunov_certificate",
     "stochastic_stability_experiment",
 ]
 
@@ -419,29 +413,6 @@ def simulate_sde(p: Params, ic: InitialCondition, t_end: float, h: float,
     dw = np.zeros(n) if p.epsilon == 0.0 else \
         seed.rng(replica).normal(0.0, math.sqrt(h), n)
     return _run_path(p, ic, h, m, dw, replica)
-
-
-def deterministic_euler(p: Params, ic: InitialCondition, t_end: float,
-                        h: float) -> Trajectory:
-    """Forward-Euler reference path written with the same update grouping
-    as the stochastic step, so the eps = 0 stochastic path matches it
-    bitwise."""
-    n, m, _ = step_grid(p.r, t_end, h)
-    out = np.empty((n + 1, 4))
-    s, e, i, rc = ic.s0, ic.e0, ic.i0, ic.r0
-    out[0] = (s, e, i, rc)
-    for k in range(n):
-        ed = ic.e0 if k < m else out[k - m, 1]
-        a = h * (p.beta * s * i)
-        b = h * (ed / p.k_r)
-        c = h * (p.mu * i)
-        d = h * (p.gamma * rc)
-        s = s - a + d
-        e = e + a - b
-        i = i + b - c
-        rc = rc + c - d
-        out[k + 1] = (s, e, i, rc)
-    return Trajectory.on_grid(out, h)
 
 
 class EnsembleSummary(NamedTuple):

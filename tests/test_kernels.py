@@ -8,8 +8,11 @@ CPython loops, and the replica-engine digests (the sups and finals of
 `sde_simulator._run_replicas`) before its step loop was fused. The
 seeded-draw digests (DRAW_DIGESTS: `ode_rk4` and `dde_rk4_abm4` at 20
 random parameter points) were captured at the parent of the rewrite that
-gave the RK4 and ABM4 loops shared products and float locals. Print the
-current ones with
+gave the RK4 and ABM4 loops shared products and float locals. The
+`scalar_dde` case pins the scalar comparison reference of
+tests/_oracles.py; its digest is the one the `_kernels.scalar_dde` loop
+had, so the reference keeps that loop's arithmetic. Print the current ones
+with
 
     PYTHONPATH=src python tests/test_kernels.py
 
@@ -23,10 +26,12 @@ import numpy as np
 import pytest
 
 from seirs_delay import (Params, Seed, _kernels, integrate_dde,
-                         integrate_ode, integrate_scalar_comparison,
-                         make_initial_condition, sde_simulator, simulate_sde)
-from seirs_delay.det_integrator import step_grid
-from seirs_delay.model_core import NEGATIVITY_TOL, PROPAGATION_SUM_TOL
+                         integrate_ode, make_initial_condition, sde_simulator,
+                         simulate_sde)
+from seirs_delay.model_core import (NEGATIVITY_TOL, PROPAGATION_SUM_TOL,
+                                    step_grid)
+
+from _oracles import integrate_scalar_comparison
 
 IC = make_initial_condition(e0=0.05, s0=0.9, i0=0.05, r0=0.0)
 

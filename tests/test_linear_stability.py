@@ -2,9 +2,13 @@
 numeric eigenvalues, Routh-Hurwitz, and the characteristic quasi-polynomials
 of the delayed linearization.
 
-Independent oracles: numpy.linalg for eigenvalues/determinants, and direct
-evaluation of det(lam*I - J0 - Jd*exp(-lam*r)) for the quasi-polynomials,
-with the delayed outflow E(t-r)/k_r split into its own matrix Jd."""
+Independent oracles: numpy.linalg eigenvalues of A0 + A1, the Jacobian of
+the r = 0 system that tests/_oracles.py builds from the model equations in
+(E, I, R) coordinates, and direct evaluation of
+det(lam*I - J0 - Jd*exp(-lam*r)) for the quasi-polynomials, with the delayed
+outflow E(t-r)/k_r split into its own matrix Jd. A spectrum does not depend
+on the coordinates, so the coexistence rows, in (S, I, R), must have the
+same eigenvalues."""
 import cmath
 import math
 
@@ -22,12 +26,12 @@ from seirs_delay import (
     char_poly_delay_free,
     coexistence_equilibrium,
     free_disease_eigenvalues_closed_form,
-    jacobian_coexistence,
-    jacobian_free_disease,
     matrix_eigenvalues,
     routh_hurwitz_coexistence,
 )
 from seirs_delay.linear_stability import _coex_rows, _free_rows
+
+from _oracles import linearisation
 
 P_FREE = Params(0.1, 0.2, 0.3, 2.0)
 P_ENDEMIC = Params(0.4, 0.2, 0.1, 2.0)
@@ -79,7 +83,7 @@ def delayed_coexistence_char(p, lam):
 
 class TestJacobianFreeDisease:
     def test_example_matrix(self):
-        j = jacobian_free_disease(P_FREE)
+        j = np.array(_free_rows(P_FREE))
         assert np.array_equal(j, np.array([[-0.5, 0.1, 0.0],
                                            [0.5, -0.2, 0.0],
                                            [0.0, 0.2, -0.3]]))
@@ -89,7 +93,7 @@ class TestJacobianFreeDisease:
         for endemic in (False, True):
             for _ in range(20):
                 p = random_params(rng, endemic)
-                j = jacobian_free_disease(p)
+                j = np.array(_free_rows(p))
                 assert np.trace(j) == pytest.approx(
                     -(1.0 / p.k_r + p.mu + p.gamma), rel=1e-15)
                 assert np.array_equal(j[:, 2], [0.0, 0.0, -p.gamma])
@@ -114,7 +118,9 @@ class TestFreeDiseaseEigenvalues:
             for _ in range(50):
                 p = random_params(rng, endemic)
                 mine = sorted(free_disease_eigenvalues_closed_form(p))
-                ref = sorted(np.linalg.eigvals(jacobian_free_disease(p)).real)
+                a0, a1 = linearisation(p.beta, p.mu, p.gamma, p.k_r,
+                                       free=True)
+                ref = sorted(np.linalg.eigvals(a0 + a1).real)
                 assert mine == pytest.approx(ref, abs=1e-10)
 
     def test_sign_structure(self):
@@ -130,23 +136,23 @@ class TestFreeDiseaseEigenvalues:
 
 class TestJacobianCoexistence:
     def test_example_entries(self):
-        a = jacobian_coexistence(P_ENDEMIC)
+        a = np.array(_coex_rows(P_ENDEMIC))
         assert a[1, 0] == 0.5
         assert a[2, 2] == -0.1
 
     def test_determinant_closed_form(self):
-        a = jacobian_coexistence(P_ENDEMIC)
+        a = np.array(_coex_rows(P_ENDEMIC))
         assert np.linalg.det(a) == pytest.approx(-0.01, abs=1e-14)
         rng = np.random.default_rng(44)
         for _ in range(50):
             p = random_params(rng, endemic=True)
             expected = -p.gamma * (p.beta - p.mu) / p.k_r
-            assert np.linalg.det(jacobian_coexistence(p)) == pytest.approx(
+            assert np.linalg.det(np.array(_coex_rows(p))) == pytest.approx(
                 expected, abs=1e-14, rel=1e-12)
 
     def test_requires_beta_above_mu(self):
         with pytest.raises(ValidationError, match="beta > mu"):
-            jacobian_coexistence(P_FREE)
+            _coex_rows(P_FREE)
 
 
 class TestMatrixEigenvalues:
@@ -185,14 +191,12 @@ class TestMatrixEigenvalues:
 
         rng = np.random.default_rng(48)
         for _ in range(100):
-            for rows, jac in ((_free_rows, jacobian_free_disease),
-                              (_coex_rows, jacobian_coexistence)):
+            for rows in (_free_rows, _coex_rows):
                 p = random_params(rng, endemic=rows is _coex_rows)
                 got = char_cubic_coefficients(rows(p))
-                assert isinstance(jac(p), np.ndarray)
-                assert np.array_equal(jac(p), np.array(rows(p)))
-                assert got == char_cubic_coefficients(jac(p))
-                assert got == numpy_reference(jac(p))
+                arr = np.array(rows(p))
+                assert got == char_cubic_coefficients(arr)
+                assert got == numpy_reference(arr)
                 assert all(type(c) is float for c in got)
 
     @pytest.mark.parametrize("m", [
@@ -221,7 +225,8 @@ class TestRouthHurwitz:
             p = random_params(rng, endemic=True)
             v = routh_hurwitz_coexistence(p)
             assert v.stable
-            top = max(np.linalg.eigvals(jacobian_coexistence(p)).real)
+            a0, a1 = linearisation(p.beta, p.mu, p.gamma, p.k_r)
+            top = max(np.linalg.eigvals(a0 + a1).real)
             assert v.stable == (top < 0.0)
 
     def test_requires_beta_above_mu(self):

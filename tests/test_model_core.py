@@ -158,10 +158,6 @@ class TestMakeState:
                 assert 0.0 <= v <= 1.0
             assert abs(x.total - 1.0) <= 4 * SUM_TOL
 
-    def test_as_array(self):
-        x = make_state(0.4, 0.3, 0.2, 0.1)
-        assert np.array_equal(x.as_array(), np.array([0.4, 0.3, 0.2, 0.1]))
-
 
 class TestInitialCondition:
     def test_build_and_state0(self):

@@ -5,8 +5,10 @@ whether its condition holds or not) are scalar arithmetic; they must run
 without numpy and without the array modules, which cost more to import
 than the commands cost to run. The import checks run in fresh interpreters.
 """
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import seirs_delay
-from seirs_delay import det_integrator, lyapunov, model_core, sde_simulator
+from seirs_delay import lyapunov
 from seirs_delay.cli import COMMANDS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -136,12 +138,16 @@ def test_star_import_and_unknown_names():
         seirs_delay.no_such_name
 
 
-def test_moved_helpers_keep_their_old_names():
-    for name in ("step_grid", "default_step", "GRID_RTOL", "MAX_NODES"):
-        assert getattr(det_integrator, name) is getattr(model_core, name)
-    assert sde_simulator._rho_grid is model_core._rho_grid
-    assert sde_simulator.step_grid is model_core.step_grid
-    for name in ("lyapunov_certificate", "lyapunov_condition",
-                 "lyapunov_margin", "LyapunovCertificate"):
-        assert getattr(sde_simulator, name) is getattr(lyapunov, name)
-        assert name in sde_simulator.__all__
+def test_every_module_exports_only_what_it_defines():
+    # each name has one home: no __all__ lists a callable imported from
+    # another module
+    strays = []
+    for info in pkgutil.iter_modules(seirs_delay.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"seirs_delay.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            value = getattr(module, name)
+            if callable(value) and value.__module__ != module.__name__:
+                strays.append(f"{info.name}.{name}")
+    assert strays == []

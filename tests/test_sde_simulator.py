@@ -16,7 +16,6 @@ from seirs_delay import (
     State,
     ValidationError,
     concentration_check,
-    deterministic_euler,
     ensemble,
     lyapunov_certificate,
     lyapunov_condition,
@@ -27,7 +26,9 @@ from seirs_delay import (
     stochastic_stability_experiment,
 )
 from seirs_delay.cli import parse_config, run
-from seirs_delay.det_integrator import step_grid
+from seirs_delay.model_core import step_grid
+
+from _oracles import deterministic_euler
 
 P_NOISY = Params(0.1, 0.2, 0.3, 2.0, r=0.0, epsilon=0.1)
 IC = make_initial_condition(e0=0.05, s0=0.9, i0=0.05, r0=0.0)

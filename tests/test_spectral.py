@@ -1,16 +1,12 @@
 """An independent spectral verdict on every delay-margin report.
 
-The linearisation is built here from the model equations, not taken from
-linear_stability. In the reduced coordinates (E, I, R), with
-S = 1 - E - I - R,
-
-    E' = beta*S*I - E(t - r)/k_r,  I' = E(t - r)/k_r - mu*I,  R' = mu*I - gamma*R,
-
-so near an equilibrium x' = A0 x(t) + A1 x(t - r). The infinitesimal
-generator of that linear DDE is discretised at N + 1 Chebyshev points of
-[-r, 0] (Breda, Maset & Vermiglio 2005, SIAM J. Sci. Comput. 27(2)): the
-first row block is the right-hand side A0 u(0) + A1 u(-r), the others are
-the Chebyshev derivative scaled by 2/r. The rightmost eigenvalues of the
+The linearisation x' = A0 x(t) + A1 x(t - r) near an equilibrium is
+tests/_oracles.py's, built from the model equations, not taken from
+linear_stability. The infinitesimal generator of that linear DDE is
+discretised at N + 1 Chebyshev points of [-r, 0] (Breda, Maset &
+Vermiglio 2005, SIAM J. Sci. Comput. 27(2)): the first row block is the
+right-hand side A0 u(0) + A1 u(-r), the others are the Chebyshev
+derivative scaled by 2/r. The rightmost eigenvalues of the
 3(N + 1) matrix converge spectrally to the rightmost roots of
 det(lam - A0 - A1 exp(-lam*r)), so its spectral abscissa decides stability
 at delay r. At N = 10, 20, 40 and 60 the abscissae around both goldens'
@@ -31,6 +27,8 @@ import pytest
 from seirs_delay import (Params, char_poly_delay_coexistence, cli, deg3_abc,
                          deg3_crossing)
 
+from _oracles import linearisation
+
 GOLDEN = Path(__file__).parent / "golden"
 N = 20
 # the analysis-sweep panel's distribution and seed (perfbench/workloads.py)
@@ -41,23 +39,6 @@ STABLE = ("stable for all admissible delays", "stable below critical delay",
           "stable for all delays")
 # a delay-independent verdict is also checked at these multiples of k_r/e
 BEYOND_ADMISSIBLE = (1.0, 10.0, 100.0)
-
-
-def linearisation(beta, mu, gamma, k_r):
-    """(A0, A1) at the disease-free point when beta < mu, else at the
-    closed-form coexistence point S = mu/beta, E = mu*k_r*I, R = mu*I/gamma."""
-    if beta < mu:
-        s, i = 1.0, 0.0
-    else:
-        s = mu / beta
-        i = (1.0 - s) / (1.0 + mu * k_r + mu / gamma)
-    a0 = np.array([[-beta * i, beta * (s - i), -beta * i],
-                   [0.0, -mu, 0.0],
-                   [0.0, mu, -gamma]])
-    a1 = np.array([[-1.0 / k_r, 0.0, 0.0],
-                   [1.0 / k_r, 0.0, 0.0],
-                   [0.0, 0.0, 0.0]])
-    return a0, a1
 
 
 @functools.cache
