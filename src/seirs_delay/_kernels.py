@@ -18,6 +18,10 @@ mi - grc.
 
 Delayed lookups assume the delay is an exact multiple ``m`` of the step, so
 ``E(t_k - r)`` is the stored node value ``m`` slots back; no interpolation.
+
+The stochastic kernel takes its noise increments from the caller one chunk
+at a time (an iterable of arrays, consumed as it steps), so a path holds no
+noise vector as long as itself.
 """
 from __future__ import annotations
 
@@ -189,40 +193,45 @@ def dde_rk4_abm4(s, e, i, rc, e_hist, h, n_steps, m, beta, mu, gamma, kr,
 
 
 def euler_maruyama(s, e, i, rc, e_hist, h, n_steps, m, beta, mu, gamma, kr,
-                   eps, dw, lo, hi):
+                   eps, chunks, lo, hi):
     """Euler-Maruyama step loop with a single shared noise increment.
 
-    The transfer terms a (infection), b (latency exit), c (recovery),
-    d (immunity loss) and the noise term w are each computed once per step and
-    moved between compartments with the same rounded value, so the four
-    updates cancel algebraically and the simplex sum is conserved up to
-    per-step rounding of the additions alone. With eps = 0 the trajectory is
-    bitwise equal to the deterministic Euler scheme written with the same
-    update expressions. m = 0 means no delay (the stored current node is used).
+    chunks yields the increments of steps 0 .. n_steps - 1 in order, as 1-D
+    arrays of consecutive steps; each is read once, before the next is
+    asked for. The transfer terms a (infection), b (latency exit), c
+    (recovery), d (immunity loss) and the noise term w are each computed once
+    per step and moved between compartments with the same rounded value, so
+    the four updates cancel algebraically and the simplex sum is conserved up
+    to per-step rounding of the additions alone. With eps = 0 and zero
+    increments the trajectory is bitwise equal to the deterministic Euler
+    scheme written with the same update expressions. m = 0 means no delay
+    (the stored current node is used).
     """
     out = np.empty((n_steps + 1, 4))
     x = memoryview(out.reshape(-1))
-    noise = memoryview(dw)
     x[0], x[1], x[2], x[3] = s, e, i, rc
-    for k in range(n_steps):
-        ed = e_hist if k < m else x[4 * (k - m) + 1]
-        a = h * (beta * s * i)
-        b = h * (ed / kr)
-        c = h * (mu * i)
-        d = h * (gamma * rc)
-        w = eps * (s * i) * noise[k]
-        s = s - a + d - w
-        e = e + a - b + w
-        i = i + b - c
-        rc = rc + c - d
-        j = 4 * (k + 1)
-        x[j], x[j + 1], x[j + 2], x[j + 3] = s, e, i, rc
-        if s < lo or s > hi:
-            return out, EXCURSION, k + 1, 0
-        if e < lo or e > hi:
-            return out, EXCURSION, k + 1, 1
-        if i < lo or i > hi:
-            return out, EXCURSION, k + 1, 2
-        if rc < lo or rc > hi:
-            return out, EXCURSION, k + 1, 3
+    k0 = 0
+    for dw in chunks:
+        for k, z in zip(range(k0, n_steps), dw.tolist()):
+            ed = e_hist if k < m else x[4 * (k - m) + 1]
+            a = h * (beta * s * i)
+            b = h * (ed / kr)
+            c = h * (mu * i)
+            d = h * (gamma * rc)
+            w = eps * (s * i) * z
+            s = s - a + d - w
+            e = e + a - b + w
+            i = i + b - c
+            rc = rc + c - d
+            j = 4 * (k + 1)
+            x[j], x[j + 1], x[j + 2], x[j + 3] = s, e, i, rc
+            if s < lo or s > hi:
+                return out, EXCURSION, k + 1, 0
+            if e < lo or e > hi:
+                return out, EXCURSION, k + 1, 1
+            if i < lo or i > hi:
+                return out, EXCURSION, k + 1, 2
+            if rc < lo or rc > hi:
+                return out, EXCURSION, k + 1, 3
+        k0 += len(dw)
     return out, OK, -1, -1

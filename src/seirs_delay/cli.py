@@ -403,19 +403,26 @@ def _writing(path: str):
 
 
 # rows per writer chunk: .tolist() gives plain floats (no np.float64 per
-# value), and a chunk's floats and text stay a few tens of kB at any length
+# value), and a chunk's floats and text stay a few tens of kB at any length.
+# A chunk's times are built here from its node indices, as Trajectory.times
+# builds them (k as a float, times the step: the same bits), so the writer
+# holds no path-long time column.
 _CSV_CHUNK = 512
 
 
 def _write_trajectory(path: str, traj) -> None:
-    times, states = traj.times, traj.states
+    import numpy as np
+
+    states, h = traj.states, traj.step
     with _writing(path) as fh:
         fh.write("t,S,E,I,R\n")
-        for a in range(0, len(times), _CSV_CHUNK):
-            b = a + _CSV_CHUNK
+        for a in range(0, len(states), _CSV_CHUNK):
+            rows = states[a:a + _CSV_CHUNK]
+            times = np.arange(a, a + len(rows), dtype=float)
+            times *= h
             fh.write("".join([
                 f"{t!r},{s!r},{e!r},{i!r},{rc!r}\n" for t, (s, e, i, rc)
-                in zip(times[a:b].tolist(), states[a:b].tolist())]))
+                in zip(times.tolist(), rows.tolist())]))
 
 
 def _add_state(rep: Report, prefix: str, values) -> None:

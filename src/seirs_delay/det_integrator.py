@@ -12,6 +12,8 @@ Two routes:
 """
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from . import _kernels
@@ -35,39 +37,62 @@ class IntegrationError(RuntimeError):
         self.node = node
 
 
+# rows per block of max_sum_defect, whose one temporary holds a block's
+# row sums: 8 kB at any path length
+_DEFECT_BLOCK = 1024
+
+
 class Trajectory:
     """Node times, states (rows of S, E, I, R) and the step used.
 
-    For integrate_ode and integrate_dde every stored node satisfies
-    |S+E+I+R - 1| <= 1e-10 and min component >= -1e-9; breaches abort the
-    integration instead of being stored.
+    A run on a grid (on_grid) stores only its states: its times are built on
+    first read, as floats k*step, and then kept. For integrate_ode and
+    integrate_dde every stored node satisfies |S+E+I+R - 1| <= 1e-10 and min
+    component >= -1e-9; breaches abort the integration instead of being
+    stored.
     """
 
-    __slots__ = ("times", "states", "step")
+    __slots__ = ("_times", "states", "step")
 
-    def __init__(self, times: np.ndarray, states: np.ndarray, step: float):
-        self.times, self.states, self.step = times, states, step
+    def __init__(self, times: Optional[np.ndarray], states: np.ndarray,
+                 step: float):
+        self._times, self.states, self.step = times, states, step
 
     @classmethod
     def on_grid(cls, states: np.ndarray, h: float) -> Trajectory:
-        """states at the nodes k*h, k = 0 .. len(states) - 1; the times are
-        built as floats and scaled in place, so no second path-long array
-        is made."""
-        times = np.arange(len(states), dtype=float)
-        times *= h
-        return cls(times, states, h)
+        """states at the nodes k*h, k = 0 .. len(states) - 1."""
+        return cls(None, states, h)
+
+    @property
+    def times(self) -> np.ndarray:
+        if self._times is None:
+            # built as floats and scaled in place, so no second path-long
+            # array is made
+            times = np.arange(len(self.states), dtype=float)
+            times *= self.step
+            self._times = times
+        return self._times
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.states)
 
     def final_state(self) -> State:
         s, e, i, rcv = self.states[-1]
         return make_run_state(float(s), float(e), float(i), float(rcv))
 
     def max_sum_defect(self) -> float:
-        d = self.states.sum(axis=1)
-        d -= 1.0
-        return float(np.abs(d, out=d).max())
+        """max |S+E+I+R - 1| over the nodes (NaN if a node sum is NaN)."""
+        states = self.states
+        sums = np.empty(min(len(states), _DEFECT_BLOCK))
+        worst = 0.0
+        for a in range(0, len(states), _DEFECT_BLOCK):
+            rows = states[a:a + _DEFECT_BLOCK]
+            d = sums[:len(rows)]
+            np.sum(rows, axis=1, out=d)
+            d -= 1.0
+            # np.maximum, unlike max, keeps a NaN
+            worst = np.maximum(worst, np.abs(d, out=d).max())
+        return float(worst)
 
     def min_component(self) -> float:
         return float(self.states.min())

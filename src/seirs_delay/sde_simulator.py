@@ -243,12 +243,27 @@ def _excursion_error(node: int, comp: int, value: float,
         node, name, replica)
 
 
-def _run_path(p: Params, ic: InitialCondition, h: float, m: int,
-              dw: np.ndarray, replica: int) -> Trajectory:
-    n = len(dw)
+def _increments(rng: Optional[np.random.Generator], h: float, n: int):
+    """The n Brownian increments of a path, _NOISE_CHUNK steps at a time, as
+    a replica draws them: rng.normal(0.0, sqrt(h), k), which rounds as the
+    replicas' scaled standard normals do; zeros, drawing nothing, when rng
+    is None."""
+    if rng is None:
+        zeros = np.zeros(min(n, _NOISE_CHUNK))
+        for k in range(0, n, _NOISE_CHUNK):
+            yield zeros[:n - k]
+        return
+    sd = math.sqrt(h)
+    for k in range(0, n, _NOISE_CHUNK):
+        yield rng.normal(0.0, sd, min(n - k, _NOISE_CHUNK))
+
+
+def _run_path(p: Params, ic: InitialCondition, h: float, n: int, m: int,
+              rng: Optional[np.random.Generator], replica: int) -> Trajectory:
+    """The n-step path with noise from rng (none when rng is None)."""
     out, status, node, comp = _kernels.euler_maruyama(
         ic.s0, ic.e0, ic.i0, ic.r0, ic.e0, h, n, m,
-        p.beta, p.mu, p.gamma, p.k_r, p.epsilon, dw,
+        p.beta, p.mu, p.gamma, p.k_r, p.epsilon, _increments(rng, h, n),
         -EXCURSION_BAND, 1.0 + EXCURSION_BAND)
     if status == _kernels.EXCURSION:
         raise _excursion_error(node, comp, out[node, comp], replica)
@@ -257,14 +272,14 @@ def _run_path(p: Params, ic: InitialCondition, h: float, m: int,
 
 # Replicas step together over a replica axis, in blocks of at most
 # _REPLICA_BLOCK columns; each block draws its noise _NOISE_CHUNK steps at a
-# time. Per column a block holds _NOISE_CHUNK + m + 20 floats (noise chunk,
-# E history, state, flows, rates, deviations, sups), 1184 + 8 m bytes at the
-# default chunk, and one Generator, about 0.7 kB with its PCG64 and bound
-# draw method (numpy 2.4); sups and finals hold 5 floats per column. So
-# memory grows with the total column count (both ensembles of a
-# concentration check, about 3 MB for the golden's 1600 columns) and not
-# with n. The cap fits the 2 x 800 columns of the concentration golden in
-# one block.
+# time, as a single path (_increments) draws its own. Per column a block
+# holds _NOISE_CHUNK + m + 20 floats (noise chunk, E history, state, flows,
+# rates, deviations, sups), 1184 + 8 m bytes at the default chunk, and one
+# Generator, about 0.7 kB with its PCG64 and bound draw method (numpy 2.4);
+# sups and finals hold 5 floats per column. So memory grows with the total
+# column count (both ensembles of a concentration check, about 3 MB for the
+# golden's 1600 columns) and not with n. The cap fits the 2 x 800 columns of
+# the concentration golden in one block.
 _REPLICA_BLOCK = 2048
 _NOISE_CHUNK = 128
 
@@ -410,9 +425,8 @@ def simulate_sde(p: Params, ic: InitialCondition, t_end: float, h: float,
     """
     _check_int("replica", replica, 0)
     n, m, _ = step_grid(p.r, t_end, h)
-    dw = np.zeros(n) if p.epsilon == 0.0 else \
-        seed.rng(replica).normal(0.0, math.sqrt(h), n)
-    return _run_path(p, ic, h, m, dw, replica)
+    rng = None if p.epsilon == 0.0 else seed.rng(replica)
+    return _run_path(p, ic, h, n, m, rng, replica)
 
 
 class EnsembleSummary(NamedTuple):
@@ -437,7 +451,7 @@ def _counts(sups: np.ndarray, rho_grid: Sequence[float]) -> tuple[int, ...]:
 def _reference(p: Params, ic: InitialCondition, h: float, n: int,
                m: int) -> np.ndarray:
     """The (n + 1, 4) eps = 0 path that sup deviations are measured from."""
-    return _run_path(p._replace(epsilon=0.0), ic, h, m, np.zeros(n), -1).states
+    return _run_path(p._replace(epsilon=0.0), ic, h, n, m, None, -1).states
 
 
 def _default_rho_grid(sups: np.ndarray) -> np.ndarray:

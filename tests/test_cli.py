@@ -567,6 +567,32 @@ class TestMain:
         assert rows == [[t, *x] for t, x in zip(traj.times.tolist(),
                                                 traj.states.tolist())]
 
+    @pytest.mark.parametrize("r", [0.0, 0.5])
+    def test_sde_trajectory_csv_reads_back_every_node(self, r, tmp_path,
+                                                      capsys):
+        # 1201 nodes: 10 noise chunks of the path and 3 writer chunks; the
+        # CSV's times are built chunk by chunk and its rows are the path's
+        from seirs_delay import Seed, simulate_sde
+        from seirs_delay.cli import _CSV_CHUNK
+        from seirs_delay.sde_simulator import _NOISE_CHUNK
+
+        dest = tmp_path / "traj.csv"
+        text = (ENDEMIC.replace("params.r = 0.5", f"params.r = {r!r}")
+                .replace("run.horizon = 20.0", "run.horizon = 12.0")
+                + f"params.epsilon = 0.05\nensemble.seed = 3\n"
+                f"run.trajectory = {dest}\n")
+        cfg = parse_config(text)
+        traj = simulate_sde(cfg.params, cfg.initial, cfg.horizon, 0.01,
+                            Seed(3))
+        assert len(traj) > max(3 * _NOISE_CHUNK, 2 * _CSV_CHUNK)
+        assert main(["simulate-sde", "--config",
+                     self.write(tmp_path, text)]) == EXIT_OK
+        lines = dest.read_text().splitlines()
+        assert lines[0] == "t,S,E,I,R"
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert rows == [[t, *x] for t, x in zip(traj.times.tolist(),
+                                                traj.states.tolist())]
+
     def test_off_grid_horizon_reports_last_node(self, tmp_path, capsys):
         dest = tmp_path / "traj.csv"
         text = (ENDEMIC.replace("run.horizon = 20.0", "run.horizon = 20.005")

@@ -1,5 +1,5 @@
-"""A seeded fuzz gate over main, for the lyapunov, equilibria and
-delay-margin commands.
+"""A seeded fuzz gate over main, for the lyapunov, equilibria, delay-margin,
+simulate and simulate-sde commands.
 
 Configs come from four families: moderate uniform draws, log-uniform draws
 over 1e+-300, boundary values (beta = mu, subnormals, eps = 0, r = 0 and
@@ -9,7 +9,10 @@ only with r = 0); any other must exit 2 (malformed) or 3 (inadmissible)
 with one stderr line that names the offending key; none may raise.
 delay-margin is gated on the moderate and malformed families only: on the
 other two it still fails at extreme scales and refuses beta = mu (ROADMAP
-items 1 and 2).
+items 1 and 2). So are the run commands, whose documents add a horizon of
+2r (1 at r = 0), about 100 steps at the default step. An admissible run
+may also exit 4 with the one line of an invariant breach or an excursion,
+which names its node or step.
 """
 import math
 import random
@@ -17,11 +20,16 @@ import re
 
 import pytest
 
-from seirs_delay.cli import EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
+from seirs_delay.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
+                             EXIT_VALIDATION, main)
 
 TINY = 5e-324          # the smallest subnormal
 KEYS = ("beta", "mu", "gamma", "k_r", "r", "epsilon")
 N_PER_FAMILY = 200
+RUN_COMMANDS = ("simulate", "simulate-sde")
+# the stderr line of an IntegrationError or an ExcursionError
+PATH_FAILURE = re.compile(
+    r"numerical failure: .* at (node|step) \d+( \(replica \d+\))?\n")
 
 
 def bad_keys(v, command):
@@ -40,14 +48,19 @@ def bad_keys(v, command):
     return bad
 
 
-def document(v):
-    return "".join(f"params.{k} = {v[k]!r}\n" for k in KEYS)
+def document(v, command):
+    """The rates v, and for a run command the horizon, as a config."""
+    lines = [f"params.{k} = {v[k]!r}\n" for k in KEYS]
+    if command in RUN_COMMANDS:
+        horizon = 2.0 * v["r"] if v["r"] > 0.0 else 1.0
+        lines.append(f"run.horizon = {horizon!r}\n")
+    return lines
 
 
 def numeric(v, command):
     """(config text, expected exit code, keys the error must name)."""
     bad = bad_keys(v, command)
-    return document(v), EXIT_VALIDATION if bad else EXIT_OK, bad
+    return "".join(document(v, command)), EXIT_VALIDATION if bad else EXIT_OK, bad
 
 
 def moderate(rng, command):
@@ -93,8 +106,8 @@ def malformed(rng, command):
     """A moderate r = 0 document with one line broken."""
     v = {k: rng.uniform(0.01, 0.99) for k in ("beta", "mu", "gamma")}
     v.update(k_r=rng.uniform(0.1, 10.0), r=0.0, epsilon=rng.uniform(0.0, 1.0))
-    lines = document(v).splitlines(True)
-    j = rng.randrange(len(lines))
+    lines = document(v, command)
+    j = rng.randrange(len(KEYS))
     key = KEYS[j]
     kind = rng.choice(("no equals", "not a number", "empty value", "duplicate",
                        "missing", "non-finite", "out of range", "unknown key"))
@@ -139,8 +152,11 @@ def exits_cleanly(command, family, tmp_path, capsys):
         except Exception as exc:   # a traceback at the command line
             pytest.fail(f"{text!r} raised {exc!r}")
         out, err = capsys.readouterr()
-        assert rc == code, (text, err)
         codes.add(rc)
+        if rc == EXIT_NUMERICAL and code == EXIT_OK and command in RUN_COMMANDS:
+            assert out == "" and PATH_FAILURE.fullmatch(err), (text, err)
+            continue
+        assert rc == code, (text, err)
         if code == EXIT_OK:
             assert out.startswith(f"command = {command}\n") and err == "", text
         else:
@@ -169,3 +185,10 @@ def test_equilibria_exits_cleanly(family, tmp_path, capsys):
 def test_delay_margin_exits_cleanly(family, tmp_path, capsys):
     codes = exits_cleanly("delay-margin", family, tmp_path, capsys)
     assert codes == {EXIT_OK} if family == "moderate" else len(codes) >= 2
+
+
+@pytest.mark.parametrize("command", RUN_COMMANDS)
+@pytest.mark.parametrize("family", ["moderate", "malformed"])
+def test_run_commands_exit_cleanly(command, family, tmp_path, capsys):
+    codes = exits_cleanly(command, family, tmp_path, capsys)
+    assert EXIT_OK in codes if family == "moderate" else len(codes) >= 2

@@ -267,10 +267,12 @@ EM_EXITS = [((0.5, 0.05, 0.05, 0.4), (0.4, 0.2, 0.5, 2.0), 0, 504),
 def test_euler_maruyama_excursion_exit(x0, rates, comp, node):
     h, n, m = 0.01, 1000, 50
     dw = np.random.default_rng(comp).standard_normal(n) * np.sqrt(h)
+    chunk = sde_simulator._NOISE_CHUNK
 
     def run(lo, hi):
-        return _kernels.euler_maruyama(*x0, x0[1], h, n, m, *rates, 0.1, dw,
-                                       lo, hi)
+        chunks = (dw[k:k + chunk] for k in range(0, n, chunk))
+        return _kernels.euler_maruyama(*x0, x0[1], h, n, m, *rates, 0.1,
+                                       chunks, lo, hi)
     free, status, _, _ = run(-1.0, 2.0)
     assert status == _kernels.OK
     others = [c for c in range(4) if c != comp]

@@ -1,0 +1,119 @@
+"""A path run holds its (n + 1, 4) path and a fixed slack, nothing else that
+grows with n.
+
+tracemalloc counts Python's objects and numpy's array buffers alike, in
+requested bytes. Each measurement starts tracing after a warm-up run, so
+module imports and first-call caches are not counted. Freelists that hold
+objects from before tracing started make the counts vary by a few kB from
+run to run; the bounds below leave room for that and no more. One more
+path-long float column costs 8 bytes a node.
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from seirs_delay import (Params, Seed, integrate_dde, integrate_ode,
+                         make_initial_condition, simulate_sde)
+from seirs_delay.cli import EXIT_OK, _write_trajectory, main
+
+IC = make_initial_condition(e0=0.05, s0=0.9, i0=0.05, r0=0.0)
+P = Params(0.4, 0.2, 0.1, 2.0)
+H = 0.01
+N = 2560
+# beyond its path a library run may hold max_sum_defect's block of 1024 row
+# sums (8 kB), a noise chunk and a few small objects
+SLACK = 16 * 1024
+COLUMN = 8 * (N + 1)
+assert SLACK < COLUMN
+
+
+def peak_beyond(run):
+    """The traced peak of run() less the bytes of the path it returns."""
+    tracemalloc.start()
+    try:
+        traj = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - traj.states.nbytes
+
+
+RUNS = {
+    "integrate_ode": lambda t: integrate_ode(P, IC.state0(), t, H),
+    "integrate_dde": lambda t: integrate_dde(P._replace(r=0.5), IC, t, H),
+    "simulate_sde": lambda t: simulate_sde(P._replace(r=0.5, epsilon=0.05),
+                                           IC, t, H, Seed(1)),
+    "simulate_sde-eps0": lambda t: simulate_sde(P._replace(r=0.5), IC, t, H,
+                                                Seed(1)),
+}
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_a_path_run_holds_its_path_and_a_fixed_slack(name):
+    def run(n):
+        traj = RUNS[name](n * H)
+        assert len(traj) == n + 1
+        traj.max_sum_defect()
+        traj.min_component()
+        return traj
+
+    run(300)
+    assert peak_beyond(lambda: run(N)) <= SLACK
+
+
+# The CLI's slack is a writer chunk of 512 rows as floats, text and one
+# joined string, about 210 kB, so a path whose extra column outweighs it
+# takes too long to trace. The CLI is measured at two lengths instead: its
+# slack moves by less than DRIFT between them, while one more path-long
+# column would move it by 8 * (N2 - N1) bytes.
+N1, N2 = 1100, 4100
+DRIFT = 11 * 1024
+assert DRIFT < 8 * (N2 - N1) // 2
+
+
+@pytest.mark.parametrize("command, eps", [("simulate", 0.0),
+                                          ("simulate-sde", 0.05)])
+def test_a_cli_path_run_holds_its_path_and_a_fixed_slack(command, eps,
+                                                        tmp_path):
+    csv, cfg = tmp_path / "traj.csv", tmp_path / "run.cfg"
+
+    def beyond(n):
+        cfg.write_text(f"params.beta = 0.4\nparams.mu = 0.2\n"
+                       f"params.gamma = 0.1\nparams.k_r = 2.0\n"
+                       f"params.r = 0.5\nparams.epsilon = {eps!r}\n"
+                       f"run.horizon = {n * H!r}\nrun.step = {H!r}\n"
+                       f"run.trajectory = {csv}\n")
+        tracemalloc.start()
+        try:
+            assert main([command, "--config", str(cfg),
+                         "--out", str(tmp_path / "report.txt")]) == EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert csv.read_text().count("\n") == n + 2
+        return peak - 32 * (n + 1)
+
+    beyond(300)
+    assert abs(beyond(N2) - beyond(N1)) < DRIFT
+
+
+class NoTimes:
+    """A trajectory whose times may not be read."""
+
+    def __init__(self, states, step):
+        self.states, self.step = states, step
+
+    @property
+    def times(self):
+        raise AssertionError("the writer read the time column")
+
+
+def test_writer_builds_each_chunks_times_without_the_time_column(tmp_path):
+    states = np.random.default_rng(0).random((1300, 4))
+    dest = tmp_path / "traj.csv"
+    _write_trajectory(str(dest), NoTimes(states, 0.1))
+    rows = [[float(v) for v in line.split(",")]
+            for line in dest.read_text().splitlines()[1:]]
+    times = np.arange(len(states)) * 0.1
+    assert rows == [[t, *x] for t, x in zip(times.tolist(), states.tolist())]

@@ -106,6 +106,27 @@ def test_trajectory_compares_by_identity():
         a.extra = 1
 
 
+def test_grid_times_are_built_once_as_node_index_times_step():
+    h = 0.01
+    traj = Trajectory.on_grid(np.full((2501, 4), 0.25), h)
+    times = traj.times
+    assert times.tobytes() == (np.arange(2501) * h).tobytes()
+    assert traj.times is times
+
+
+@pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 3000])
+def test_max_sum_defect_is_the_whole_path_reduction(rows):
+    # reduced block by block, it is the float that one reduction over the
+    # path gives, and a NaN node sum in any block makes it NaN
+    states = np.random.default_rng(rows).dirichlet(np.ones(4), size=rows)
+    whole = np.abs(states.sum(axis=1) - 1.0).max()
+    assert Trajectory.on_grid(states, 0.1).max_sum_defect() == whole
+    for at in {0, rows // 2, rows - 1}:
+        bad = states.copy()
+        bad[at, 2] = np.nan
+        assert np.isnan(Trajectory.on_grid(bad, 0.1).max_sum_defect())
+
+
 @pytest.mark.parametrize("command, r", [
     ("equilibria", 0.5), ("stability", 0.5), ("delay-margin", 0.5),
     ("lyapunov", 0.0), ("simulate", 0.5)])

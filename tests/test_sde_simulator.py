@@ -77,9 +77,11 @@ def violating_draw(rng, j):
 class TestSeed:
     @pytest.mark.parametrize("sd", [math.sqrt(0.01), math.sqrt(0.005), 0.3])
     def test_normal_is_a_scaled_standard_normal(self, sd):
-        # ensembles draw standard normals and scale them; simulate_sde calls
-        # Generator.normal; replicas match their scalar paths only while
-        # numpy rounds normal(0.0, sd) as 0.0 + sd * standard_normal
+        # ensembles draw standard normals and scale them; simulate_sde draws
+        # each chunk through Generator.normal, the route the benchmark's
+        # oracle (perfbench/oracles.py, replica_noise) takes for a whole
+        # path; replicas match their scalar paths only while numpy rounds
+        # normal(0.0, sd) as 0.0 + sd * standard_normal
         normal = Seed(5).rng(2).normal(0.0, sd, 100_000)
         scaled = 0.0 + sd * Seed(5).rng(2).standard_normal(100_000)
         assert normal.tobytes() == scaled.tobytes(), (
