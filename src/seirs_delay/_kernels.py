@@ -2,14 +2,15 @@
 
 Every kernel is a plain CPython loop over Python floats: the state and the
 last few derivative rows are locals, and node rows are read and written
-through a memoryview of the preallocated (n + 1, 4) output array. A read
-through the view returns a Python float (indexing the array would return an
-np.float64, whose arithmetic is several times slower), and writing each row
-in place keeps no second copy of the path, so peak memory stays that of the
-one array. Only +, -, * and / are used, so every node is fixed by IEEE-754
-rounding alone. Kernels never raise: they return a status code and the index
-of the first offending node (0 = ok, 1 = simplex-sum breach, 2 = negative
-component, 3 = excursion outside the allowed band).
+through a memoryview of a preallocated node array: the deterministic
+kernels' (n + 1, 4) output, or the stochastic kernel's buffer from the
+caller. A read through the view returns a Python float (indexing the array
+would return an np.float64, whose arithmetic is several times slower), and
+writing each row in place keeps no second copy of the nodes, so peak memory
+stays that of the one array. Only +, -, * and / are used, so every node is
+fixed by IEEE-754 rounding alone. Kernels never raise: they return a status
+code and the index of the first offending node (0 = ok, 1 = simplex-sum
+breach, 2 = negative component, 3 = excursion outside the allowed band).
 
 Every right-hand side (S', E', I', R') with exposed source ed = E(t - r)
 forms the products bsi = beta*s*i, mi = mu*i, grc = gamma*rc and
@@ -19,9 +20,12 @@ mi - grc.
 Delayed lookups assume the delay is an exact multiple ``m`` of the step, so
 ``E(t_k - r)`` is the stored node value ``m`` slots back; no interpolation.
 
-The stochastic kernel takes its noise increments from the caller one chunk
-at a time (an iterable of arrays, consumed as it steps), so a path holds no
-noise vector as long as itself.
+The stochastic kernel steps into a buffer from the caller whose first m rows
+hold the m nodes before its start node, so its delayed value is always one
+stored row, and takes its noise increments one chunk at a time (an iterable
+of arrays, consumed as it steps). A caller can therefore step a path in
+windows through a buffer of m + 1 + window rows, carrying the last m + 1
+nodes over, and hold neither the whole path nor a noise vector as long as it.
 """
 from __future__ import annotations
 
@@ -192,28 +196,35 @@ def dde_rk4_abm4(s, e, i, rc, e_hist, h, n_steps, m, beta, mu, gamma, kr,
     return out, OK, -1
 
 
-def euler_maruyama(s, e, i, rc, e_hist, h, n_steps, m, beta, mu, gamma, kr,
-                   eps, chunks, lo, hi):
+def euler_maruyama(x, beta, mu, gamma, kr, h, n_steps, m, eps, chunks, lo,
+                   hi):
     """Euler-Maruyama step loop with a single shared noise increment.
 
-    chunks yields the increments of steps 0 .. n_steps - 1 in order, as 1-D
-    arrays of consecutive steps; each is read once, before the next is
-    asked for. The transfer terms a (infection), b (latency exit), c
-    (recovery), d (immunity loss) and the noise term w are each computed once
-    per step and moved between compartments with the same rounded value, so
-    the four updates cancel algebraically and the simplex sum is conserved up
-    to per-step rounding of the additions alone. With eps = 0 and zero
-    increments the trajectory is bitwise equal to the deterministic Euler
-    scheme written with the same update expressions. m = 0 means no delay
-    (the stored current node is used).
+    x is a C-contiguous float array of at least m + 1 + n_steps rows of
+    (S, E, I, R): rows 0 .. m - 1 hold the m nodes before the start node
+    (only their E is read: the constant history before t = 0), row m the
+    start node, and step k writes node k + 1 to row m + k + 1. The delayed
+    exposed value of step k is the E of row k, so with m = 0 (no delay) it
+    is the current node's. chunks yields the increments of steps
+    0 .. n_steps - 1 in order, as 1-D arrays of consecutive steps; each is
+    read once, before the next is asked for. The transfer terms a
+    (infection), b (latency exit), c (recovery), d (immunity loss) and the
+    noise term w are each computed once per step and moved between
+    compartments with the same rounded value, so the four updates cancel
+    algebraically and the simplex sum is conserved up to per-step rounding
+    of the additions alone. With eps = 0 and zero increments the trajectory
+    is bitwise equal to the deterministic Euler scheme written with the same
+    update expressions. Returns (status, node, component): the first node
+    (1 .. n_steps, counted from the start node) outside [lo, hi], stored
+    before the check, and its component, or -1, -1.
     """
-    out = np.empty((n_steps + 1, 4))
-    x = memoryview(out.reshape(-1))
-    x[0], x[1], x[2], x[3] = s, e, i, rc
+    x = memoryview(x.reshape(-1))
+    j = 4 * m
+    s, e, i, rc = x[j], x[j + 1], x[j + 2], x[j + 3]
     k0 = 0
     for dw in chunks:
         for k, z in zip(range(k0, n_steps), dw.tolist()):
-            ed = e_hist if k < m else x[4 * (k - m) + 1]
+            ed = x[4 * k + 1]
             a = h * (beta * s * i)
             b = h * (ed / kr)
             c = h * (mu * i)
@@ -223,15 +234,15 @@ def euler_maruyama(s, e, i, rc, e_hist, h, n_steps, m, beta, mu, gamma, kr,
             e = e + a - b + w
             i = i + b - c
             rc = rc + c - d
-            j = 4 * (k + 1)
+            j += 4
             x[j], x[j + 1], x[j + 2], x[j + 3] = s, e, i, rc
             if s < lo or s > hi:
-                return out, EXCURSION, k + 1, 0
+                return EXCURSION, k + 1, 0
             if e < lo or e > hi:
-                return out, EXCURSION, k + 1, 1
+                return EXCURSION, k + 1, 1
             if i < lo or i > hi:
-                return out, EXCURSION, k + 1, 2
+                return EXCURSION, k + 1, 2
             if rc < lo or rc > hi:
-                return out, EXCURSION, k + 1, 3
+                return EXCURSION, k + 1, 3
         k0 += len(dw)
-    return out, OK, -1, -1
+    return OK, -1, -1

@@ -46,8 +46,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import importlib
 import math
+import os
+import stat
 import sys
 from typing import NamedTuple, Optional, Sequence
 
@@ -402,27 +405,90 @@ def _writing(path: str):
             f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
-# rows per writer chunk: .tolist() gives plain floats (no np.float64 per
-# value), and a chunk's floats and text stay a few tens of kB at any length.
-# A chunk's times are built here from its node indices, as Trajectory.times
-# builds them (k as a float, times the step: the same bits), so the writer
-# holds no path-long time column.
+# rows per writer chunk, and the window in which simulate-sde steps its
+# path: .tolist() gives plain floats (no np.float64 per value), and a chunk's
+# floats and text stay a few tens of kB at any length. A chunk's times are
+# built here from its node indices, as Trajectory.times builds them (k as a
+# float, times the step: the same bits), so the writer holds no path-long
+# time column.
 _CSV_CHUNK = 512
 
 
-def _write_trajectory(path: str, traj) -> None:
+@contextlib.contextmanager
+def _trajectory_file(path: Optional[str]):
+    """The CSV file of run.trajectory with its header written, None when
+    path is None; the destination is replaced only by a complete file.
+
+    The text goes to a new temporary file, created with O_EXCL beside the
+    file that path resolves to (through a symlink, which stays a link) and
+    given the permission bits of the file it replaces. When the block ends
+    without error, os.replace moves it onto that file in one step; on any
+    error it is removed, so the destination keeps its bytes or stays
+    absent. An existing file that is not a regular one (a device, a pipe) is
+    written in place. The destination is checked as the block starts, so a
+    run that could not be written fails before its first step. An OSError
+    becomes a ValidationError that names path.
+    """
+    if path is None:
+        yield None
+        return
+    real = os.path.realpath(path)
+    tmp = None
+    try:
+        try:
+            mode = os.stat(real).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            with open(path, "w", newline="\n") as fh:
+                fh.write("t,S,E,I,R\n")
+                yield fh
+            return
+        if mode is not None and not os.access(real, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        stem = os.path.join(os.path.dirname(real),
+                            f".{os.path.basename(real)}.{os.getpid()}")
+        k = 0
+        while True:
+            try:
+                fd = os.open(f"{stem}-{k}.tmp",
+                             os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                break
+            except FileExistsError:
+                k += 1
+        tmp = f"{stem}-{k}.tmp"
+        with open(fd, "w", newline="\n") as fh:
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
+            fh.write("t,S,E,I,R\n")
+            yield fh
+        os.replace(tmp, real)
+        tmp = None
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot write {path!r}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+
+
+def _write_rows(fh, rows, first: int, h: float) -> None:
+    """The CSV lines of rows, nodes first .. first + len(rows) - 1 of a path
+    at step h."""
     import numpy as np
 
-    states, h = traj.states, traj.step
-    with _writing(path) as fh:
-        fh.write("t,S,E,I,R\n")
-        for a in range(0, len(states), _CSV_CHUNK):
-            rows = states[a:a + _CSV_CHUNK]
-            times = np.arange(a, a + len(rows), dtype=float)
-            times *= h
-            fh.write("".join([
-                f"{t!r},{s!r},{e!r},{i!r},{rc!r}\n" for t, (s, e, i, rc)
-                in zip(times.tolist(), rows.tolist())]))
+    times = np.arange(first, first + len(rows), dtype=float)
+    times *= h
+    fh.write("".join([f"{t!r},{s!r},{e!r},{i!r},{rc!r}\n" for t, (s, e, i, rc)
+                      in zip(times.tolist(), rows.tolist())]))
+
+
+def _write_trajectory(fh, traj) -> None:
+    """traj's nodes as CSV lines, _CSV_CHUNK rows at a time."""
+    states = traj.states
+    for a in range(0, len(states), _CSV_CHUNK):
+        _write_rows(fh, states[a:a + _CSV_CHUNK], a, traj.step)
 
 
 def _add_state(rep: Report, prefix: str, values) -> None:
@@ -443,13 +509,11 @@ def _cmd_equilibria(cfg: RunConfig) -> Report:
     return rep
 
 
-def _simulate_common(rep: Report, cfg: RunConfig, traj) -> None:
-    rep.add("nodes", len(traj))
-    _add_state(rep, "final", traj.states[-1])
-    rep.add("max_sum_defect", traj.max_sum_defect())
-    rep.add("min_component", traj.min_component())
-    if cfg.trajectory is not None:
-        _write_trajectory(cfg.trajectory, traj)
+def _simulate_common(rep: Report, cfg: RunConfig, path, final) -> None:
+    rep.add("nodes", len(path))
+    _add_state(rep, "final", final)
+    rep.add("max_sum_defect", path.max_sum_defect())
+    rep.add("min_component", path.min_component())
     rep.add("trajectory_file", cfg.trajectory)
 
 
@@ -457,23 +521,41 @@ def _cmd_simulate(cfg: RunConfig) -> Report:
     rep = Report("simulate")
     _echo(rep, cfg, with_run=True)
     h = cfg.resolved_step()
-    if cfg.params.r > 0.0:
-        traj = integrate_dde(cfg.params, cfg.initial, cfg.horizon, h)
-    else:
-        traj = integrate_ode(cfg.params, cfg.initial.state0(), cfg.horizon, h)
-    _simulate_common(rep, cfg, traj)
+    with _trajectory_file(cfg.trajectory) as fh:
+        if cfg.params.r > 0.0:
+            traj = integrate_dde(cfg.params, cfg.initial, cfg.horizon, h)
+        else:
+            traj = integrate_ode(cfg.params, cfg.initial.state0(),
+                                 cfg.horizon, h)
+        if fh is not None:
+            _write_trajectory(fh, traj)
+    _simulate_common(rep, cfg, traj, traj.states[-1])
     return rep
 
 
 def _cmd_simulate_sde(cfg: RunConfig) -> Report:
-    from .sde_simulator import Seed, simulate_sde
+    # sde_simulator before det_integrator, which it imports itself:
+    # importing det_integrator first raised the peak RSS of the simulate-sde
+    # golden by about 0.8 MB
+    from .sde_simulator import Seed, _run_path
+    from .det_integrator import _StreamedPath
 
     rep = Report("simulate-sde")
     _echo(rep, cfg, with_run=True, with_ensemble=True)
     h = cfg.resolved_step()
-    traj = simulate_sde(cfg.params, cfg.initial, cfg.horizon, h,
-                        Seed(cfg.seed), replica=0)
-    _simulate_common(rep, cfg, traj)
+    n, m, _ = cfg.grid()
+    # the path is stepped in windows of _CSV_CHUNK steps, and each window's
+    # nodes are reduced and written as it is stepped, then dropped
+    path = _StreamedPath(min(n, _CSV_CHUNK))
+    with _trajectory_file(cfg.trajectory) as fh:
+        def consume(rows):
+            if fh is not None:
+                _write_rows(fh, rows, len(path), h)
+            path.add(rows)
+
+        _run_path(cfg.params, cfg.initial, h, n, m, Seed(cfg.seed), 0,
+                  _CSV_CHUNK, consume)
+    _simulate_common(rep, cfg, path, path.last)
     return rep
 
 

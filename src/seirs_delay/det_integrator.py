@@ -12,6 +12,7 @@ Two routes:
 """
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -86,16 +87,53 @@ class Trajectory:
         sums = np.empty(min(len(states), _DEFECT_BLOCK))
         worst = 0.0
         for a in range(0, len(states), _DEFECT_BLOCK):
-            rows = states[a:a + _DEFECT_BLOCK]
-            d = sums[:len(rows)]
-            np.sum(rows, axis=1, out=d)
-            d -= 1.0
             # np.maximum, unlike max, keeps a NaN
-            worst = np.maximum(worst, np.abs(d, out=d).max())
+            worst = np.maximum(worst, _block_defect(
+                states[a:a + _DEFECT_BLOCK], sums))
         return float(worst)
 
     def min_component(self) -> float:
         return float(self.states.min())
+
+
+def _block_defect(rows: np.ndarray, sums: np.ndarray) -> np.float64:
+    """max |S+E+I+R - 1| over rows (NaN if a row sum is NaN), with the row
+    sums formed in sums, which has room for them."""
+    d = sums[:len(rows)]
+    np.sum(rows, axis=1, out=d)
+    d -= 1.0
+    return np.abs(d, out=d).max()
+
+
+class _StreamedPath:
+    """What a path report reads of a path whose nodes arrive in order, in
+    blocks of at most `block` rows, that are not kept: the node count, the
+    last node, max_sum_defect and min_component. Both reductions equal
+    Trajectory's, NaN included: the same per-row sums, and each block's
+    extremes combined by np.maximum and np.minimum, which keep a NaN."""
+
+    __slots__ = ("nodes", "last", "_sums", "_defect", "_low")
+
+    def __init__(self, block: int):
+        self.nodes, self.last = 0, None
+        self._sums = np.empty(block)
+        self._defect, self._low = 0.0, math.inf
+
+    def add(self, rows: np.ndarray) -> None:
+        self.nodes += len(rows)
+        self.last = rows[-1].tolist()
+        self._defect = np.maximum(self._defect,
+                                  _block_defect(rows, self._sums))
+        self._low = np.minimum(self._low, rows.min())
+
+    def __len__(self) -> int:
+        return self.nodes
+
+    def max_sum_defect(self) -> float:
+        return float(self._defect)
+
+    def min_component(self) -> float:
+        return float(self._low)
 
 
 def _status_error(status: int, node: int) -> IntegrationError:

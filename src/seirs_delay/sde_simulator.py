@@ -5,7 +5,11 @@ Brownian increment: S loses eps*S*I dW, E gains the same amount, I and R
 keep their drift. Euler-Maruyama stepping moves every transfer (and the
 noise term) between compartments as one rounded value, so S+E+I+R is
 conserved up to the rounding of the additions alone and the eps = 0 path
-is bitwise equal to deterministic Euler.
+is bitwise equal to deterministic Euler. A single path is stepped in windows
+through a buffer that holds its last m + 1 nodes (m = r/h) and one window:
+either the whole path as one window, kept and returned, or fixed windows
+passed to a consumer as they are stepped, which keeps memory flat in the
+path length.
 
 On top of the path simulator: replica ensembles against the deterministic
 reference, an empirical check of the exp(-c*rho^2/eps^2) concentration tail,
@@ -244,10 +248,12 @@ def _excursion_error(node: int, comp: int, value: float,
 
 
 def _increments(rng: Optional[np.random.Generator], h: float, n: int):
-    """The n Brownian increments of a path, _NOISE_CHUNK steps at a time, as
-    a replica draws them: rng.normal(0.0, sqrt(h), k), which rounds as the
-    replicas' scaled standard normals do; zeros, drawing nothing, when rng
-    is None."""
+    """The next n Brownian increments of a path, _NOISE_CHUNK steps at a
+    time, as a replica draws them: rng.normal(0.0, sqrt(h), k), which rounds
+    as the replicas' scaled standard normals do; zeros, drawing nothing,
+    when rng is None. normal draws its values one after another, so the
+    increments of a path are the same floats however its steps are split
+    between calls."""
     if rng is None:
         zeros = np.zeros(min(n, _NOISE_CHUNK))
         for k in range(0, n, _NOISE_CHUNK):
@@ -259,15 +265,40 @@ def _increments(rng: Optional[np.random.Generator], h: float, n: int):
 
 
 def _run_path(p: Params, ic: InitialCondition, h: float, n: int, m: int,
-              rng: Optional[np.random.Generator], replica: int) -> Trajectory:
-    """The n-step path with noise from rng (none when rng is None)."""
-    out, status, node, comp = _kernels.euler_maruyama(
-        ic.s0, ic.e0, ic.i0, ic.r0, ic.e0, h, n, m,
-        p.beta, p.mu, p.gamma, p.k_r, p.epsilon, _increments(rng, h, n),
-        -EXCURSION_BAND, 1.0 + EXCURSION_BAND)
-    if status == _kernels.EXCURSION:
-        raise _excursion_error(node, comp, out[node, comp], replica)
-    return Trajectory.on_grid(out, h)
+              seed: Optional[Seed], replica: int, window: Optional[int] = None,
+              consume=None) -> Optional[Trajectory]:
+    """The n-step path of replica `replica` of seed, which draws nothing at
+    eps = 0 (seed may then be None), stepped in windows through one buffer
+    whose first m rows hold the nodes before the window's start node.
+
+    Without consume the path is one window, returned as a Trajectory over
+    the last n + 1 rows of its (m + 1 + n)-row buffer. With consume it is
+    stepped window steps at a time, one kernel call each, through a buffer
+    of m + 1 + min(window, n) rows, and None is returned: each window's
+    nodes but its last go to consume(rows) as soon as they are stepped, so
+    the calls see nodes 0 .. n in order, the last one alone; rows are a view
+    that the next window overwrites. Either way a node that leaves the band
+    raises at once, with its step counted from node 0.
+    """
+    rng = None if p.epsilon == 0.0 else seed.rng(replica)
+    w = n if consume is None else min(window, n)
+    x = np.empty((m + 1 + w, 4))
+    # node 0 and, for its E (the constant history), the m nodes before it
+    x[:m + 1] = ic.s0, ic.e0, ic.i0, ic.r0
+    for start in range(0, n, w):
+        steps = min(w, n - start)
+        status, node, comp = _kernels.euler_maruyama(
+            x, p.beta, p.mu, p.gamma, p.k_r, h, steps, m, p.epsilon,
+            _increments(rng, h, steps), -EXCURSION_BAND, 1.0 + EXCURSION_BAND)
+        if status == _kernels.EXCURSION:
+            raise _excursion_error(start + node, comp, x[m + node, comp],
+                                   replica)
+        if consume is None:
+            return Trajectory.on_grid(x[m:], h)
+        consume(x[m:m + steps])
+        # the last m + 1 nodes become the next window's history and start
+        x[:m + 1] = x[steps:steps + m + 1]
+    consume(x[m:m + 1])
 
 
 # Replicas step together over a replica axis, in blocks of at most
@@ -421,12 +452,13 @@ def simulate_sde(p: Params, ic: InitialCondition, t_end: float, h: float,
     sign +; I and R are drift-only. The delayed exposed value is read from
     stored nodes exactly as in the deterministic integrator, on the same
     step_grid. Components leaving [-0.05, 1.05] abort with an excursion
-    diagnostic naming the step and component.
+    diagnostic naming the step and component. The whole path is stepped as
+    one window (one kernel call); the command line's simulate-sde steps the
+    same nodes in windows of a few hundred and holds none of the rest.
     """
     _check_int("replica", replica, 0)
     n, m, _ = step_grid(p.r, t_end, h)
-    rng = None if p.epsilon == 0.0 else seed.rng(replica)
-    return _run_path(p, ic, h, n, m, rng, replica)
+    return _run_path(p, ic, h, n, m, seed, replica)
 
 
 class EnsembleSummary(NamedTuple):

@@ -515,6 +515,101 @@ class TestMain:
                                 "No such file or directory\n")
         assert captured.out == ""
 
+    # ENDEMIC at eps = 0.8, seed 4: E leaves the band at step 1118, in the
+    # third 512-step window of the stream
+    EXCURSION = (ENDEMIC + "params.epsilon = 0.8\nensemble.seed = 4\n")
+
+    def test_unwritable_sde_trajectory(self, tmp_path, capsys):
+        # the destination is checked before the first step, so a run that
+        # would also leave the band exits 3, not 4
+        dest = tmp_path / "missing" / "traj.csv"
+        text = self.EXCURSION + f"run.trajectory = {dest}\n"
+        rc = main(["simulate-sde", "--config", self.write(tmp_path, text)])
+        assert rc == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == (f"validation error: cannot write {str(dest)!r}: "
+                                "No such file or directory\n")
+        assert captured.out == ""
+
+    def test_failed_run_leaves_the_destination_as_it_was(self, tmp_path,
+                                                         capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        dest = out / "traj.csv"
+        dest.write_bytes(b"an earlier run\n")
+        text = self.EXCURSION + f"run.trajectory = {dest}\n"
+        rc = main(["simulate-sde", "--config", self.write(tmp_path, text)])
+        assert rc == EXIT_NUMERICAL
+        assert "at step 1118 " in capsys.readouterr().err
+        assert dest.read_bytes() == b"an earlier run\n"
+        assert os.listdir(out) == ["traj.csv"]
+
+    @pytest.mark.parametrize("command", ["simulate", "simulate-sde"])
+    def test_symlinked_destination_stays_a_link(self, command, tmp_path,
+                                                capsys):
+        target = tmp_path / "target.csv"
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        text = ENDEMIC + f"run.trajectory = {link}\n"
+        assert main([command, "--config", self.write(tmp_path, text)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert link.is_symlink() and link.resolve() == target
+        lines = target.read_text().splitlines()
+        assert lines[0] == "t,S,E,I,R" and len(lines) == 2002
+
+    @pytest.mark.parametrize("command", ["simulate", "simulate-sde"])
+    def test_destination_keeps_its_mode_bits(self, command, tmp_path, capsys):
+        dest = tmp_path / "traj.csv"
+        dest.write_text("old\n")
+        dest.chmod(0o604)
+        text = ENDEMIC + f"run.trajectory = {dest}\n"
+        assert main([command, "--config", self.write(tmp_path, text)]) == EXIT_OK
+        assert dest.read_text().count("\n") == 2002
+        assert dest.stat().st_mode & 0o7777 == 0o604
+
+    def test_destination_that_is_not_a_file_is_written_in_place(
+            self, tmp_path, capsys):
+        text = ENDEMIC + "params.epsilon = 0.05\nrun.trajectory = /dev/null\n"
+        rc = main(["simulate-sde", "--config", self.write(tmp_path, text)])
+        assert rc == EXIT_OK
+        assert "trajectory_file = /dev/null\n" in capsys.readouterr().out
+        assert Path("/dev/null").is_char_device()
+
+    def test_destination_that_is_a_directory(self, tmp_path, capsys):
+        text = ENDEMIC + f"run.trajectory = {tmp_path}\n"
+        rc = main(["simulate", "--config", self.write(tmp_path, text)])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"validation error: cannot write {str(tmp_path)!r}: "
+            "Is a directory\n")
+
+    def test_read_only_destination_is_not_replaced(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # os.access stands in for a file this process may not write (root
+        # may write any file)
+        dest = tmp_path / "traj.csv"
+        dest.write_text("old\n")
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        text = ENDEMIC + f"run.trajectory = {dest}\n"
+        rc = main(["simulate", "--config", self.write(tmp_path, text)])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"validation error: cannot write {str(dest)!r}: "
+            "Permission denied\n")
+        assert dest.read_text() == "old\n"
+
+    def test_temporary_name_in_use_is_skipped(self, tmp_path, capsys):
+        dest = tmp_path / "traj.csv"
+        taken = tmp_path / f".traj.csv.{os.getpid()}-0.tmp"
+        taken.write_text("another writer's\n")
+        text = ENDEMIC + f"run.trajectory = {dest}\n"
+        assert main(["simulate", "--config", self.write(tmp_path, text)]) == EXIT_OK
+        assert dest.read_text().count("\n") == 2002
+        assert taken.read_text() == "another writer's\n"
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            [taken.name, "run.cfg", "traj.csv"])
+
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         cfg = self.write(tmp_path, ENDEMIC)
         assert main(["stability", "--config", cfg]) == EXIT_OK

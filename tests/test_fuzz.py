@@ -10,9 +10,11 @@ with one stderr line that names the offending key; none may raise.
 delay-margin is gated on the moderate and malformed families only: on the
 other two it still fails at extreme scales and refuses beta = mu (ROADMAP
 items 1 and 2). So are the run commands, whose documents add a horizon of
-2r (1 at r = 0), about 100 steps at the default step. An admissible run
-may also exit 4 with the one line of an invariant breach or an excursion,
-which names its node or step.
+2r (1 at r = 0), about 100 steps at the default step, and a
+run.trajectory, which must hold the header and every node after exit 0 and
+not exist after any other exit. An admissible run may also exit 4 with the
+one line of an invariant breach or an excursion, which names its node or
+step.
 """
 import math
 import random
@@ -143,9 +145,13 @@ FAMILIES = {"moderate": moderate, "log-uniform": log_uniform,
 def exits_cleanly(command, family, tmp_path, capsys):
     rng = random.Random(f"{command} {family}")
     cfg = tmp_path / "fuzz.cfg"
+    csv = tmp_path / "traj.csv"
     codes = set()
     for _ in range(N_PER_FAMILY):
         text, code, keys = FAMILIES[family](rng, command)
+        if command in RUN_COMMANDS:
+            text += f"run.trajectory = {csv}\n"
+            csv.unlink(missing_ok=True)
         cfg.write_text(text)
         try:
             rc = main([command, "--config", str(cfg)])
@@ -153,6 +159,16 @@ def exits_cleanly(command, family, tmp_path, capsys):
             pytest.fail(f"{text!r} raised {exc!r}")
         out, err = capsys.readouterr()
         codes.add(rc)
+        if command in RUN_COMMANDS:
+            # the trajectory is written whole, or not at all, and no
+            # temporary file stays behind
+            if rc == EXIT_OK:
+                nodes = int(re.search(r"^nodes = (\d+)$", out, re.M)[1])
+                assert csv.read_text().count("\n") == nodes + 1, text
+            else:
+                assert not csv.exists(), (text, err)
+            assert {p.name for p in tmp_path.iterdir()} <= {cfg.name,
+                                                            csv.name}, text
         if rc == EXIT_NUMERICAL and code == EXIT_OK and command in RUN_COMMANDS:
             assert out == "" and PATH_FAILURE.fullmatch(err), (text, err)
             continue

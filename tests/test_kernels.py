@@ -25,9 +25,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from seirs_delay import (Params, Seed, _kernels, integrate_dde,
-                         integrate_ode, make_initial_condition, sde_simulator,
-                         simulate_sde)
+from seirs_delay import (ExcursionError, Params, Seed, _kernels,
+                         integrate_dde, integrate_ode, make_initial_condition,
+                         sde_simulator, simulate_sde)
 from seirs_delay.model_core import (NEGATIVITY_TOL, PROPAGATION_SUM_TOL,
                                     step_grid)
 
@@ -271,8 +271,13 @@ def test_euler_maruyama_excursion_exit(x0, rates, comp, node):
 
     def run(lo, hi):
         chunks = (dw[k:k + chunk] for k in range(0, n, chunk))
-        return _kernels.euler_maruyama(*x0, x0[1], h, n, m, *rates, 0.1,
-                                       chunks, lo, hi)
+        # node 0 in row m, and x0 in the m rows before it: their E is the
+        # constant history
+        x = np.empty((m + 1 + n, 4))
+        x[:m + 1] = x0
+        status, bad, c = _kernels.euler_maruyama(x, *rates, h, n, m, 0.1,
+                                                 chunks, lo, hi)
+        return x[m:], status, bad, c
     free, status, _, _ = run(-1.0, 2.0)
     assert status == _kernels.OK
     others = [c for c in range(4) if c != comp]
@@ -288,6 +293,61 @@ def test_euler_maruyama_excursion_exit(x0, rates, comp, node):
     # the offending row is stored before the band check
     assert (status, bad, c) == (_kernels.EXCURSION, node, comp)
     assert np.array_equal(out[:node + 1], free[:node + 1])
+
+
+# --- windows ----------------------------------------------------------------
+
+WINDOW_STEPS = 1100
+WINDOW_M = 50
+
+
+def _stepped(p, seed, window=None, n=WINDOW_STEPS):
+    """A path of n steps as sde_simulator._run_path steps it: as one window
+    (window None), or streamed in windows of window steps, with the nodes of
+    every consume call and the calls' row counts."""
+    m = WINDOW_M if p.r else 0
+    if window is None:
+        return sde_simulator._run_path(p, IC, 0.01, n, m, Seed(seed),
+                                       0).states, None
+    blocks = []
+    sde_simulator._run_path(p, IC, 0.01, n, m, Seed(seed), 0, window,
+                            lambda rows: blocks.append(rows.copy()))
+    return np.concatenate(blocks), [len(b) for b in blocks]
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5])
+@pytest.mark.parametrize("window", [1, 3, WINDOW_M, WINDOW_M + 1, 128, 512,
+                                    WINDOW_STEPS, 2 * WINDOW_STEPS])
+def test_windows_step_the_nodes_of_one_window(r, window):
+    p = Params(0.4, 0.2, 0.1, 2.0, r=r, epsilon=0.1)
+    whole, _ = _stepped(p, 8)
+    streamed, sizes = _stepped(p, 8, window)
+    assert streamed.tobytes() == whole.tobytes()
+    # every call but the last holds one window's nodes; the last node
+    # comes alone
+    w = min(window, WINDOW_STEPS)
+    assert sizes == [w] * (WINDOW_STEPS // w) + (
+        [WINDOW_STEPS % w] if WINDOW_STEPS % w else []) + [1]
+
+
+# (r, eps, seed, step): a path that leaves the band inside a later window of
+# every size, and one that leaves it at the last node of a 512-step window
+LATE_EXITS = [(0.5, 0.8, 4, 1118), (0.0, 1.5, 0, 512)]
+
+
+@pytest.mark.parametrize("r,eps,seed,step", LATE_EXITS)
+@pytest.mark.parametrize("window", [1, 3, WINDOW_M, WINDOW_M + 1, 128, 512])
+def test_windows_report_the_excursion_of_one_window(r, eps, seed, step,
+                                                   window):
+    p = Params(0.4, 0.2, 0.1, 2.0, r=r, epsilon=eps)
+    with pytest.raises(ExcursionError) as whole:
+        _stepped(p, seed, n=2000)
+    assert whole.value.node == step
+    with pytest.raises(ExcursionError) as streamed:
+        _stepped(p, seed, window, n=2000)
+    assert (streamed.value.node, streamed.value.component,
+            str(streamed.value)) == (step, whole.value.component,
+                                     str(whole.value))
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """A path run holds its (n + 1, 4) path and a fixed slack, nothing else that
-grows with n.
+grows with n; the command line's simulate-sde, which streams its path,
+holds only the slack.
 
 tracemalloc counts Python's objects and numpy's array buffers alike, in
 requested bytes. Each measurement starts tracing after a warm-up run, so
@@ -15,7 +16,8 @@ import pytest
 
 from seirs_delay import (Params, Seed, integrate_dde, integrate_ode,
                          make_initial_condition, simulate_sde)
-from seirs_delay.cli import EXIT_OK, _write_trajectory, main
+from seirs_delay.cli import (EXIT_OK, _trajectory_file, _write_trajectory,
+                             main)
 
 IC = make_initial_condition(e0=0.05, s0=0.9, i0=0.05, r0=0.0)
 P = Params(0.4, 0.2, 0.1, 2.0)
@@ -66,10 +68,13 @@ def test_a_path_run_holds_its_path_and_a_fixed_slack(name):
 # joined string, about 210 kB, so a path whose extra column outweighs it
 # takes too long to trace. The CLI is measured at two lengths instead: its
 # slack moves by less than DRIFT between them, while one more path-long
-# column would move it by 8 * (N2 - N1) bytes.
+# column would move it by 8 * (N2 - N1) bytes. simulate holds its (n + 1, 4)
+# path beside the slack; simulate-sde streams its path, a window at a time,
+# so its whole traced peak moves by less than DRIFT.
 N1, N2 = 1100, 4100
 DRIFT = 11 * 1024
 assert DRIFT < 8 * (N2 - N1) // 2
+PATH_BYTES = {"simulate": 32, "simulate-sde": 0}
 
 
 @pytest.mark.parametrize("command, eps", [("simulate", 0.0),
@@ -92,7 +97,7 @@ def test_a_cli_path_run_holds_its_path_and_a_fixed_slack(command, eps,
         finally:
             tracemalloc.stop()
         assert csv.read_text().count("\n") == n + 2
-        return peak - 32 * (n + 1)
+        return peak - PATH_BYTES[command] * (n + 1)
 
     beyond(300)
     assert abs(beyond(N2) - beyond(N1)) < DRIFT
@@ -112,7 +117,8 @@ class NoTimes:
 def test_writer_builds_each_chunks_times_without_the_time_column(tmp_path):
     states = np.random.default_rng(0).random((1300, 4))
     dest = tmp_path / "traj.csv"
-    _write_trajectory(str(dest), NoTimes(states, 0.1))
+    with _trajectory_file(str(dest)) as fh:
+        _write_trajectory(fh, NoTimes(states, 0.1))
     rows = [[float(v) for v in line.split(",")]
             for line in dest.read_text().splitlines()[1:]]
     times = np.arange(len(states)) * 0.1
