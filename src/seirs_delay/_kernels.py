@@ -2,15 +2,35 @@
 
 Every kernel is a plain CPython loop over Python floats: the state and the
 last few derivative rows are locals, and node rows are read and written
-through a memoryview of a preallocated node array: the deterministic
-kernels' (n + 1, 4) output, or the stochastic kernel's buffer from the
-caller. A read through the view returns a Python float (indexing the array
-would return an np.float64, whose arithmetic is several times slower), and
-writing each row in place keeps no second copy of the nodes, so peak memory
-stays that of the one array. Only +, -, * and / are used, so every node is
-fixed by IEEE-754 rounding alone. Kernels never raise: they return a status
-code and the index of the first offending node (0 = ok, 1 = simplex-sum
-breach, 2 = negative component, 3 = excursion outside the allowed band).
+through a flat memoryview of doubles, four per node (S, E, I, R). The
+deterministic kernels step into a buffer of their own,
+``memoryview(bytearray(32 * (n + 1))).cast("d")``, so they need neither
+numpy nor any other extension module; the stochastic kernel steps into a
+float array from the caller, viewed the same way. A read through the view
+returns a Python float, and writing each row in place keeps no second copy
+of the nodes, so peak memory stays that of the one buffer. Only +, -, *
+and / are used, so every node is fixed by IEEE-754 rounding alone. Kernels
+never raise: they return a status code and the index of the first
+offending node (0 = ok, 1 = simplex-sum breach, 2 = negative component,
+3 = excursion outside the allowed band).
+
+The deterministic kernels also return the extremes of the path they
+stored, so that no caller makes a second pass over it: its max_sum_defect,
+the largest |((S + E) + I) + R - 1| over the nodes, and its min_component,
+the smallest component. Each node's defect d is formed once and compared
+with the running max and min of d over nodes 1 .. n, and a sum tolerance
+is tested only when one of them moves; each component is compared with
+the running minimum, and the minimum with the negativity tolerance. The
+checks trip at the same node as testing every node against the
+tolerances. A NaN defect fails ``d <= dhi``, and then the tolerance test,
+so a NaN node is a sum breach. Node 0, the caller's start, is never
+checked; it joins the extremes at the end. Both extremes are the floats
+numpy's reductions of the stored nodes give (row sums as
+((S + E) + I) + R, then max |d| and the smallest value) but one: when the
+smallest value is a zero, numpy's SIMD reduction order picks which of
++0.0 and -0.0 it returns if the path holds both, and the loop keeps no
+signs, so the minimum is returned as None and the caller asks numpy. Only
+a zero minimum of node 0 alone, held with one sign, is returned.
 
 Every right-hand side (S', E', I', R') with exposed source ed = E(t - r)
 forms the products bsi = beta*s*i, mi = mu*i, grc = gamma*rc and
@@ -29,12 +49,46 @@ nodes over, and hold neither the whole path nor a noise vector as long as it.
 """
 from __future__ import annotations
 
-import numpy as np
+import math
 
 OK = 0
 SUM_BREACH = 1
 NEGATIVE = 2
 EXCURSION = 3
+
+
+def _nodes(n_steps):
+    """A zeroed flat double buffer for nodes 0 .. n_steps."""
+    try:
+        return memoryview(bytearray(32 * (n_steps + 1))).cast("d")
+    except MemoryError:
+        # bytearray's own error names no size
+        raise MemoryError(f"cannot allocate the {32 * (n_steps + 1)} bytes "
+                          f"of nodes of shape ({n_steps + 1}, 4)") from None
+
+
+def _extremes(x, dhi, dlo, low):
+    """(max_sum_defect, min_component) of the nodes in x from the running
+    extremes of nodes 1 .. n and node 0 itself; min_component is None when
+    it is a zero whose sign numpy's reduction order settles: a zero minimum
+    of nodes 1 .. n, whose signs the loop does not keep, or node 0's own
+    zeros of both signs."""
+    s, e, i, rc = x[0], x[1], x[2], x[3]
+    d = ((s + e) + i) + rc - 1.0
+    if d > dhi:
+        dhi = d
+    elif d < dlo:
+        dlo = d
+    first = min(s, e, i, rc)
+    if low == 0.0 and not first < 0.0:
+        low = None
+    elif first < low:
+        low = first
+        if first == 0.0 and len({math.copysign(1.0, v)
+                                 for v in (s, e, i, rc) if v == 0.0}) > 1:
+            low = None
+    # max |d|: dhi >= 0 >= dlo, and a zero defect is +0.0
+    return -dlo if -dlo > dhi else dhi, low
 
 
 def _rk4_steps(x, s, e, i, rc, e_hist, h, n_steps, beta, mu, gamma, kr,
@@ -47,11 +101,15 @@ def _rk4_steps(x, s, e, i, rc, e_hist, h, n_steps, beta, mu, gamma, kr,
     (the nondelayed system, e_hist None). The four stages are written out
     with the shared products of the module docstring; with a constant
     history its ed / kr is computed once, before the loop. Returns
-    (status, bad_node).
+    (status, bad_node, dhi, dlo, low): dhi and dlo are the max and min of 0
+    and the defects of the nodes stepped after node 0, low their smallest
+    component.
     """
     x[0], x[1], x[2], x[3] = s, e, i, rc
     h2 = 0.5 * h
     h6 = h / 6.0
+    dhi = dlo = 0.0
+    low = math.inf
     delayed = e_hist is not None
     if delayed:
         edk = e_hist / kr
@@ -112,21 +170,37 @@ def _rk4_steps(x, s, e, i, rc, e_hist, h, n_steps, beta, mu, gamma, kr,
         rc = rc + h6 * (a1r + 2.0 * (a2r + a3r) + a4r)
 
         d = ((s + e) + i) + rc - 1.0
-        if d > sum_tol or -d > sum_tol:
-            return SUM_BREACH, j >> 2
-        if s < neg_tol or e < neg_tol or i < neg_tol or rc < neg_tol:
-            return NEGATIVE, j >> 2
+        if not d <= dhi:
+            if not d <= sum_tol:
+                return SUM_BREACH, j >> 2, dhi, dlo, low
+            dhi = d
+        elif d < dlo:
+            if -d > sum_tol:
+                return SUM_BREACH, j >> 2, dhi, dlo, low
+            dlo = d
+        if s < low:
+            low = s
+        if e < low:
+            low = e
+        if i < low:
+            low = i
+        if rc < low:
+            low = rc
+        if low < neg_tol:
+            return NEGATIVE, j >> 2, dhi, dlo, low
         x[j], x[j + 1], x[j + 2], x[j + 3] = s, e, i, rc
-    return OK, -1
+    return OK, -1, dhi, dlo, low
 
 
 def ode_rk4(s, e, i, rc, h, n_steps, beta, mu, gamma, kr, sum_tol, neg_tol):
-    """Classical RK4 for the nondelayed system. Returns (nodes, status, bad_node)."""
-    out = np.empty((n_steps + 1, 4))
-    status, node = _rk4_steps(memoryview(out.reshape(-1)), s, e, i, rc, None,
-                              h, n_steps, beta, mu, gamma, kr, sum_tol,
-                              neg_tol)
-    return out, status, node
+    """Classical RK4 for the nondelayed system. Returns (nodes, status,
+    bad_node, max_sum_defect, min_component): nodes is the flat node
+    buffer, and the extremes are those of its nodes (see the module
+    docstring)."""
+    x = _nodes(n_steps)
+    status, node, *running = _rk4_steps(x, s, e, i, rc, None, h, n_steps,
+                                        beta, mu, gamma, kr, sum_tol, neg_tol)
+    return (x, status, node, *_extremes(x, *running))
 
 
 def dde_rk4_abm4(s, e, i, rc, e_hist, h, n_steps, m, beta, mu, gamma, kr,
@@ -138,15 +212,14 @@ def dde_rk4_abm4(s, e, i, rc, e_hist, h, n_steps, m, beta, mu, gamma, kr,
     starting nodes of the order-4 Adams-Bashforth/Adams-Moulton
     predictor-corrector (PECE) that runs past r over node derivatives.
     The corrector is interpolation-free: the delayed value at t_{k+1} is
-    itself a stored node.
+    itself a stored node. Returns what ode_rk4 returns.
     """
-    out = np.empty((n_steps + 1, 4))
-    x = memoryview(out.reshape(-1))
+    x = _nodes(n_steps)
     n1 = m if m < n_steps else n_steps
-    status, node = _rk4_steps(x, s, e, i, rc, e_hist, h, n1, beta, mu, gamma,
-                              kr, sum_tol, neg_tol)
+    status, node, dhi, dlo, low = _rk4_steps(
+        x, s, e, i, rc, e_hist, h, n1, beta, mu, gamma, kr, sum_tol, neg_tol)
     if status != OK or n1 == n_steps:
-        return out, status, node
+        return (x, status, node, *_extremes(x, dhi, dlo, low))
 
     # derivatives at nodes k, k-1, k-2, k-3 as float locals (the corrector
     # never reads E' at node k-3); the delayed value at node j is the
@@ -181,10 +254,27 @@ def dde_rk4_abm4(s, e, i, rc, e_hist, h, n_steps, m, beta, mu, gamma, kr,
         rc = rc + c * (9.0 * (mi - grc) + 19.0 * f0r - 5.0 * f1r + f2r)
 
         d = ((s + e) + i) + rc - 1.0
-        if d > sum_tol or -d > sum_tol:
-            return out, SUM_BREACH, j >> 2
-        if s < neg_tol or e < neg_tol or i < neg_tol or rc < neg_tol:
-            return out, NEGATIVE, j >> 2
+        if not d <= dhi:
+            if not d <= sum_tol:
+                status, node = SUM_BREACH, j >> 2
+                break
+            dhi = d
+        elif d < dlo:
+            if -d > sum_tol:
+                status, node = SUM_BREACH, j >> 2
+                break
+            dlo = d
+        if s < low:
+            low = s
+        if e < low:
+            low = e
+        if i < low:
+            low = i
+        if rc < low:
+            low = rc
+        if low < neg_tol:
+            status, node = NEGATIVE, j >> 2
+            break
         x[j], x[j + 1], x[j + 2], x[j + 3] = s, e, i, rc
         bsi = beta * s * i
         mi = mu * i
@@ -193,7 +283,7 @@ def dde_rk4_abm4(s, e, i, rc, e_hist, h, n_steps, m, beta, mu, gamma, kr,
         f2e, f1e, f0e = f1e, f0e, bsi - edk
         f3i, f2i, f1i, f0i = f2i, f1i, f0i, edk - mi
         f3r, f2r, f1r, f0r = f2r, f1r, f0r, mi - grc
-    return out, OK, -1
+    return (x, status, node, *_extremes(x, dhi, dlo, low))
 
 
 def euler_maruyama(x, beta, mu, gamma, kr, h, n_steps, m, eps, chunks, lo,

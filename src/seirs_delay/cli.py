@@ -394,30 +394,19 @@ def _echo(rep: Report, cfg: RunConfig, with_run: bool = False,
         rep.warn(w)
 
 
-@contextlib.contextmanager
-def _writing(path: str):
-    """path opened for writing; an OSError becomes a ValidationError."""
-    try:
-        with open(path, "w", newline="\n") as fh:
-            yield fh
-    except OSError as exc:
-        raise ValidationError(
-            f"cannot write {path!r}: {exc.strerror or exc}") from exc
-
-
-# rows per writer chunk, and the window in which simulate-sde steps its
-# path: .tolist() gives plain floats (no np.float64 per value), and a chunk's
-# floats and text stay a few tens of kB at any length. A chunk's times are
-# built here from its node indices, as Trajectory.times builds them (k as a
-# float, times the step: the same bits), so the writer holds no path-long
-# time column.
+# nodes per writer chunk, and the window in which simulate-sde steps its
+# path: a chunk's floats and text stay a few tens of kB at any length. A
+# node's time is built here from its index, k * h, which for k < 2**53 is
+# the float Trajectory.times holds, so the writer holds no path-long time
+# column.
 _CSV_CHUNK = 512
+_CSV_HEADER = "t,S,E,I,R\n"
 
 
 @contextlib.contextmanager
-def _trajectory_file(path: Optional[str]):
-    """The CSV file of run.trajectory with its header written, None when
-    path is None; the destination is replaced only by a complete file.
+def _destination(path: Optional[str], header: str = ""):
+    """A text file for path, with header written, or None when path is
+    None; the destination is replaced only by a complete file.
 
     The text goes to a new temporary file, created with O_EXCL beside the
     file that path resolves to (through a symlink, which stays a link) and
@@ -426,8 +415,8 @@ def _trajectory_file(path: Optional[str]):
     error it is removed, so the destination keeps its bytes or stays
     absent. An existing file that is not a regular one (a device, a pipe) is
     written in place. The destination is checked as the block starts, so a
-    run that could not be written fails before its first step. An OSError
-    becomes a ValidationError that names path.
+    run whose report or trajectory could not be written fails before its
+    first step. An OSError becomes a ValidationError that names path.
     """
     if path is None:
         yield None
@@ -441,7 +430,7 @@ def _trajectory_file(path: Optional[str]):
             mode = None
         if mode is not None and not stat.S_ISREG(mode):
             with open(path, "w", newline="\n") as fh:
-                fh.write("t,S,E,I,R\n")
+                fh.write(header)
                 yield fh
             return
         if mode is not None and not os.access(real, os.W_OK):
@@ -460,7 +449,7 @@ def _trajectory_file(path: Optional[str]):
         with open(fd, "w", newline="\n") as fh:
             if mode is not None:
                 os.fchmod(fd, stat.S_IMODE(mode))
-            fh.write("t,S,E,I,R\n")
+            fh.write(header)
             yield fh
         os.replace(tmp, real)
         tmp = None
@@ -473,22 +462,17 @@ def _trajectory_file(path: Optional[str]):
                 os.unlink(tmp)
 
 
-def _write_rows(fh, rows, first: int, h: float) -> None:
-    """The CSV lines of rows, nodes first .. first + len(rows) - 1 of a path
-    at step h."""
-    import numpy as np
-
-    times = np.arange(first, first + len(rows), dtype=float)
-    times *= h
-    fh.write("".join([f"{t!r},{s!r},{e!r},{i!r},{rc!r}\n" for t, (s, e, i, rc)
-                      in zip(times.tolist(), rows.tolist())]))
-
-
-def _write_trajectory(fh, traj) -> None:
-    """traj's nodes as CSV lines, _CSV_CHUNK rows at a time."""
-    states = traj.states
-    for a in range(0, len(states), _CSV_CHUNK):
-        _write_rows(fh, states[a:a + _CSV_CHUNK], a, traj.step)
+def _write_nodes(fh, nodes, first: int, h: float) -> None:
+    """The CSV lines of nodes, the flat S, E, I, R floats of the nodes
+    first, first + 1, ... of a path at step h (a memoryview or a 1-d
+    array), _CSV_CHUNK nodes at a time: .tolist() gives plain floats."""
+    for a in range(0, len(nodes), 4 * _CSV_CHUNK):
+        v = nodes[a:a + 4 * _CSV_CHUNK].tolist()
+        k = first + a // 4
+        fh.write("".join([
+            f"{t * h!r},{s!r},{e!r},{i!r},{rc!r}\n" for t, s, e, i, rc
+            in zip(range(k, k + len(v) // 4), v[::4], v[1::4], v[2::4],
+                   v[3::4])]))
 
 
 def _add_state(rep: Report, prefix: str, values) -> None:
@@ -509,9 +493,9 @@ def _cmd_equilibria(cfg: RunConfig) -> Report:
     return rep
 
 
-def _simulate_common(rep: Report, cfg: RunConfig, path, final) -> None:
+def _simulate_common(rep: Report, cfg: RunConfig, path) -> None:
     rep.add("nodes", len(path))
-    _add_state(rep, "final", final)
+    _add_state(rep, "final", path.last)
     rep.add("max_sum_defect", path.max_sum_defect())
     rep.add("min_component", path.min_component())
     rep.add("trajectory_file", cfg.trajectory)
@@ -521,15 +505,15 @@ def _cmd_simulate(cfg: RunConfig) -> Report:
     rep = Report("simulate")
     _echo(rep, cfg, with_run=True)
     h = cfg.resolved_step()
-    with _trajectory_file(cfg.trajectory) as fh:
+    with _destination(cfg.trajectory, _CSV_HEADER) as fh:
         if cfg.params.r > 0.0:
             traj = integrate_dde(cfg.params, cfg.initial, cfg.horizon, h)
         else:
             traj = integrate_ode(cfg.params, cfg.initial.state0(),
                                  cfg.horizon, h)
         if fh is not None:
-            _write_trajectory(fh, traj)
-    _simulate_common(rep, cfg, traj, traj.states[-1])
+            _write_nodes(fh, traj._nodes, 0, h)
+    _simulate_common(rep, cfg, traj)
     return rep
 
 
@@ -547,15 +531,15 @@ def _cmd_simulate_sde(cfg: RunConfig) -> Report:
     # the path is stepped in windows of _CSV_CHUNK steps, and each window's
     # nodes are reduced and written as it is stepped, then dropped
     path = _StreamedPath(min(n, _CSV_CHUNK))
-    with _trajectory_file(cfg.trajectory) as fh:
+    with _destination(cfg.trajectory, _CSV_HEADER) as fh:
         def consume(rows):
             if fh is not None:
-                _write_rows(fh, rows, len(path), h)
+                _write_nodes(fh, rows.reshape(-1), len(path), h)
             path.add(rows)
 
         _run_path(cfg.params, cfg.initial, h, n, m, Seed(cfg.seed), 0,
                   _CSV_CHUNK, consume)
-    _simulate_common(rep, cfg, path, path.last)
+    _simulate_common(rep, cfg, path)
     return rep
 
 
@@ -699,9 +683,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cfg = cfg._replace(seed=args.seed)
         if args.reps is not None:
             cfg = cfg._replace(n_rep=args.reps)
-        report = run(args.command, cfg).render()
-        if args.out:
-            with _writing(args.out) as fh:
+        # the report's destination is checked before the run, so a report
+        # that could not be written leaves run.trajectory as it was
+        with _destination(args.out or None) as fh:
+            report = run(args.command, cfg).render()
+            if fh is not None:
                 fh.write(report)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -9,13 +9,16 @@ Two routes:
   delayed value is the constant initial history and RK4 keeps full order;
   afterwards an Adams-Bashforth/Adams-Moulton predictor-corrector of order 4
   runs over stored node derivatives.
+
+Both step into the kernels' flat buffer of node floats, which the
+Trajectory they return keeps with the extremes the kernel returned; the
+module loads numpy only when a caller reads an array (states, times), or
+a reduction that the kernel did not settle (a zero minimum, see _kernels)
+or of a path that it did not step.
 """
 from __future__ import annotations
 
 import math
-from typing import Optional
-
-import numpy as np
 
 from . import _kernels
 from .model_core import (NEGATIVITY_TOL, PROPAGATION_SUM_TOL,
@@ -46,43 +49,71 @@ _DEFECT_BLOCK = 1024
 class Trajectory:
     """Node times, states (rows of S, E, I, R) and the step used.
 
-    A run on a grid (on_grid) stores only its states: its times are built on
-    first read, as floats k*step, and then kept. For integrate_ode and
-    integrate_dde every stored node satisfies |S+E+I+R - 1| <= 1e-10 and min
-    component >= -1e-9; breaches abort the integration instead of being
-    stored.
+    The nodes are held as one flat buffer of floats, four a node: the
+    states array's own (a view when it is contiguous), or, for
+    integrate_ode and integrate_dde, the kernel's buffer, read-only, with
+    the max_sum_defect and min_component the kernel returned. len, last and
+    final_state read that buffer, so they need no array; states is an
+    (n + 1, 4) array over it, built on first read without a copy, so a
+    kernel run's states cannot be written and its extremes stay its own. A
+    run on a grid (on_grid) stores no times: they are built on first read,
+    as floats k*step, and then kept. For integrate_ode and integrate_dde
+    every stored node satisfies |S+E+I+R - 1| <= 1e-10 and min component
+    >= -1e-9; breaches, a NaN node among them, abort the integration
+    instead of being stored.
     """
 
-    __slots__ = ("_times", "states", "step")
+    __slots__ = ("_times", "_nodes", "_extremes", "_states", "step")
 
-    def __init__(self, times: Optional[np.ndarray], states: np.ndarray,
-                 step: float):
-        self._times, self.states, self.step = times, states, step
+    def __init__(self, times, states, step: float,
+                 extremes: tuple = (None, None)):
+        self._times, self.step, self._extremes = times, step, extremes
+        self._nodes = (states if isinstance(states, memoryview)
+                       else states.reshape(-1))
+        self._states = None
 
     @classmethod
-    def on_grid(cls, states: np.ndarray, h: float) -> Trajectory:
+    def on_grid(cls, states, h: float) -> Trajectory:
         """states at the nodes k*h, k = 0 .. len(states) - 1."""
         return cls(None, states, h)
 
     @property
-    def times(self) -> np.ndarray:
+    def states(self):
+        if self._states is None:
+            import numpy as np
+
+            self._states = np.asarray(self._nodes).reshape(-1, 4)
+        return self._states
+
+    @property
+    def times(self):
         if self._times is None:
+            import numpy as np
+
             # built as floats and scaled in place, so no second path-long
             # array is made
-            times = np.arange(len(self.states), dtype=float)
+            times = np.arange(len(self), dtype=float)
             times *= self.step
             self._times = times
         return self._times
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self._nodes) // 4
+
+    @property
+    def last(self) -> list[float]:
+        """The last node's S, E, I, R as floats."""
+        return self._nodes[-4:].tolist()
 
     def final_state(self) -> State:
-        s, e, i, rcv = self.states[-1]
-        return make_run_state(float(s), float(e), float(i), float(rcv))
+        return make_run_state(*self.last)
 
     def max_sum_defect(self) -> float:
         """max |S+E+I+R - 1| over the nodes (NaN if a node sum is NaN)."""
+        if self._extremes[0] is not None:
+            return self._extremes[0]
+        import numpy as np
+
         states = self.states
         sums = np.empty(min(len(states), _DEFECT_BLOCK))
         worst = 0.0
@@ -93,12 +124,16 @@ class Trajectory:
         return float(worst)
 
     def min_component(self) -> float:
+        if self._extremes[1] is not None:
+            return self._extremes[1]
         return float(self.states.min())
 
 
-def _block_defect(rows: np.ndarray, sums: np.ndarray) -> np.float64:
+def _block_defect(rows, sums):
     """max |S+E+I+R - 1| over rows (NaN if a row sum is NaN), with the row
     sums formed in sums, which has room for them."""
+    import numpy as np
+
     d = sums[:len(rows)]
     np.sum(rows, axis=1, out=d)
     d -= 1.0
@@ -115,11 +150,15 @@ class _StreamedPath:
     __slots__ = ("nodes", "last", "_sums", "_defect", "_low")
 
     def __init__(self, block: int):
+        import numpy as np
+
         self.nodes, self.last = 0, None
         self._sums = np.empty(block)
         self._defect, self._low = 0.0, math.inf
 
-    def add(self, rows: np.ndarray) -> None:
+    def add(self, rows) -> None:
+        import numpy as np
+
         self.nodes += len(rows)
         self.last = rows[-1].tolist()
         self._defect = np.maximum(self._defect,
@@ -148,19 +187,20 @@ def _status_error(status: int, node: int) -> IntegrationError:
 def integrate_ode(p: Params, x0: State, t_end: float, h: float) -> Trajectory:
     """Integrate the nondelayed system (p.r must be 0) with classical RK4.
 
-    h must divide t_end (see step_grid). Simplex-sum drift beyond 1e-10 or
-    a component below -1e-9 aborts with the node index.
+    h must divide t_end (see step_grid). Simplex-sum drift beyond 1e-10 (a
+    NaN sum among it) or a component below -1e-9 aborts with the node
+    index.
     """
     if p.r != 0.0:
         raise ValidationError("integrate_ode requires r = 0; "
                               "use integrate_dde for a delayed run")
     n, _, _ = step_grid(0.0, t_end, h)
-    out, status, node = _kernels.ode_rk4(
+    nodes, status, node, *extremes = _kernels.ode_rk4(
         x0.s, x0.e, x0.i, x0.rcv, h, n, p.beta, p.mu, p.gamma, p.k_r,
         PROPAGATION_SUM_TOL, NEGATIVITY_TOL)
     if status != _kernels.OK:
         raise _status_error(status, node)
-    return Trajectory.on_grid(out, h)
+    return Trajectory(None, nodes.toreadonly(), h, tuple(extremes))
 
 
 def integrate_dde(p: Params, ic: InitialCondition, t_end: float,
@@ -175,9 +215,9 @@ def integrate_dde(p: Params, ic: InitialCondition, t_end: float,
         raise ValidationError("integrate_dde requires r > 0; "
                               "use integrate_ode for the nondelayed system")
     n, m, _ = step_grid(p.r, t_end, h)
-    out, status, node = _kernels.dde_rk4_abm4(
+    nodes, status, node, *extremes = _kernels.dde_rk4_abm4(
         ic.s0, ic.e0, ic.i0, ic.r0, ic.e0, h, n, m,
         p.beta, p.mu, p.gamma, p.k_r, PROPAGATION_SUM_TOL, NEGATIVITY_TOL)
     if status != _kernels.OK:
         raise _status_error(status, node)
-    return Trajectory.on_grid(out, h)
+    return Trajectory(None, nodes.toreadonly(), h, tuple(extremes))

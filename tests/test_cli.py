@@ -515,6 +515,67 @@ class TestMain:
                                 "No such file or directory\n")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["simulate", "simulate-sde"])
+    def test_unwritable_out_leaves_the_trajectory_as_it_was(self, command,
+                                                            tmp_path, capsys):
+        # the report's destination is checked before the first step
+        dest = tmp_path / "traj.csv"
+        dest.write_bytes(b"an earlier run\n")
+        report = tmp_path / "missing" / "report.txt"
+        text = ENDEMIC + f"params.epsilon = 0.05\nrun.trajectory = {dest}\n"
+        rc = main([command, "--config", self.write(tmp_path, text),
+                   "--out", str(report)])
+        assert rc == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"validation error: cannot write {str(report)!r}: "
+            "No such file or directory\n")
+        assert captured.out == ""
+        assert dest.read_bytes() == b"an earlier run\n"
+        assert sorted(os.listdir(tmp_path)) == ["run.cfg", "traj.csv"]
+
+    def test_a_nan_node_is_a_numerical_failure(self, tmp_path, capsys):
+        # E / k_r overflows on the first step and the node sums to NaN
+        dest = tmp_path / "traj.csv"
+        text = (MINIMAL.replace("params.beta = 0.3", "params.beta = 0.4")
+                .replace("params.mu = 0.5", "params.mu = 0.2")
+                .replace("params.gamma = 0.25", "params.gamma = 0.1")
+                .replace("params.k_r = 1.0", "params.k_r = 1e-300")
+                + f"run.horizon = 1.0\nrun.step = 0.01\n"
+                f"run.trajectory = {dest}\n")
+        rc = main(["simulate", "--config", self.write(tmp_path, text)])
+        assert rc == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.err == ("numerical failure: component sum drifted "
+                                "beyond 1e-10 at node 1\n")
+        assert captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+    # (r, e0, i0, r0, max_sum_defect, min_component): a start that holds
+    # zeros of both signs, its minimum, or a disease-free one, whose E and
+    # I stay +0.0; the lines the reports had when numpy reduced every path
+    SIGNED_ZEROS = [
+        (0.0, "0.0", "0.05", "-0.0", "4.4408920985006262e-16", "0"),
+        (0.0, "-0.0", "0.05", "0.0", "4.4408920985006262e-16", "-0"),
+        (0.05, "0.0", "0.05", "-0.0", "2.2204460492503131e-16", "0"),
+        (0.05, "-0.0", "0.05", "0.0", "2.2204460492503131e-16", "-0"),
+        (0.0, "0.0", "0.0", "0.05", "6.6613381477509392e-16", "0"),
+        (0.0, "-0.0", "0.0", "0.05", "6.6613381477509392e-16", "0"),
+        (0.05, "-0.0", "0.0", "0.05", "6.6613381477509392e-16", "0")]
+
+    @pytest.mark.parametrize("r,e0,i0,r0,defect,low", SIGNED_ZEROS)
+    def test_signed_zero_minimum_reports(self, r, e0, i0, r0, defect, low,
+                                         tmp_path, capsys):
+        text = (ENDEMIC.replace("params.r = 0.5", f"params.r = {r!r}")
+                .replace("run.horizon = 20.0", "run.horizon = 1.0")
+                + f"init.e0 = {e0}\ninit.s0 = 0.95\ninit.i0 = {i0}\n"
+                f"init.r0 = {r0}\n")
+        assert main(["simulate", "--config",
+                     self.write(tmp_path, text)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert (f"max_sum_defect = {defect}\nmin_component = {low}\n"
+                in out)
+
     # ENDEMIC at eps = 0.8, seed 4: E leaves the band at step 1118, in the
     # third 512-step window of the stream
     EXCURSION = (ENDEMIC + "params.epsilon = 0.8\nensemble.seed = 4\n")
@@ -687,6 +748,35 @@ class TestMain:
         rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
         assert rows == [[t, *x] for t, x in zip(traj.times.tolist(),
                                                 traj.states.tolist())]
+
+    @pytest.mark.parametrize("command, r", [("simulate", 0.0),
+                                            ("simulate", 0.5),
+                                            ("simulate-sde", 0.0),
+                                            ("simulate-sde", 0.5)])
+    def test_trajectory_csv_bytes(self, command, r, tmp_path, capsys):
+        # 1201 nodes, three writer chunks: the bytes of the library path's
+        # nodes and times, each float as repr writes it
+        from seirs_delay import Seed, integrate_dde, integrate_ode, simulate_sde
+
+        dest = tmp_path / "traj.csv"
+        text = (ENDEMIC.replace("params.r = 0.5", f"params.r = {r!r}")
+                .replace("run.horizon = 20.0", "run.horizon = 12.0")
+                + f"params.epsilon = 0.05\nensemble.seed = 3\n"
+                f"run.trajectory = {dest}\n")
+        assert main([command, "--config",
+                     self.write(tmp_path, text)]) == EXIT_OK
+        cfg = parse_config(text)
+        if command == "simulate-sde":
+            traj = simulate_sde(cfg.params, cfg.initial, cfg.horizon, 0.01,
+                                Seed(3))
+        elif r:
+            traj = integrate_dde(cfg.params, cfg.initial, cfg.horizon, 0.01)
+        else:
+            traj = integrate_ode(cfg.params, cfg.initial.state0(),
+                                 cfg.horizon, 0.01)
+        assert dest.read_text() == "t,S,E,I,R\n" + "".join(
+            f"{t!r},{s!r},{e!r},{i!r},{rc!r}\n" for t, (s, e, i, rc)
+            in zip(traj.times.tolist(), traj.states.tolist()))
 
     def test_off_grid_horizon_reports_last_node(self, tmp_path, capsys):
         dest = tmp_path / "traj.csv"

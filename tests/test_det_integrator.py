@@ -327,3 +327,60 @@ class TestTrajectory:
         assert len(tr) == 1001
         assert tr.max_sum_defect() <= 1e-10
         assert tr.min_component() >= -1e-9
+
+
+
+def _path(case):
+    """The integrator path of a case: a golden simulate config, a seeded
+    random draw, a start that holds zeros of both signs, or a disease-free
+    start, whose E and I stay +0.0."""
+    kind, r, arg = case
+    if kind == "golden":
+        from pathlib import Path
+
+        from seirs_delay.cli import parse_config
+
+        cfg = parse_config(
+            (Path(__file__).parent / "golden" / f"{arg}.cfg").read_text())
+        p, ic, t_end = cfg.params, cfg.initial, cfg.horizon
+    elif kind == "seeded":
+        rng = np.random.default_rng(arg)
+        beta, mu, gamma = (float(v) for v in rng.uniform(0.05, 0.95, 3))
+        e0, i0, r0 = (float(v) for v in rng.uniform(0.0, 0.1, 3))
+        p, t_end = Params(beta, mu, gamma, 2.0, r=r), 30.0
+        ic = make_initial_condition(e0=e0, s0=1.0 - ((e0 + i0) + r0),
+                                    i0=i0, r0=r0)
+    else:
+        p, t_end = Params(0.4, 0.2, 0.1, 2.0, r=r), 1.0
+        e0, i0, r0 = arg
+        ic = make_initial_condition(e0=e0, s0=0.95, i0=i0, r0=r0)
+    if r:
+        return integrate_dde(p, ic, t_end, 0.01)
+    return integrate_ode(p, ic.state0(), t_end, 0.01)
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+@pytest.mark.parametrize("case", [
+    ("golden", 0.5, "simulate"), ("golden", 0.0, "simulate-ode"),
+    *(("seeded", r, seed) for r in (0.0, 0.5) for seed in range(3)),
+    *(("zeros", r, z) for r in (0.0, 0.05)
+      for z in ((0.0, 0.05, -0.0), (-0.0, 0.05, 0.0), (0.0, 0.0, 0.05)))],
+    ids=lambda case: "{}-r{}-{}".format(*case).replace(" ", ""))
+def test_kernel_reductions_are_numpys(case):
+    # the reductions and the last node a path reports without an array are
+    # the bytes numpy's reductions of its stored nodes give
+    traj = _path(case)
+    kernel = [traj.max_sum_defect(), traj.min_component(), *traj.last]
+    x = traj.states
+    assert len(traj) == len(x)
+    numpy = [np.abs(x.sum(axis=1) - 1.0).max(), x.min(), *x[-1]]
+    assert list(map(_bits, kernel)) == list(map(_bits, numpy))
+    # the states are a read-only view of the kernel's nodes, so the
+    # reductions it returned stay theirs
+    with pytest.raises(ValueError):
+        x[-1, 0] = 0.5
+    assert list(map(_bits, (traj.max_sum_defect(), traj.min_component()))
+                ) == list(map(_bits, numpy[:2]))

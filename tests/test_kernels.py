@@ -144,7 +144,8 @@ def _run_draw(kernel, seed):
 def draw_digest(kernel, seed):
     """Status, exit node and every stored row (all of them, or the rows
     before the exit: a few draws leave the simplex)."""
-    out, status, node = _run_draw(kernel, seed)
+    nodes, status, node, _, _ = _run_draw(kernel, seed)
+    out = np.frombuffer(nodes).reshape(-1, 4)
     stored = len(out) if status == _kernels.OK else node
     return hashlib.sha256(f"{status},{node};".encode()
                           + out[:stored].tobytes()).hexdigest()
@@ -213,10 +214,14 @@ H, N, M = 0.01, 1000, 50
 
 
 def _det(kernel, x0, sum_tol, neg_tol):
+    """The kernel's node rows, status and exit node."""
     if kernel == "ode_rk4":
-        return _kernels.ode_rk4(*x0, H, N, *RATES, sum_tol, neg_tol)
-    return _kernels.dde_rk4_abm4(*x0, x0[1], H, N, M, *RATES, sum_tol,
-                                 neg_tol)
+        out = _kernels.ode_rk4(*x0, H, N, *RATES, sum_tol, neg_tol)
+    else:
+        out = _kernels.dde_rk4_abm4(*x0, x0[1], H, N, M, *RATES, sum_tol,
+                                    neg_tol)
+    nodes, status, node, _, _ = out
+    return np.frombuffer(nodes).reshape(-1, 4), status, node
 
 
 def _defects(x):
@@ -253,6 +258,102 @@ def test_negative_exit(kernel, node):
     out, status, bad = _det(kernel, IC_NEG, 1.0, tol)
     assert (status, bad) == (_kernels.NEGATIVE, node)
     assert np.array_equal(out[:node], free[:node])
+
+
+# (kernel, gamma, k_r, node): with tolerances that no finite node trips,
+# each path runs to its first NaN node. k_r = 1e-300 makes E / k_r
+# overflow on the first step; gamma = 400 at h = 0.01 is outside RK4's
+# stability region, and gamma = 150 inside it but outside that of the ABM4
+# corrector, whose nodes grow past the float range after the RK4 start
+NAN_EXITS = [("ode_rk4", 0.1, 1e-300, 1), ("dde_rk4_abm4", 0.1, 1e-300, 1),
+             ("ode_rk4", 400.0, 2.0, 20), ("dde_rk4_abm4", 150.0, 2.0, 487)]
+
+
+@pytest.mark.parametrize("kernel,gamma,kr,node", NAN_EXITS)
+def test_a_nan_node_is_a_sum_breach(kernel, gamma, kr, node):
+    x0, h, m = IC_SUM, 0.01, 50
+    args = (h, 1000, *([m] if kernel == "dde_rk4_abm4" else []), 0.4, 0.2,
+            gamma, kr, np.inf, -np.inf)
+    if kernel == "dde_rk4_abm4":
+        out = _kernels.dde_rk4_abm4(*x0, x0[1], *args)
+    else:
+        out = _kernels.ode_rk4(*x0, *args)
+    nodes, status, bad, _, _ = out
+    assert (status, bad) == (_kernels.SUM_BREACH, node)
+    rows = np.frombuffer(nodes).reshape(-1, 4)[:node]
+    assert not np.isnan(rows).any()
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+@pytest.mark.parametrize("kernel", ["ode_rk4", "dde_rk4_abm4"])
+@pytest.mark.parametrize("seed", range(0, 20, 4))
+def test_returned_extremes_are_numpys_reductions(kernel, seed):
+    # max |row sum - 1| and the smallest value of the stored nodes, as
+    # numpy reduces them: the same bits
+    nodes, status, _, defect, low = _run_draw(kernel, seed)
+    assert status == _kernels.OK
+    x = np.frombuffer(nodes).reshape(-1, 4)
+    assert _bits(defect) == np.abs(x.sum(axis=1) - 1.0).max().tobytes()
+    assert _bits(low) == x.min().tobytes()
+
+
+@pytest.mark.parametrize("kernel", ["ode_rk4", "dde_rk4_abm4"])
+@pytest.mark.parametrize("n", [0, 1, N])
+@pytest.mark.parametrize("excess", [1e-12, -1e-12])
+def test_node_0_joins_the_extremes(kernel, n, excess):
+    # a start off the simplex: its defect is the path's largest or close
+    x0 = (IC_SUM[0] + excess, *IC_SUM[1:])
+    if kernel == "ode_rk4":
+        out = _kernels.ode_rk4(*x0, H, n, *RATES, 1e-10, -1e-9)
+    else:
+        out = _kernels.dde_rk4_abm4(*x0, x0[1], H, n, M, *RATES, 1e-10, -1e-9)
+    nodes, status, _, defect, low = out
+    assert status == _kernels.OK
+    x = np.frombuffer(nodes).reshape(-1, 4)
+    assert len(x) == n + 1
+    assert _bits(defect) == np.abs(x.sum(axis=1) - 1.0).max().tobytes()
+    assert _bits(low) == x.min().tobytes()
+
+
+def _start(kernel, x0):
+    """The kernel's path from x0 under the run tolerances."""
+    if kernel == "ode_rk4":
+        return _kernels.ode_rk4(*x0, H, N, *RATES, 1e-10, -1e-9)
+    return _kernels.dde_rk4_abm4(*x0, x0[1], H, N, M, *RATES, 1e-10, -1e-9)
+
+
+@pytest.mark.parametrize("kernel", ["ode_rk4", "dde_rk4_abm4"])
+def test_a_negative_start_is_the_minimum_over_zeros(kernel):
+    # E and I stay +0.0 after node 0, whose S is below zero: node 0's value
+    # is the minimum, and no zero's sign is in question
+    nodes, status, _, defect, low = _start(kernel, (-1e-12, 0.0, 0.0,
+                                                    1.0 + 1e-12))
+    assert status == _kernels.OK
+    x = np.frombuffer(nodes).reshape(-1, 4)
+    assert (x[1:, 1:3] == 0.0).all() and (x[1:] >= 0.0).all()
+    assert _bits(low) == x.min().tobytes() == _bits(-1e-12)
+    assert _bits(defect) == np.abs(x.sum(axis=1) - 1.0).max().tobytes()
+
+
+@pytest.mark.parametrize("kernel", ["ode_rk4", "dde_rk4_abm4"])
+@pytest.mark.parametrize("x0", [(0.95, 0.0, 0.05, -0.0),
+                                (0.95, -0.0, 0.05, 0.0),
+                                (1.0, 0.0, -0.0, 0.0),
+                                (1.0, -0.0, 0.0, 0.0),
+                                (0.95, 0.0, 0.0, 0.05)])
+def test_a_zero_minimum_of_uncertain_sign_is_left_to_numpy(kernel, x0):
+    # which signed zero numpy's min returns depends on its SIMD order when
+    # the path holds both, and the loop keeps no signs: a zero minimum after
+    # node 0 (the last start keeps E and I at +0.0), or node 0's zeros of
+    # both signs, is returned as None instead of a guess; the defect agrees
+    nodes, status, _, defect, low = _start(kernel, x0)
+    assert status == _kernels.OK and low is None
+    x = np.frombuffer(nodes).reshape(-1, 4)
+    assert x.min() == 0.0
+    assert _bits(defect) == np.abs(x.sum(axis=1) - 1.0).max().tobytes()
 
 
 # (start, rates, component, node): at the node the target component reaches

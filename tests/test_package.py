@@ -113,9 +113,30 @@ def test_lyapunov_with_a_false_condition_loads_no_numpy(tmp_path):
     assert [m for m in ARRAY_MODULES if m in loaded] == []
 
 
-def test_run_commands_still_load_numpy():
-    loaded = loaded_after(main_quietly(("simulate", GOLDEN / "simulate-ode.cfg")))
-    assert "numpy" in loaded and "seirs_delay.det_integrator" in loaded
+def test_only_the_stochastic_run_commands_load_numpy(after_analytic_goldens,
+                                                    tmp_path):
+    # simulate steps into a bytearray and writes its CSV from plain floats:
+    # beyond what the analytic commands load it needs the integrator and its
+    # kernels alone, so neither numpy, array nor any other extension module
+    with_csv = tmp_path / "simulate.cfg"
+    with_csv.write_text((GOLDEN / "simulate.cfg").read_text()
+                        + f"run.trajectory = {tmp_path / 'traj.csv'}\n")
+    simulate = loaded_after(main_quietly(
+        ("simulate", GOLDEN / "simulate.cfg"),
+        ("simulate", GOLDEN / "simulate-ode.cfg"), ("simulate", with_csv)))
+    assert (tmp_path / "traj.csv").read_text().count("\n") == 2002
+    assert simulate - after_analytic_goldens == {
+        "seirs_delay._kernels", "seirs_delay.det_integrator"}
+    assert [m for m in ("numpy", "array") if m in simulate] == []
+    # a short concentration run: the golden's 2 x 800 replicas take longer
+    # than its imports
+    short = tmp_path / "concentration.cfg"
+    short.write_text("params.beta = 0.1\nparams.mu = 0.2\nparams.gamma = 0.3\n"
+                     "params.k_r = 2.0\nparams.epsilon = 0.1\n"
+                     "run.horizon = 2.0\nensemble.n_rep = 40\n")
+    for command, cfg in (("simulate-sde", GOLDEN / "simulate-sde.cfg"),
+                         ("concentration", short)):
+        assert "numpy" in loaded_after(main_quietly((command, cfg))), command
 
 
 @pytest.mark.parametrize("name", seirs_delay.__all__)

@@ -16,8 +16,8 @@ import pytest
 
 from seirs_delay import (Params, Seed, integrate_dde, integrate_ode,
                          make_initial_condition, simulate_sde)
-from seirs_delay.cli import (EXIT_OK, _trajectory_file, _write_trajectory,
-                             main)
+from seirs_delay.cli import (_CSV_HEADER, EXIT_NUMERICAL, EXIT_OK,
+                             _destination, _write_nodes, main)
 
 IC = make_initial_condition(e0=0.05, s0=0.9, i0=0.05, r0=0.0)
 P = Params(0.4, 0.2, 0.1, 2.0)
@@ -103,22 +103,32 @@ def test_a_cli_path_run_holds_its_path_and_a_fixed_slack(command, eps,
     assert abs(beyond(N2) - beyond(N1)) < DRIFT
 
 
-class NoTimes:
-    """A trajectory whose times may not be read."""
 
-    def __init__(self, states, step):
-        self.states, self.step = states, step
-
-    @property
-    def times(self):
-        raise AssertionError("the writer read the time column")
-
+def test_a_simulate_that_fails_at_node_1_holds_its_whole_path(tmp_path,
+                                                              capsys):
+    # the kernel's buffer is a bytearray, made (and zeroed) for the whole
+    # grid before the first step: a path that sums to NaN at node 1 still
+    # costs its 32 bytes a node
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"params.beta = 0.4\nparams.mu = 0.2\nparams.gamma = 0.1\n"
+                   f"params.k_r = 1e-300\nrun.horizon = {N * H!r}\n"
+                   f"run.step = {H!r}\n")
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_NUMERICAL
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "at node 1\n" in capsys.readouterr().err
+    assert peak >= 32 * (N + 1)
 
 def test_writer_builds_each_chunks_times_without_the_time_column(tmp_path):
+    # the writer takes the flat node floats alone: each chunk's times are
+    # built from the node indices
     states = np.random.default_rng(0).random((1300, 4))
     dest = tmp_path / "traj.csv"
-    with _trajectory_file(str(dest)) as fh:
-        _write_trajectory(fh, NoTimes(states, 0.1))
+    with _destination(str(dest), _CSV_HEADER) as fh:
+        _write_nodes(fh, states.reshape(-1), 0, 0.1)
     rows = [[float(v) for v in line.split(",")]
             for line in dest.read_text().splitlines()[1:]]
     times = np.arange(len(states)) * 0.1
