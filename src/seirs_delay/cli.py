@@ -38,13 +38,16 @@ the keys of a record's fields (params.*, init.*, x_star.*, certificate.*,
 ...) follow the record's field order, as do the config keys.
 Exit codes: 0 ok; 2 parse error, including a config that cannot be read or
 decoded; 3 validation error, including a report (--out) or trajectory file
-that cannot be written and a run too large to store; 4 numerical failure.
+that cannot be written, a run whose --out is its run.trajectory, and a run
+too large to store; 4 numerical failure.
 Errors go to stderr as one line; unknown keys are reported as warning.N
-lines of the report.
+lines of the report. A command line of the form above, each option once and
+written as two arguments, is read here; any other (--help, --version,
+--opt=value, an abbreviation, a repeat, a mistake) goes to argparse, which
+writes every usage, help and error text.
 """
 from __future__ import annotations
 
-import argparse
 import contextlib
 import errno
 import importlib
@@ -52,6 +55,7 @@ import math
 import os
 import stat
 import sys
+from types import SimpleNamespace
 from typing import NamedTuple, Optional, Sequence
 
 from . import __version__
@@ -659,7 +663,45 @@ def run(command: str, cfg: RunConfig) -> Report:
     return _DISPATCH[command](cfg)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+# the options of the command line, each with one value, and the type
+# argparse converts that value with
+_OPTIONS = {"--config": str, "--out": str, "--seed": int, "--reps": int}
+
+
+def _parse_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The arguments of a well-formed argv, with the attributes and values of
+    _parser().parse_args(argv), or None when argv is not one.
+
+    Well-formed: one command and --config, with --out, --seed and --reps at
+    most once, each option followed by a value that does not start with
+    '-'. Everything else is left to _parser(), so this never writes.
+    """
+    args = dict.fromkeys(("command", "config", "out", "seed", "reps"))
+    tokens = iter(argv)
+    for token in tokens:
+        if token in _OPTIONS:
+            # an option at the end of argv has no value: it reads as "-"
+            name, value = token[2:], next(tokens, "-")
+            if args[name] is not None or value.startswith("-"):
+                return None
+            try:
+                args[name] = _OPTIONS[token](value)
+            except ValueError:
+                return None
+        elif token in _DISPATCH and args["command"] is None:
+            args["command"] = token
+        else:
+            return None
+    if args["command"] is None or args["config"] is None:
+        return None
+    return SimpleNamespace(**args)
+
+
+def _parser():
+    """The argparse parser of the command line: the one owner of its usage,
+    help and error text."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="seirs-delay",
         description="Simulation and stability analysis of a latency-delayed "
@@ -670,7 +712,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap.add_argument("--seed", type=int, help="override ensemble.seed")
     ap.add_argument("--reps", type=int, help="override ensemble.n_rep")
     ap.add_argument("--version", action="version", version=__version__)
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_argv(argv) or _parser().parse_args(argv)
+    out = args.out or None
 
     try:
         try:
@@ -683,9 +732,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cfg = cfg._replace(seed=args.seed)
         if args.reps is not None:
             cfg = cfg._replace(n_rep=args.reps)
+        if (out is not None and cfg.trajectory is not None
+                and args.command in ("simulate", "simulate-sde")
+                and os.path.realpath(out) == os.path.realpath(cfg.trajectory)):
+            # the report would replace the trajectory the run writes
+            raise ValidationError(
+                f"--out {out!r} and run.trajectory {cfg.trajectory!r} name "
+                "the same file")
         # the report's destination is checked before the run, so a report
         # that could not be written leaves run.trajectory as it was
-        with _destination(args.out or None) as fh:
+        with _destination(out) as fh:
             report = run(args.command, cfg).render()
             if fh is not None:
                 fh.write(report)
@@ -704,7 +760,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    if not args.out:
+    if out is None:
         sys.stdout.write(report)
     return EXIT_OK
 

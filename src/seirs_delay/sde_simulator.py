@@ -27,7 +27,6 @@ import numpy as np
 
 from . import _kernels
 from .det_integrator import IntegrationError, Trajectory
-from .lyapunov import lyapunov_condition
 from .model_core import (InitialCondition, Params, State, ValidationError,
                          _Checked, _rho_grid, make_run_state, step_grid)
 
@@ -655,6 +654,9 @@ def stochastic_stability_experiment(p: Params, ic: InitialCondition,
     holds; when it does not, statistics are still returned, just with no
     decay claim attached.
     """
+    # imported here, its one use, so that the commands do not load it
+    from .lyapunov import lyapunov_condition
+
     if p.r != 0.0:
         raise ValidationError("nondelayed analysis only: r must be 0")
     _check_int("n_rep", n_rep, 1)

@@ -1,4 +1,6 @@
 """Config parsing, report rendering, command dispatch and process exit codes."""
+import argparse
+import itertools
 import math
 from fractions import Fraction
 import os
@@ -8,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from seirs_delay import Params, ValidationError, __version__, make_initial_condition
-from seirs_delay.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
+from seirs_delay import (Params, ValidationError, __version__, cli,
+                         make_initial_condition)
+from seirs_delay.cli import (COMMANDS, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
                              EXIT_VALIDATION, ParseError, Report, RunConfig,
                              main, parse_config, run, serialize_config)
 
@@ -534,6 +537,40 @@ class TestMain:
         assert dest.read_bytes() == b"an earlier run\n"
         assert sorted(os.listdir(tmp_path)) == ["run.cfg", "traj.csv"]
 
+    @pytest.mark.parametrize("through_a_link", [False, True])
+    @pytest.mark.parametrize("command", ["simulate", "simulate-sde"])
+    def test_out_naming_the_trajectory_file_is_refused(self, command,
+                                                       through_a_link,
+                                                       tmp_path, capsys):
+        # the report would replace the path; refused before the first step
+        dest = tmp_path / "traj.csv"
+        dest.write_bytes(b"an earlier run\n")
+        report = dest
+        if through_a_link:
+            report = tmp_path / "link.csv"
+            report.symlink_to(dest)
+        text = ENDEMIC + f"params.epsilon = 0.05\nrun.trajectory = {dest}\n"
+        rc = main([command, "--config", self.write(tmp_path, text),
+                   "--out", str(report)])
+        assert rc == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"validation error: --out {str(report)!r} and run.trajectory "
+            f"{str(dest)!r} name the same file\n")
+        assert captured.out == ""
+        assert dest.read_bytes() == b"an earlier run\n"
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["run.cfg", "traj.csv"] + ["link.csv"] * through_a_link)
+
+    def test_out_may_name_the_trajectory_of_a_command_that_writes_none(
+            self, tmp_path, capsys):
+        dest = tmp_path / "report.txt"
+        text = ENDEMIC + f"run.trajectory = {dest}\n"
+        rc = main(["equilibria", "--config", self.write(tmp_path, text),
+                   "--out", str(dest)])
+        assert (rc, capsys.readouterr()) == (EXIT_OK, ("", ""))
+        assert dest.read_text().startswith("command = equilibria\n")
+
     def test_a_nan_node_is_a_numerical_failure(self, tmp_path, capsys):
         # E / k_r overflows on the first step and the node sums to NaN
         dest = tmp_path / "traj.csv"
@@ -1004,6 +1041,131 @@ class TestMain:
             "max_admissible_delay", "half_pi_k_r", "margin", "r_star"))
         assert bound < half_pi_k_r <= margin <= r_star
         assert out["verdict"] == "stable for all admissible delays"
+
+
+def reference_parser():
+    """The parser main used for every argv before it read a well-formed one
+    itself, as it was then."""
+    ap = argparse.ArgumentParser(
+        prog="seirs-delay",
+        description="Simulation and stability analysis of a latency-delayed "
+                    "SEIRS model")
+    ap.add_argument("command", choices=COMMANDS)
+    ap.add_argument("--config", required=True, help="config document path")
+    ap.add_argument("--out", help="write the report here instead of stdout")
+    ap.add_argument("--seed", type=int, help="override ensemble.seed")
+    ap.add_argument("--reps", type=int, help="override ensemble.n_rep")
+    ap.add_argument("--version", action="version", version=__version__)
+    return ap
+
+
+# the units of the generated command lines: a command name, an option with
+# its value, or one lone argument
+ARGV_UNITS = ([[command] for command in (*COMMANDS, "bogus")]
+              + [["--config", "c.cfg"], ["--config=c.cfg"], ["--conf", "c.cfg"],
+                 ["--out", "o.txt"], ["--seed", "7"], ["--seed", "-1"],
+                 ["--seed", "1_0"], ["--reps", "x"], ["--"], ["-h"],
+                 ["--version"], [""], ["--seed"]])
+# every command line of at most two units, then those of three
+SHORT_ARGV = [sum(units, []) for n in range(3)
+              for units in itertools.product(ARGV_UNITS, repeat=n)]
+# longer command lines: five well-formed ones, then repeats and mistakes
+LONG_ARGV = [
+    ["simulate-sde", "--config", "c.cfg", "--out", "o.txt", "--seed", "7",
+     "--reps", "3"],
+    ["--reps", "3", "--seed", "7", "--out", "o.txt", "--config", "c.cfg",
+     "concentration"],
+    ["--seed", " 7 ", "stability", "--reps", "٣", "--config", "c.cfg"],
+    ["lyapunov", "--config", "stability"],
+    ["equilibria", "--config", "", "--out", ""],
+    ["equilibria", "--config", "c.cfg", "--config", "c.cfg"],
+    ["equilibria", "--config", "c.cfg", "--out", "o.txt", "--out", "o.txt"],
+    ["equilibria", "--config", "c.cfg", "--out", "", "--out", "o.txt"],
+    ["equilibria", "--config", "c.cfg", "--seed", "7", "--seed", "7"],
+    ["equilibria", "--config", "c.cfg", "--reps", "3", "--reps", "4"],
+    ["equilibria", "--config", "c.cfg", "--reps", "-3"],
+    ["equilibria", "--config", "c.cfg", "--reps", "3.0"],
+    ["equilibria", "--config", "c.cfg", "--out", "-"],
+    ["stability", "--config", "c.cfg", "--out", "-x"],
+    ["equilibria", "--out", "--config", "--config", "c.cfg"],
+    ["equilibria", "--config", "c.cfg", "--", "--out", "o.txt"],
+    ["equilibria", "--config", "c.cfg", "equilibria"],
+    ["simulate-sde", "--config=c.cfg", "--out", "o.txt", "--seed", "-1"],
+]
+ARGV = (SHORT_ARGV + [sum(units, []) for units
+                      in itertools.product(ARGV_UNITS, repeat=3)] + LONG_ARGV)
+
+
+def test_the_fast_path_agrees_with_argparse(capsys):
+    parser = reference_parser()
+    accepted = 0
+    for argv in ARGV:
+        args = cli._parse_argv(argv)
+        if args is None:
+            continue
+        # so argparse exits on no argv the fast path accepts: an argv it
+        # answers or rejects is deferred
+        try:
+            parsed = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            pytest.fail(f"argparse exits {exc.code} on the accepted {argv}")
+        assert vars(args) == parsed, argv
+        accepted += 1
+    # the 7 commands, each with --config in 2 orders, and with --config and
+    # one of --out, --seed 7 or --seed 1_0 in 6 orders; and the first 5 of
+    # LONG_ARGV
+    assert accepted == 7 * (2 + 3 * 6) + 5
+    assert capsys.readouterr() == ("", "")
+
+
+def test_a_deferred_argv_goes_to_argparse_as_it_came(monkeypatch, capsys):
+    seen = []
+
+    class Parser:
+        def parse_args(self, argv):
+            seen.append(argv)
+            raise SystemExit(2)
+
+    monkeypatch.setattr(cli, "_parser", Parser)
+    deferred = [argv for argv in ARGV if cli._parse_argv(argv) is None]
+    for argv in deferred:
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert seen == deferred
+    assert capsys.readouterr() == ("", "")
+
+
+def test_a_deferred_argv_gives_the_bytes_of_argparse(monkeypatch, tmp_path,
+                                                     capsys):
+    # the code, stdout, stderr and report file of main, and of main with
+    # every argv parsed by reference_parser
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.cfg").write_text(
+        MINIMAL.replace("params.k_r = 1.0", "params.k_r = 2.0\nparams.epsilon = 0.1")
+        + "run.horizon = 0.5\nrun.step = 0.1\nensemble.n_rep = 20\n")
+    report = tmp_path / "o.txt"
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        written = report.read_text() if report.exists() else None
+        report.unlink(missing_ok=True)
+        return code, *capsys.readouterr(), written
+
+    parser = reference_parser()
+    outcomes = set()
+    for argv in SHORT_ARGV + LONG_ARGV:
+        if cli._parse_argv(argv) is not None:
+            continue
+        got = outcome(argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parse_argv", lambda argv: None)
+            m.setattr(cli, "_parser", lambda: parser)
+            assert outcome(argv) == got, argv
+        outcomes.add(got[0])
+    assert outcomes == {0, 2, 3}
 
 
 def python_m(module, *args):

@@ -113,7 +113,23 @@ def test_lyapunov_with_a_false_condition_loads_no_numpy(tmp_path):
     assert [m for m in ARRAY_MODULES if m in loaded] == []
 
 
+@pytest.fixture(scope="module")
+def after_stochastic_runs(tmp_path_factory):
+    """sys.modules after main ran simulate-sde's golden, and after it ran a
+    short concentration job, each in its own interpreter."""
+    # a short concentration run: the golden's 2 x 800 replicas take longer
+    # than its imports
+    short = tmp_path_factory.mktemp("concentration") / "concentration.cfg"
+    short.write_text("params.beta = 0.1\nparams.mu = 0.2\nparams.gamma = 0.3\n"
+                     "params.k_r = 2.0\nparams.epsilon = 0.1\n"
+                     "run.horizon = 2.0\nensemble.n_rep = 40\n")
+    return {command: loaded_after(main_quietly((command, cfg))) for command, cfg
+            in (("simulate-sde", GOLDEN / "simulate-sde.cfg"),
+                ("concentration", short))}
+
+
 def test_only_the_stochastic_run_commands_load_numpy(after_analytic_goldens,
+                                                    after_stochastic_runs,
                                                     tmp_path):
     # simulate steps into a bytearray and writes its CSV from plain floats:
     # beyond what the analytic commands load it needs the integrator and its
@@ -128,15 +144,42 @@ def test_only_the_stochastic_run_commands_load_numpy(after_analytic_goldens,
     assert simulate - after_analytic_goldens == {
         "seirs_delay._kernels", "seirs_delay.det_integrator"}
     assert [m for m in ("numpy", "array") if m in simulate] == []
-    # a short concentration run: the golden's 2 x 800 replicas take longer
-    # than its imports
-    short = tmp_path / "concentration.cfg"
-    short.write_text("params.beta = 0.1\nparams.mu = 0.2\nparams.gamma = 0.3\n"
-                     "params.k_r = 2.0\nparams.epsilon = 0.1\n"
-                     "run.horizon = 2.0\nensemble.n_rep = 40\n")
-    for command, cfg in (("simulate-sde", GOLDEN / "simulate-sde.cfg"),
-                         ("concentration", short)):
-        assert "numpy" in loaded_after(main_quietly((command, cfg))), command
+    for command, loaded in after_stochastic_runs.items():
+        assert "numpy" in loaded, command
+
+
+def test_the_stochastic_commands_load_no_lyapunov(after_stochastic_runs):
+    # sde_simulator imports lyapunov in the stability experiment, its one
+    # user, which no command runs
+    assert [command for command, loaded in after_stochastic_runs.items()
+            if "seirs_delay.lyapunov" in loaded] == []
+
+
+def test_the_stability_experiment_imports_the_lyapunov_condition():
+    loaded = loaded_after(
+        "from seirs_delay import Params, make_initial_condition\n"
+        "from seirs_delay.sde_simulator import Seed, "
+        "stochastic_stability_experiment\n"
+        "ic = make_initial_condition(0.05, 0.9, 0.05, 0.0)\n"
+        "for mu, holds in ((0.5, True), (0.2, False)):\n"
+        "    p = Params(0.3, mu, 0.25, 1.0, epsilon=0.1)\n"
+        "    out = stochastic_stability_experiment(p, ic, 1.0, 0.1, 4, Seed(0))\n"
+        "    assert out.condition_satisfied is holds, mu\n")
+    assert "seirs_delay.lyapunov" in loaded
+
+
+# argparse loads gettext, and building its parser loads locale
+ARGPARSE_MODULES = ("argparse", "gettext", "locale")
+
+
+def test_no_golden_run_loads_argparse(after_every_golden):
+    # a well-formed command line is read without argparse
+    assert [m for m in ARGPARSE_MODULES if m in after_every_golden] == []
+
+
+def test_importing_the_cli_loads_no_argparse():
+    loaded = loaded_after("import seirs_delay.cli")
+    assert [m for m in ARGPARSE_MODULES if m in loaded] == []
 
 
 @pytest.mark.parametrize("name", seirs_delay.__all__)

@@ -1,0 +1,95 @@
+"""Run the goldens under each given Python interpreter, byte for byte.
+
+    python tools/interpreters.py <python> [<python> ...]
+
+For each interpreter, runs `<python> -m seirs_delay` with src/ as its
+PYTHONPATH on the seven goldens that need no numpy (equilibria, stability,
+both delay-margin, lyapunov and both simulate) and compares each report
+with its golden byte for byte. It also checks that --version prints the
+package version and that an unknown command exits 2. Where the interpreter
+can import numpy, the simulate-sde and concentration goldens run too. An
+interpreter that cannot start is reported as skipped. It is a check: the
+exit code is 1 on any mismatch and 0 when there is none.
+"""
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+GOLDEN = ROOT / "tests" / "golden"
+sys.path.insert(0, str(SRC))
+
+from seirs_delay import __version__  # noqa: E402
+
+# the command of each golden config
+GOLDENS = {"equilibria": "equilibria", "stability": "stability",
+           "delay-margin": "delay-margin",
+           "delay-margin-coexistence": "delay-margin", "lyapunov": "lyapunov",
+           "simulate": "simulate", "simulate-ode": "simulate"}
+NUMPY_GOLDENS = {"simulate-sde": "simulate-sde",
+                 "concentration": "concentration"}
+# the children see src/ and nothing of this interpreter's path, and write
+# no bytecode into src/
+ENV = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def run(python: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([python, *args], capture_output=True, env=ENV,
+                          cwd=ROOT, timeout=300)
+
+
+def check(python: str) -> int:
+    """Print one line per check of python; return the number of mismatches,
+    or 0 when python cannot start."""
+    try:
+        probe = run(python, "-c", "import sys; print(sys.version.split()[0])")
+    except OSError as exc:
+        print(f"{python}: skipped, cannot start: {exc}")
+        return 0
+    if probe.returncode != 0:
+        first = probe.stderr.decode(errors="replace").strip().split("\n")[0]
+        print(f"{python}: skipped, cannot start: exit {probe.returncode}: "
+              f"{first}")
+        return 0
+    version = probe.stdout.decode().strip()
+    goldens = dict(GOLDENS)
+    if run(python, "-c", "import numpy").returncode == 0:
+        goldens.update(NUMPY_GOLDENS)
+    else:
+        print(f"{python} ({version}): no numpy, "
+              f"{' and '.join(NUMPY_GOLDENS)} left out")
+    checks = [(f"golden {name}", ["-m", "seirs_delay", command, "--config",
+                                  str(GOLDEN / f"{name}.cfg")],
+               0, (GOLDEN / f"{name}.report.txt").read_bytes())
+              for name, command in goldens.items()]
+    checks += [("--version", ["-m", "seirs_delay", "--version"], 0,
+                f"{__version__}\n".encode()),
+               ("unknown command", ["-m", "seirs_delay", "bogus", "--config",
+                                    str(GOLDEN / "equilibria.cfg")], 2, b"")]
+    mismatches = 0
+    for what, args, code, stdout in checks:
+        out = run(python, *args)
+        ok = out.returncode == code and out.stdout == stdout
+        if code == 0:
+            ok = ok and out.stderr == b""
+        if not ok:
+            mismatches += 1
+        print(f"{python} ({version}): {what}: "
+              f"{'ok' if ok else f'MISMATCH (exit {out.returncode})'}")
+    return mismatches
+
+
+def main(argv) -> int:
+    if not argv:
+        print("usage: python tools/interpreters.py <python> [<python> ...]",
+              file=sys.stderr)
+        return 2
+    mismatches = sum(check(python) for python in argv)
+    print(f"{mismatches} mismatches")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
