@@ -14,23 +14,19 @@ never raise: they return a status code and the index of the first
 offending node (0 = ok, 1 = simplex-sum breach, 2 = negative component,
 3 = excursion outside the allowed band).
 
-The deterministic kernels also return the extremes of the path they
-stored, so that no caller makes a second pass over it: its max_sum_defect,
-the largest |((S + E) + I) + R - 1| over the nodes, and its min_component,
-the smallest component. Each node's defect d is formed once and compared
-with the running max and min of d over nodes 1 .. n, and a sum tolerance
-is tested only when one of them moves; each component is compared with
-the running minimum, and the minimum with the negativity tolerance. The
-checks trip at the same node as testing every node against the
-tolerances. A NaN defect fails ``d <= dhi``, and then the tolerance test,
-so a NaN node is a sum breach. Node 0, the caller's start, is never
-checked; it joins the extremes at the end. Both extremes are the floats
-numpy's reductions of the stored nodes give (row sums as
-((S + E) + I) + R, then max |d| and the smallest value) but one: when the
-smallest value is a zero, numpy's SIMD reduction order picks which of
-+0.0 and -0.0 it returns if the path holds both, and the loop keeps no
-signs, so the minimum is returned as None and the caller asks numpy. Only
-a zero minimum of node 0 alone, held with one sign, is returned.
+Every kernel also returns the report reductions of the path it stored, so
+no caller makes a second pass over it; this module is the one place that
+reduces a path. max_sum_defect is the largest |((S + E) + I) + R - 1| over
+the nodes: each stepped node's defect d is compared with the running max
+and min of d, and the deterministic kernels test their sum tolerance only
+when one of them moves. A NaN defect fails ``d <= dhi``: those kernels
+take it for a sum breach, and a reduction keeps it and makes both lines
+NaN. min_component is the smallest component, a zero being IEEE 754-2019
+``minimum``'s, under which -0.0 is below +0.0: the loops keep no signs,
+and when the minimum is +0.0 the stored node bytes are searched for a
+-0.0, so no step pays for the rule. A kernel's start node is never
+checked; it joins the reductions at the end. :func:`extremes` reduces any
+flat node buffer by the same rule.
 
 Every right-hand side (S', E', I', R') with exposed source ed = E(t - r)
 forms the products bsi = beta*s*i, mi = mu*i, grc = gamma*rc and
@@ -45,11 +41,13 @@ hold the m nodes before its start node, so its delayed value is always one
 stored row, and takes its noise increments one chunk at a time (an iterable
 of arrays, consumed as it steps). A caller can therefore step a path in
 windows through a buffer of m + 1 + window rows, carrying the last m + 1
-nodes over, and hold neither the whole path nor a noise vector as long as it.
+nodes and the reductions so far over, and hold neither the whole path nor
+a noise vector as long as it.
 """
 from __future__ import annotations
 
 import math
+import sys
 
 OK = 0
 SUM_BREACH = 1
@@ -67,28 +65,58 @@ def _nodes(n_steps):
                           f"of nodes of shape ({n_steps + 1}, 4)") from None
 
 
-def _extremes(x, dhi, dlo, low):
-    """(max_sum_defect, min_component) of the nodes in x from the running
-    extremes of nodes 1 .. n and node 0 itself; min_component is None when
-    it is a zero whose sign numpy's reduction order settles: a zero minimum
-    of nodes 1 .. n, whose signs the loop does not keep, or node 0's own
-    zeros of both signs."""
-    s, e, i, rc = x[0], x[1], x[2], x[3]
-    d = ((s + e) + i) + rc - 1.0
-    if d > dhi:
-        dhi = d
-    elif d < dlo:
-        dlo = d
-    first = min(s, e, i, rc)
-    if low == 0.0 and not first < 0.0:
-        low = None
-    elif first < low:
-        low = first
-        if first == 0.0 and len({math.copysign(1.0, v)
-                                 for v in (s, e, i, rc) if v == 0.0}) > 1:
-            low = None
+# -0.0 as the bytes of a node buffer's double: the sign bit alone
+_NEG_ZERO = (1 << 63).to_bytes(8, sys.byteorder)
+# doubles per piece of a buffer copied out to search for it
+_SEARCH_PIECE = 512
+
+
+def _join(x, a, b, dhi, dlo, low):
+    """The running extremes (dhi, dlo, low) joined with the nodes at flat
+    offsets a, a + 4, .. < b of x."""
+    for j in range(a, b, 4):
+        s, e, i, rc = x[j], x[j + 1], x[j + 2], x[j + 3]
+        d = ((s + e) + i) + rc - 1.0
+        if not d <= dhi:
+            # a NaN, once held, stays
+            if dhi == dhi:
+                dhi = d
+        elif d < dlo:
+            dlo = d
+        for v in (s, e, i, rc):
+            if v < low:
+                low = v
+    return dhi, dlo, low
+
+
+def _settle(x, a, b, dhi, dlo, low):
+    """(max_sum_defect, min_component) of the nodes at flat offsets a .. b - 1
+    of x from the running extremes of all but the first, which joins here:
+    dhi and dlo, the max and min of 0 and their defects, and low, their
+    smallest component, a zero of either sign."""
+    dhi, dlo, low = _join(x, a, a + 4, dhi, dlo, low)
+    if dhi != dhi:
+        return dhi, dhi
+    if low == 0.0 and math.copysign(1.0, low) > 0.0 and any(
+            _holds_negative_zero(x[c:min(b, c + _SEARCH_PIECE)].tobytes())
+            for c in range(a, b, _SEARCH_PIECE)):
+        low = -0.0
     # max |d|: dhi >= 0 >= dlo, and a zero defect is +0.0
     return -dlo if -dlo > dhi else dhi, low
+
+
+def _holds_negative_zero(raw):
+    """Whether the bytes raw hold _NEG_ZERO at a multiple of 8."""
+    k = raw.find(_NEG_ZERO)
+    while k > 0 and k % 8:
+        k = raw.find(_NEG_ZERO, k + 1)
+    return k >= 0
+
+
+def extremes(x):
+    """(max_sum_defect, min_component) of the nodes of the flat double view
+    x, by the rule of the module docstring."""
+    return _settle(x, 0, len(x), *_join(x, 4, len(x), 0.0, 0.0, math.inf))
 
 
 def _rk4_steps(x, s, e, i, rc, e_hist, h, n_steps, beta, mu, gamma, kr,
@@ -198,9 +226,9 @@ def ode_rk4(s, e, i, rc, h, n_steps, beta, mu, gamma, kr, sum_tol, neg_tol):
     buffer, and the extremes are those of its nodes (see the module
     docstring)."""
     x = _nodes(n_steps)
-    status, node, *running = _rk4_steps(x, s, e, i, rc, None, h, n_steps,
-                                        beta, mu, gamma, kr, sum_tol, neg_tol)
-    return (x, status, node, *_extremes(x, *running))
+    status, node, dhi, dlo, low = _rk4_steps(
+        x, s, e, i, rc, None, h, n_steps, beta, mu, gamma, kr, sum_tol, neg_tol)
+    return (x, status, node, *_settle(x, 0, len(x), dhi, dlo, low))
 
 
 def dde_rk4_abm4(s, e, i, rc, e_hist, h, n_steps, m, beta, mu, gamma, kr,
@@ -219,7 +247,7 @@ def dde_rk4_abm4(s, e, i, rc, e_hist, h, n_steps, m, beta, mu, gamma, kr,
     status, node, dhi, dlo, low = _rk4_steps(
         x, s, e, i, rc, e_hist, h, n1, beta, mu, gamma, kr, sum_tol, neg_tol)
     if status != OK or n1 == n_steps:
-        return (x, status, node, *_extremes(x, dhi, dlo, low))
+        return (x, status, node, *_settle(x, 0, len(x), dhi, dlo, low))
 
     # derivatives at nodes k, k-1, k-2, k-3 as float locals (the corrector
     # never reads E' at node k-3); the delayed value at node j is the
@@ -283,11 +311,11 @@ def dde_rk4_abm4(s, e, i, rc, e_hist, h, n_steps, m, beta, mu, gamma, kr,
         f2e, f1e, f0e = f1e, f0e, bsi - edk
         f3i, f2i, f1i, f0i = f2i, f1i, f0i, edk - mi
         f3r, f2r, f1r, f0r = f2r, f1r, f0r, mi - grc
-    return (x, status, node, *_extremes(x, dhi, dlo, low))
+    return (x, status, node, *_settle(x, 0, len(x), dhi, dlo, low))
 
 
 def euler_maruyama(x, beta, mu, gamma, kr, h, n_steps, m, eps, chunks, lo,
-                   hi):
+                   hi, defect=0.0, low=math.inf):
     """Euler-Maruyama step loop with a single shared noise increment.
 
     x is a C-contiguous float array of at least m + 1 + n_steps rows of
@@ -304,13 +332,21 @@ def euler_maruyama(x, beta, mu, gamma, kr, h, n_steps, m, eps, chunks, lo,
     algebraically and the simplex sum is conserved up to per-step rounding
     of the additions alone. With eps = 0 and zero increments the trajectory
     is bitwise equal to the deterministic Euler scheme written with the same
-    update expressions. Returns (status, node, component): the first node
-    (1 .. n_steps, counted from the start node) outside [lo, hi], stored
-    before the check, and its component, or -1, -1.
+    update expressions.
+
+    defect and low are the max_sum_defect and min_component of the path's
+    nodes before the start node, if any, as the previous window returned
+    them. Returns (status, node, component, max_sum_defect,
+    min_component): the first node (1 .. n_steps, counted from the start
+    node) outside [lo, hi], stored before the check, its component and
+    NaN, NaN, or -1, -1 and the reductions of the path up to the last node.
     """
     x = memoryview(x.reshape(-1))
     j = 4 * m
     s, e, i, rc = x[j], x[j + 1], x[j + 2], x[j + 3]
+    # the stepped nodes' running minimum, checked against lo, joins the
+    # earlier nodes' minimum, held, at the end
+    dhi, dlo, held, low = defect, -defect, low, math.inf
     k0 = 0
     for dw in chunks:
         for k, z in zip(range(k0, n_steps), dw.tolist()):
@@ -326,13 +362,22 @@ def euler_maruyama(x, beta, mu, gamma, kr, h, n_steps, m, eps, chunks, lo,
             rc = rc + c - d
             j += 4
             x[j], x[j + 1], x[j + 2], x[j + 3] = s, e, i, rc
-            if s < lo or s > hi:
-                return EXCURSION, k + 1, 0
-            if e < lo or e > hi:
-                return EXCURSION, k + 1, 1
-            if i < lo or i > hi:
-                return EXCURSION, k + 1, 2
-            if rc < lo or rc > hi:
-                return EXCURSION, k + 1, 3
+            if s < low:
+                low = s
+            if e < low:
+                low = e
+            if i < low:
+                low = i
+            if rc < low:
+                low = rc
+            if low < lo or s > hi or e > hi or i > hi or rc > hi:
+                out = [v < lo or v > hi for v in (s, e, i, rc)]
+                return EXCURSION, k + 1, out.index(True), math.nan, math.nan
+            dev = ((s + e) + i) + rc - 1.0
+            if not dev <= dhi:
+                if dhi == dhi:
+                    dhi = dev
+            elif dev < dlo:
+                dlo = dev
         k0 += len(dw)
-    return OK, -1, -1
+    return (OK, -1, -1, *_settle(x, 4 * m, j + 4, dhi, dlo, min(held, low)))

@@ -38,8 +38,9 @@ the keys of a record's fields (params.*, init.*, x_star.*, certificate.*,
 ...) follow the record's field order, as do the config keys.
 Exit codes: 0 ok; 2 parse error, including a config that cannot be read or
 decoded; 3 validation error, including a report (--out) or trajectory file
-that cannot be written, a run whose --out is its run.trajectory, and a run
-too large to store; 4 numerical failure.
+that cannot be written, a run whose --out or run.trajectory is its
+--config or whose --out is its run.trajectory, and a run too large to
+store; 4 numerical failure.
 Errors go to stderr as one line; unknown keys are reported as warning.N
 lines of the report. A command line of the form above, each option once and
 written as two arguments, is read here; any other (--help, --version,
@@ -497,11 +498,12 @@ def _cmd_equilibria(cfg: RunConfig) -> Report:
     return rep
 
 
-def _simulate_common(rep: Report, cfg: RunConfig, path) -> None:
-    rep.add("nodes", len(path))
-    _add_state(rep, "final", path.last)
-    rep.add("max_sum_defect", path.max_sum_defect())
-    rep.add("min_component", path.min_component())
+def _simulate_common(rep: Report, cfg: RunConfig, nodes: int, last,
+                     max_sum_defect: float, min_component: float) -> None:
+    rep.add("nodes", nodes)
+    _add_state(rep, "final", last)
+    rep.add("max_sum_defect", max_sum_defect)
+    rep.add("min_component", min_component)
     rep.add("trajectory_file", cfg.trajectory)
 
 
@@ -517,7 +519,8 @@ def _cmd_simulate(cfg: RunConfig) -> Report:
                                  cfg.horizon, h)
         if fh is not None:
             _write_nodes(fh, traj._nodes, 0, h)
-    _simulate_common(rep, cfg, traj)
+    _simulate_common(rep, cfg, len(traj), traj.last, traj.max_sum_defect(),
+                     traj.min_component())
     return rep
 
 
@@ -526,24 +529,25 @@ def _cmd_simulate_sde(cfg: RunConfig) -> Report:
     # importing det_integrator first raised the peak RSS of the simulate-sde
     # golden by about 0.8 MB
     from .sde_simulator import Seed, _run_path
-    from .det_integrator import _StreamedPath
 
     rep = Report("simulate-sde")
     _echo(rep, cfg, with_run=True, with_ensemble=True)
     h = cfg.resolved_step()
     n, m, _ = cfg.grid()
     # the path is stepped in windows of _CSV_CHUNK steps, and each window's
-    # nodes are reduced and written as it is stepped, then dropped
-    path = _StreamedPath(min(n, _CSV_CHUNK))
+    # nodes are written as it is stepped, then dropped; the kernel carries
+    # the report reductions over
+    first = 0
     with _destination(cfg.trajectory, _CSV_HEADER) as fh:
         def consume(rows):
+            nonlocal first
             if fh is not None:
-                _write_nodes(fh, rows.reshape(-1), len(path), h)
-            path.add(rows)
+                _write_nodes(fh, rows.reshape(-1), first, h)
+            first += len(rows)
 
-        _run_path(cfg.params, cfg.initial, h, n, m, Seed(cfg.seed), 0,
-                  _CSV_CHUNK, consume)
-    _simulate_common(rep, cfg, path)
+        last, defect, low = _run_path(cfg.params, cfg.initial, h, n, m,
+                                      Seed(cfg.seed), 0, _CSV_CHUNK, consume)
+    _simulate_common(rep, cfg, n + 1, last, defect, low)
     return rep
 
 
@@ -732,13 +736,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cfg = cfg._replace(seed=args.seed)
         if args.reps is not None:
             cfg = cfg._replace(n_rep=args.reps)
-        if (out is not None and cfg.trajectory is not None
-                and args.command in ("simulate", "simulate-sde")
-                and os.path.realpath(out) == os.path.realpath(cfg.trajectory)):
-            # the report would replace the trajectory the run writes
-            raise ValidationError(
-                f"--out {out!r} and run.trajectory {cfg.trajectory!r} name "
-                "the same file")
+        # no file the run writes may be its config, nor the trajectory
+        # that the report would replace
+        trajectory = (cfg.trajectory if args.command.startswith("simulate")
+                      else None)
+        named = {}
+        for name, path in (("--config", args.config),
+                           ("run.trajectory", trajectory), ("--out", out)):
+            if path is not None:
+                first = named.setdefault(os.path.realpath(path), (name, path))
+                if first[0] != name:
+                    raise ValidationError(f"{name} {path!r} and {first[0]} "
+                                          f"{first[1]!r} name the same file")
         # the report's destination is checked before the run, so a report
         # that could not be written leaves run.trajectory as it was
         with _destination(out) as fh:

@@ -11,14 +11,10 @@ Two routes:
   runs over stored node derivatives.
 
 Both step into the kernels' flat buffer of node floats, which the
-Trajectory they return keeps with the extremes the kernel returned; the
-module loads numpy only when a caller reads an array (states, times), or
-a reduction that the kernel did not settle (a zero minimum, see _kernels)
-or of a path that it did not step.
+Trajectory they return keeps with the reductions the kernel returned; the
+module loads numpy only when a caller reads an array (states, times).
 """
 from __future__ import annotations
-
-import math
 
 from . import _kernels
 from .model_core import (NEGATIVITY_TOL, PROPAGATION_SUM_TOL,
@@ -41,32 +37,27 @@ class IntegrationError(RuntimeError):
         self.node = node
 
 
-# rows per block of max_sum_defect, whose one temporary holds a block's
-# row sums: 8 kB at any path length
-_DEFECT_BLOCK = 1024
-
-
 class Trajectory:
     """Node times, states (rows of S, E, I, R) and the step used.
 
     The nodes are held as one flat buffer of floats, four a node: the
-    states array's own (a view when it is contiguous), or, for
-    integrate_ode and integrate_dde, the kernel's buffer, read-only, with
-    the max_sum_defect and min_component the kernel returned. len, last and
-    final_state read that buffer, so they need no array; states is an
-    (n + 1, 4) array over it, built on first read without a copy, so a
-    kernel run's states cannot be written and its extremes stay its own. A
-    run on a grid (on_grid) stores no times: they are built on first read,
-    as floats k*step, and then kept. For integrate_ode and integrate_dde
-    every stored node satisfies |S+E+I+R - 1| <= 1e-10 and min component
-    >= -1e-9; breaches, a NaN node among them, abort the integration
-    instead of being stored.
+    given states array's own (a view when it is contiguous), or, for a
+    kernel run (integrate_ode, integrate_dde, simulate_sde), the kernel's
+    buffer, read-only, with the max_sum_defect and min_component the kernel
+    returned. Given states are reduced by the kernels' rule
+    (_kernels.extremes) at each call. len, last and final_state read the
+    buffer, so they need no array; states is an (n + 1, 4) array over it,
+    built on first read without a copy, so a kernel run's states cannot be
+    written and its reductions stay its own. A run on a grid (on_grid)
+    stores no times: they are built on first read, as floats k*step, and
+    then kept. For integrate_ode and integrate_dde every stored node
+    satisfies |S+E+I+R - 1| <= 1e-10 and min component >= -1e-9; breaches,
+    a NaN node among them, abort the integration instead of being stored.
     """
 
     __slots__ = ("_times", "_nodes", "_extremes", "_states", "step")
 
-    def __init__(self, times, states, step: float,
-                 extremes: tuple = (None, None)):
+    def __init__(self, times, states, step: float, extremes: tuple = ()):
         self._times, self.step, self._extremes = times, step, extremes
         self._nodes = (states if isinstance(states, memoryview)
                        else states.reshape(-1))
@@ -110,69 +101,15 @@ class Trajectory:
 
     def max_sum_defect(self) -> float:
         """max |S+E+I+R - 1| over the nodes (NaN if a node sum is NaN)."""
-        if self._extremes[0] is not None:
-            return self._extremes[0]
-        import numpy as np
-
-        states = self.states
-        sums = np.empty(min(len(states), _DEFECT_BLOCK))
-        worst = 0.0
-        for a in range(0, len(states), _DEFECT_BLOCK):
-            # np.maximum, unlike max, keeps a NaN
-            worst = np.maximum(worst, _block_defect(
-                states[a:a + _DEFECT_BLOCK], sums))
-        return float(worst)
+        return self._reductions()[0]
 
     def min_component(self) -> float:
-        if self._extremes[1] is not None:
-            return self._extremes[1]
-        return float(self.states.min())
+        return self._reductions()[1]
 
-
-def _block_defect(rows, sums):
-    """max |S+E+I+R - 1| over rows (NaN if a row sum is NaN), with the row
-    sums formed in sums, which has room for them."""
-    import numpy as np
-
-    d = sums[:len(rows)]
-    np.sum(rows, axis=1, out=d)
-    d -= 1.0
-    return np.abs(d, out=d).max()
-
-
-class _StreamedPath:
-    """What a path report reads of a path whose nodes arrive in order, in
-    blocks of at most `block` rows, that are not kept: the node count, the
-    last node, max_sum_defect and min_component. Both reductions equal
-    Trajectory's, NaN included: the same per-row sums, and each block's
-    extremes combined by np.maximum and np.minimum, which keep a NaN."""
-
-    __slots__ = ("nodes", "last", "_sums", "_defect", "_low")
-
-    def __init__(self, block: int):
-        import numpy as np
-
-        self.nodes, self.last = 0, None
-        self._sums = np.empty(block)
-        self._defect, self._low = 0.0, math.inf
-
-    def add(self, rows) -> None:
-        import numpy as np
-
-        self.nodes += len(rows)
-        self.last = rows[-1].tolist()
-        self._defect = np.maximum(self._defect,
-                                  _block_defect(rows, self._sums))
-        self._low = np.minimum(self._low, rows.min())
-
-    def __len__(self) -> int:
-        return self.nodes
-
-    def max_sum_defect(self) -> float:
-        return float(self._defect)
-
-    def min_component(self) -> float:
-        return float(self._low)
+    def _reductions(self) -> tuple[float, float]:
+        # a path from given states is reduced at each call: the caller may
+        # write them
+        return self._extremes or _kernels.extremes(memoryview(self._nodes))
 
 
 def _status_error(status: int, node: int) -> IntegrationError:

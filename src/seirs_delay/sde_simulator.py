@@ -265,18 +265,20 @@ def _increments(rng: Optional[np.random.Generator], h: float, n: int):
 
 def _run_path(p: Params, ic: InitialCondition, h: float, n: int, m: int,
               seed: Optional[Seed], replica: int, window: Optional[int] = None,
-              consume=None) -> Optional[Trajectory]:
+              consume=None):
     """The n-step path of replica `replica` of seed, which draws nothing at
     eps = 0 (seed may then be None), stepped in windows through one buffer
     whose first m rows hold the nodes before the window's start node.
 
     Without consume the path is one window, returned as a Trajectory over
-    the last n + 1 rows of its (m + 1 + n)-row buffer. With consume it is
-    stepped window steps at a time, one kernel call each, through a buffer
-    of m + 1 + min(window, n) rows, and None is returned: each window's
-    nodes but its last go to consume(rows) as soon as they are stepped, so
-    the calls see nodes 0 .. n in order, the last one alone; rows are a view
-    that the next window overwrites. Either way a node that leaves the band
+    the last n + 1 rows of its (m + 1 + n)-row buffer, read-only, with the
+    kernel's reductions. With consume it is stepped window steps at a time,
+    one kernel call each, through a buffer of m + 1 + min(window, n) rows:
+    each window's nodes but its last go to consume(rows) as soon as they
+    are stepped, so the calls see nodes 0 .. n in order, the last one
+    alone; rows are a view that the next window overwrites. The kernel
+    carries the reductions over, and (last node, max_sum_defect,
+    min_component) is returned. Either way a node that leaves the band
     raises at once, with its step counted from node 0.
     """
     rng = None if p.epsilon == 0.0 else seed.rng(replica)
@@ -284,20 +286,24 @@ def _run_path(p: Params, ic: InitialCondition, h: float, n: int, m: int,
     x = np.empty((m + 1 + w, 4))
     # node 0 and, for its E (the constant history), the m nodes before it
     x[:m + 1] = ic.s0, ic.e0, ic.i0, ic.r0
+    defect, low = 0.0, math.inf
     for start in range(0, n, w):
         steps = min(w, n - start)
-        status, node, comp = _kernels.euler_maruyama(
+        status, node, comp, defect, low = _kernels.euler_maruyama(
             x, p.beta, p.mu, p.gamma, p.k_r, h, steps, m, p.epsilon,
-            _increments(rng, h, steps), -EXCURSION_BAND, 1.0 + EXCURSION_BAND)
+            _increments(rng, h, steps), -EXCURSION_BAND, 1.0 + EXCURSION_BAND,
+            defect, low)
         if status == _kernels.EXCURSION:
             raise _excursion_error(start + node, comp, x[m + node, comp],
                                    replica)
         if consume is None:
-            return Trajectory.on_grid(x[m:], h)
+            x.flags.writeable = False
+            return Trajectory(None, x[m:], h, (defect, low))
         consume(x[m:m + steps])
         # the last m + 1 nodes become the next window's history and start
         x[:m + 1] = x[steps:steps + m + 1]
     consume(x[m:m + 1])
+    return x[m].tolist(), defect, low
 
 
 # Replicas step together over a replica axis, in blocks of at most

@@ -11,7 +11,9 @@ same thing:
 * integrate_dde_cascade: the exact per-window integral representation of
   the delayed system, by composite Simpson quadrature;
 * integrate_scalar_comparison: F' = -k F(t - r), whose solution stays
-  nonnegative iff k <= 1/(r*e), the threshold behind k_r >= r*e.
+  nonnegative iff k <= 1/(r*e), the threshold behind k_r >= r*e;
+* path_reductions: a path's max_sum_defect and min_component by numpy's
+  reductions, a zero minimum's sign by IEEE 754-2019 minimum.
 
 The callers pass admissible arguments, so no reference checks its own.
 """
@@ -49,6 +51,17 @@ def linearisation(beta, mu, gamma, k_r, free=None):
                    [1.0 / k_r, 0.0, 0.0],
                    [0.0, 0.0, 0.0]])
     return a0, a1
+
+
+def path_reductions(x):
+    """(max |((S + E) + I) + R - 1|, smallest value) of the (n, 4) array x
+    as numpy reduces them, but for a zero minimum: numpy's min picks a
+    signed zero by its SIMD order, IEEE 754-2019 minimum takes -0.0 below
+    +0.0."""
+    low = x.min()
+    if low == 0.0:
+        low = np.float64(-0.0 if np.signbit(x[x == 0.0]).any() else 0.0)
+    return np.abs(x.sum(axis=1) - 1.0).max(), low
 
 
 def deterministic_euler(p, ic, t_end, h):

@@ -562,6 +562,36 @@ class TestMain:
         assert sorted(os.listdir(tmp_path)) == sorted(
             ["run.cfg", "traj.csv"] + ["link.csv"] * through_a_link)
 
+    @pytest.mark.parametrize("through_a_link", [False, True])
+    @pytest.mark.parametrize("command, key", [
+        ("stability", "--out"), ("simulate", "--out"),
+        ("simulate", "run.trajectory"), ("simulate-sde", "run.trajectory")])
+    def test_a_destination_naming_the_config_is_refused(
+            self, command, key, through_a_link, tmp_path, capsys):
+        # the report or the path would replace the config; refused before
+        # anything is written
+        cfg = tmp_path / "run.cfg"
+        dest = cfg
+        if through_a_link:
+            dest = tmp_path / "link.cfg"
+            dest.symlink_to(cfg)
+        text = ENDEMIC + "params.epsilon = 0.05\n"
+        argv = [command, "--config", str(cfg)]
+        if key == "--out":
+            argv += ["--out", str(dest)]
+        else:
+            text += f"run.trajectory = {dest}\n"
+        cfg.write_text(text)
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"validation error: {key} {str(dest)!r} and --config "
+            f"{str(cfg)!r} name the same file\n")
+        assert captured.out == ""
+        assert cfg.read_text() == text
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["run.cfg"] + ["link.cfg"] * through_a_link)
+
     def test_out_may_name_the_trajectory_of_a_command_that_writes_none(
             self, tmp_path, capsys):
         dest = tmp_path / "report.txt"
@@ -590,15 +620,16 @@ class TestMain:
 
     # (r, e0, i0, r0, max_sum_defect, min_component): a start that holds
     # zeros of both signs, its minimum, or a disease-free one, whose E and
-    # I stay +0.0; the lines the reports had when numpy reduced every path
+    # I stay +0.0; a zero minimum is IEEE 754-2019 minimum's, -0 when the
+    # path holds a -0.0
     SIGNED_ZEROS = [
-        (0.0, "0.0", "0.05", "-0.0", "4.4408920985006262e-16", "0"),
+        (0.0, "0.0", "0.05", "-0.0", "4.4408920985006262e-16", "-0"),
         (0.0, "-0.0", "0.05", "0.0", "4.4408920985006262e-16", "-0"),
-        (0.05, "0.0", "0.05", "-0.0", "2.2204460492503131e-16", "0"),
+        (0.05, "0.0", "0.05", "-0.0", "2.2204460492503131e-16", "-0"),
         (0.05, "-0.0", "0.05", "0.0", "2.2204460492503131e-16", "-0"),
         (0.0, "0.0", "0.0", "0.05", "6.6613381477509392e-16", "0"),
-        (0.0, "-0.0", "0.0", "0.05", "6.6613381477509392e-16", "0"),
-        (0.05, "-0.0", "0.0", "0.05", "6.6613381477509392e-16", "0")]
+        (0.0, "-0.0", "0.0", "0.05", "6.6613381477509392e-16", "-0"),
+        (0.05, "-0.0", "0.0", "0.05", "6.6613381477509392e-16", "-0")]
 
     @pytest.mark.parametrize("r,e0,i0,r0,defect,low", SIGNED_ZEROS)
     def test_signed_zero_minimum_reports(self, r, e0, i0, r0, defect, low,
@@ -814,6 +845,48 @@ class TestMain:
         assert dest.read_text() == "t,S,E,I,R\n" + "".join(
             f"{t!r},{s!r},{e!r},{i!r},{rc!r}\n" for t, (s, e, i, rc)
             in zip(traj.times.tolist(), traj.states.tolist()))
+
+    # (command, r, n steps, r0): seeded paths whose steps end inside, at and
+    # past simulate-sde's 512-step windows, without and with a delay; then
+    # disease-free starts (r0 given), whose minimum is a zero: +0.0
+    # throughout, or -0.0 at node 0 alone
+    PATH_RUNS = [
+        *(("simulate-sde", r, n, None) for r in (0.0, 0.5)
+          for n in (511, 512, 513, 1025)),
+        *(("simulate", r, 1025, None) for r in (0.0, 0.5)),
+        *((command, r, 513, r0) for command in ("simulate", "simulate-sde")
+          for r in (0.0, 0.5) for r0 in ("0.0", "-0.0"))]
+
+    @pytest.mark.parametrize("command,r,n,r0", PATH_RUNS)
+    def test_path_reductions_are_those_of_the_written_csv(
+            self, command, r, n, r0, tmp_path, capsys):
+        # the report's max_sum_defect and min_component are numpy's
+        # reductions of the CSV read back, bit for bit, a zero minimum's
+        # sign IEEE 754-2019 minimum's
+        import numpy as np
+
+        from _oracles import path_reductions
+
+        dest = tmp_path / "traj.csv"
+        text = (ENDEMIC.replace("params.r = 0.5", f"params.r = {r!r}")
+                .replace("run.horizon = 20.0", f"run.horizon = {n / 100!r}")
+                + f"params.epsilon = 0.1\nensemble.seed = {n}\n"
+                + f"run.trajectory = {dest}\n")
+        if r0 is not None:
+            text += ("init.s0 = 1.0\ninit.e0 = 0.0\ninit.i0 = 0.0\n"
+                     f"init.r0 = {r0}\n")
+        assert main([command, "--config",
+                     self.write(tmp_path, text)]) == EXIT_OK
+        report = dict(line.split(" = ", 1)
+                      for line in capsys.readouterr().out.splitlines())
+        x = np.array([[float(v) for v in line.split(",")[1:]]
+                      for line in dest.read_text().splitlines()[1:]])
+        assert len(x) == n + 1 == int(report["nodes"])
+        defect, low = path_reductions(x)
+        assert (report["max_sum_defect"], report["min_component"]) == (
+            "%.17g" % defect, "%.17g" % low)
+        if r0 is not None:
+            assert report["min_component"] == {"0.0": "0", "-0.0": "-0"}[r0]
 
     def test_off_grid_horizon_reports_last_node(self, tmp_path, capsys):
         dest = tmp_path / "traj.csv"

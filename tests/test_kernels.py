@@ -21,6 +21,7 @@ their own sum_tol, neg_tol, lo and hi arguments, with thresholds read off
 an untripped run so that each exit lands at a chosen node and phase.
 """
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from seirs_delay import (ExcursionError, Params, Seed, _kernels,
 from seirs_delay.model_core import (NEGATIVITY_TOL, PROPAGATION_SUM_TOL,
                                     step_grid)
 
-from _oracles import integrate_scalar_comparison
+from _oracles import integrate_scalar_comparison, path_reductions
 
 IC = make_initial_condition(e0=0.05, s0=0.9, i0=0.05, r0=0.0)
 
@@ -345,15 +346,16 @@ def test_a_negative_start_is_the_minimum_over_zeros(kernel):
                                 (1.0, -0.0, 0.0, 0.0),
                                 (0.95, 0.0, 0.0, 0.05)])
 def test_a_zero_minimum_of_uncertain_sign_is_left_to_numpy(kernel, x0):
-    # which signed zero numpy's min returns depends on its SIMD order when
-    # the path holds both, and the loop keeps no signs: a zero minimum after
-    # node 0 (the last start keeps E and I at +0.0), or node 0's zeros of
-    # both signs, is returned as None instead of a guess; the defect agrees
+    # numpy's min picks a signed zero by its SIMD order when the path holds
+    # both, so the kernels take IEEE 754-2019 minimum's instead: -0.0 when
+    # any stored zero is -0.0 (node 0's, in the first four starts), else
+    # +0.0 (the last start keeps E and I at +0.0); the defect is numpy's
     nodes, status, _, defect, low = _start(kernel, x0)
-    assert status == _kernels.OK and low is None
+    assert status == _kernels.OK
     x = np.frombuffer(nodes).reshape(-1, 4)
     assert x.min() == 0.0
-    assert _bits(defect) == np.abs(x.sum(axis=1) - 1.0).max().tobytes()
+    assert [_bits(defect), _bits(low)] == list(map(_bits, path_reductions(x)))
+    assert _bits(low) == _bits(-0.0 if np.signbit(x0).any() else 0.0)
 
 
 # (start, rates, component, node): at the node the target component reaches
@@ -376,8 +378,8 @@ def test_euler_maruyama_excursion_exit(x0, rates, comp, node):
         # constant history
         x = np.empty((m + 1 + n, 4))
         x[:m + 1] = x0
-        status, bad, c = _kernels.euler_maruyama(x, *rates, h, n, m, 0.1,
-                                                 chunks, lo, hi)
+        status, bad, c, _, _ = _kernels.euler_maruyama(
+            x, *rates, h, n, m, 0.1, chunks, lo, hi)
         return x[m:], status, bad, c
     free, status, _, _ = run(-1.0, 2.0)
     assert status == _kernels.OK
@@ -405,30 +407,76 @@ WINDOW_M = 50
 def _stepped(p, seed, window=None, n=WINDOW_STEPS):
     """A path of n steps as sde_simulator._run_path steps it: as one window
     (window None), or streamed in windows of window steps, with the nodes of
-    every consume call and the calls' row counts."""
+    every consume call and the calls' row counts; and the bytes of the
+    last node, max_sum_defect and min_component it reports."""
     m = WINDOW_M if p.r else 0
     if window is None:
-        return sde_simulator._run_path(p, IC, 0.01, n, m, Seed(seed),
-                                       0).states, None
+        traj = sde_simulator._run_path(p, IC, 0.01, n, m, Seed(seed), 0)
+        return traj.states, None, list(map(_bits, [
+            *traj.last, traj.max_sum_defect(), traj.min_component()]))
     blocks = []
-    sde_simulator._run_path(p, IC, 0.01, n, m, Seed(seed), 0, window,
-                            lambda rows: blocks.append(rows.copy()))
-    return np.concatenate(blocks), [len(b) for b in blocks]
+    last, *reductions = sde_simulator._run_path(
+        p, IC, 0.01, n, m, Seed(seed), 0, window,
+        lambda rows: blocks.append(rows.copy()))
+    return (np.concatenate(blocks), [len(b) for b in blocks],
+            list(map(_bits, [*last, *reductions])))
 
 
 @pytest.mark.parametrize("r", [0.0, 0.5])
 @pytest.mark.parametrize("window", [1, 3, WINDOW_M, WINDOW_M + 1, 128, 512,
                                     WINDOW_STEPS, 2 * WINDOW_STEPS])
 def test_windows_step_the_nodes_of_one_window(r, window):
+    # and report the last node and the reductions of one window, which are
+    # numpy's, a zero minimum by IEEE 754-2019 minimum
     p = Params(0.4, 0.2, 0.1, 2.0, r=r, epsilon=0.1)
-    whole, _ = _stepped(p, 8)
-    streamed, sizes = _stepped(p, 8, window)
+    whole, _, summary = _stepped(p, 8)
+    streamed, sizes, streamed_summary = _stepped(p, 8, window)
     assert streamed.tobytes() == whole.tobytes()
+    assert streamed_summary == summary == list(map(_bits, [
+        *whole[-1], *path_reductions(whole)]))
     # every call but the last holds one window's nodes; the last node
     # comes alone
     w = min(window, WINDOW_STEPS)
     assert sizes == [w] * (WINDOW_STEPS // w) + (
         [WINDOW_STEPS % w] if WINDOW_STEPS % w else []) + [1]
+
+
+@pytest.mark.parametrize("start, held, low", [
+    ((1.0, 0.0, 0.0, 0.0), math.inf, "0.0"),
+    ((1.0, 0.0, 0.0, 0.0), 0.0, "0.0"),
+    ((1.0, -0.0, 0.0, 0.0), 0.0, "-0.0"),
+    ((1.0, 0.0, 0.0, 0.0), -0.0, "-0.0"),
+    ((1.0, 0.0, 0.0, 0.0), 0.25, "0.0")])
+def test_a_window_settles_a_zero_minimum_with_the_path_before_it(start, held,
+                                                                 low):
+    # a disease-free window keeps E, I and R at +0.0 after its start, so
+    # its zero minimum is -0.0 only when its start or an earlier window
+    # (held) holds a -0.0
+    n = 600
+    x = np.empty((n + 1, 4))
+    x[0] = start
+    out = _kernels.euler_maruyama(x, 0.4, 0.2, 0.1, 2.0, 0.01, n, 0, 0.1,
+                                  [np.ones(n)], -0.05, 1.05, 0.0, held)
+    assert out[:4] == (_kernels.OK, -1, -1, 0.0)
+    assert repr(out[4]) == low and not np.signbit(x[1:]).any()
+
+
+def test_a_nan_carried_in_stays_and_the_band_still_holds():
+    # the reductions of a path that held a NaN node stay NaN, and the band
+    # check of the nodes stepped after it holds all the same
+    n = 600
+    for lo in (-0.05, -1.0):
+        x = np.empty((n + 1, 4))
+        x[0] = IC.s0, IC.e0, IC.i0, IC.r0
+        out = _kernels.euler_maruyama(
+            x, 0.4, 0.2, 0.1, 2.0, 0.01, n, 0, 1.5,
+            sde_simulator._increments(Seed(0).rng(), 0.01, n), lo, 1.05,
+            math.nan, math.nan)
+        if lo == -1.0:
+            assert out[:3] == (_kernels.OK, -1, -1)
+            assert math.isnan(out[3]) and math.isnan(out[4])
+        else:
+            assert out[0] == _kernels.EXCURSION and x[out[1], out[2]] < lo
 
 
 # (r, eps, seed, step): a path that leaves the band inside a later window of

@@ -148,6 +148,29 @@ def test_only_the_stochastic_run_commands_load_numpy(after_analytic_goldens,
         assert "numpy" in loaded, command
 
 
+def test_a_zero_minimum_loads_no_numpy(tmp_path):
+    # a zero minimum's sign is the kernels' rule, not numpy's min: simulate
+    # from disease-free starts (E, I and R stay +0.0) and from every start
+    # of test_cli's signed-zero table loads neither numpy nor array
+    import test_cli
+
+    free = ("params.beta = 0.1\nparams.mu = 0.2\nparams.gamma = 0.3\n"
+            "params.k_r = 2.0\nrun.horizon = 10.0\ninit.s0 = 1.0\n"
+            "init.e0 = 0.0\ninit.i0 = 0.0\ninit.r0 = 0.0\n")
+    texts = [free, free + "params.r = 0.5\n"] + [
+        test_cli.ENDEMIC.replace("params.r = 0.5", f"params.r = {r!r}")
+        .replace("run.horizon = 20.0", "run.horizon = 1.0")
+        + f"init.e0 = {e0}\ninit.s0 = 0.95\ninit.i0 = {i0}\ninit.r0 = {r0}\n"
+        for r, e0, i0, r0, _, _ in test_cli.TestMain.SIGNED_ZEROS]
+    runs = []
+    for k, text in enumerate(texts):
+        cfg = tmp_path / f"zeros{k}.cfg"
+        cfg.write_text(text)
+        runs.append(("simulate", cfg))
+    loaded = loaded_after(main_quietly(*runs))
+    assert [m for m in ("numpy", "array") if m in loaded] == []
+
+
 def test_the_stochastic_commands_load_no_lyapunov(after_stochastic_runs):
     # sde_simulator imports lyapunov in the stability experiment, its one
     # user, which no command runs

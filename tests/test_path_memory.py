@@ -23,8 +23,9 @@ IC = make_initial_condition(e0=0.05, s0=0.9, i0=0.05, r0=0.0)
 P = Params(0.4, 0.2, 0.1, 2.0)
 H = 0.01
 N = 2560
-# beyond its path a library run may hold max_sum_defect's block of 1024 row
-# sums (8 kB), a noise chunk and a few small objects
+# beyond its path a library run may hold a noise chunk, the 4 kB piece of
+# its nodes that a zero minimum's sign is searched in, and a few small
+# objects
 SLACK = 16 * 1024
 COLUMN = 8 * (N + 1)
 assert SLACK < COLUMN

@@ -11,7 +11,7 @@ from seirs_delay import (Params, ValidationError, cli, delay_margin,
                          equilibria, linear_stability, lyapunov,
                          make_initial_condition, model_core, sde_simulator)
 from seirs_delay.cli import RunConfig
-from seirs_delay.det_integrator import Trajectory, _StreamedPath
+from seirs_delay.det_integrator import Trajectory
 from seirs_delay.linear_stability import QuasiPolynomial
 from seirs_delay.sde_simulator import Seed
 
@@ -116,42 +116,19 @@ def test_grid_times_are_built_once_as_node_index_times_step():
 
 @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 3000])
 def test_max_sum_defect_is_the_whole_path_reduction(rows):
-    # reduced block by block, it is the float that one reduction over the
-    # path gives, and a NaN node sum in any block makes it NaN
+    # given states are reduced to the floats numpy's reductions over the
+    # path give, and a NaN node anywhere makes both NaN
     states = np.random.default_rng(rows).dirichlet(np.ones(4), size=rows)
-    whole = np.abs(states.sum(axis=1) - 1.0).max()
-    assert Trajectory.on_grid(states, 0.1).max_sum_defect() == whole
+    states[rows // 3, 1] = -0.25
+    traj = Trajectory.on_grid(states, 0.1)
+    assert traj.max_sum_defect() == np.abs(states.sum(axis=1) - 1.0).max()
+    assert traj.min_component() == states.min() == -0.25
     for at in {0, rows // 2, rows - 1}:
         bad = states.copy()
         bad[at, 2] = np.nan
-        assert np.isnan(Trajectory.on_grid(bad, 0.1).max_sum_defect())
-
-
-def streamed(states, block):
-    """A _StreamedPath fed the rows of states in blocks of block rows."""
-    path = _StreamedPath(block)
-    for a in range(0, len(states), block):
-        path.add(states[a:a + block])
-    return path
-
-
-@pytest.mark.parametrize("block", [1, 3, 512, 3000])
-def test_a_streamed_path_reduces_as_its_trajectory(block):
-    # the same floats as Trajectory's reductions, in any blocks, and a NaN
-    # in any block makes both NaN
-    states = np.random.default_rng(block).dirichlet(np.ones(4), size=3000)
-    states[1700, 0] = -0.25
-    traj = Trajectory.on_grid(states, 0.1)
-    path = streamed(states, block)
-    assert (len(path), path.last) == (3000, states[-1].tolist())
-    assert path.max_sum_defect() == traj.max_sum_defect()
-    assert path.min_component() == traj.min_component() == -0.25
-    for at in (0, 1500, 2999):
-        bad = states.copy()
-        bad[at, 2] = np.nan
-        path = streamed(bad, block)
-        assert np.isnan(path.max_sum_defect()) and np.isnan(
-            path.min_component())
+        traj = Trajectory.on_grid(bad, 0.1)
+        assert np.isnan(traj.max_sum_defect()) and np.isnan(
+            traj.min_component())
 
 
 @pytest.mark.parametrize("command, r", [
