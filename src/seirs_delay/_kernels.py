@@ -2,47 +2,40 @@
 
 Every kernel is a plain CPython loop over Python floats: the state and the
 last few derivative rows are locals, and node rows are read and written
-through a flat memoryview of doubles, four per node (S, E, I, R). The
-deterministic kernels step into a buffer of their own,
-``memoryview(bytearray(32 * (n + 1))).cast("d")``, so they need neither
-numpy nor any other extension module; the stochastic kernel steps into a
-float array from the caller, viewed the same way. A read through the view
-returns a Python float, and writing each row in place keeps no second copy
-of the nodes, so peak memory stays that of the one buffer. Only +, -, *
-and / are used, so every node is fixed by IEEE-754 rounding alone. Kernels
-never raise: they return a status code and the index of the first
-offending node (0 = ok, 1 = simplex-sum breach, 2 = negative component,
-3 = excursion outside the allowed band).
+through a flat memoryview of doubles from the caller, four per node (S, E,
+I, R). So the kernels allocate no node buffer, need neither numpy nor any
+other extension module, and write each row in place. Only +, -, * and / are
+used, so every node is fixed by IEEE-754 rounding alone. Kernels never
+raise: they return a status code and the index of the first offending
+node, counted from the start node (0 = ok, 1 = simplex-sum breach, 2 =
+negative component, 3 = excursion outside the allowed band).
 
-Every kernel also returns the report reductions of the path it stored, so
-no caller makes a second pass over it; this module is the one place that
-reduces a path. max_sum_defect is the largest |((S + E) + I) + R - 1| over
-the nodes: each stepped node's defect d is compared with the running max
-and min of d, and the deterministic kernels test their sum tolerance only
-when one of them moves. A NaN defect fails ``d <= dhi``: those kernels
-take it for a sum breach, and a reduction keeps it and makes both lines
-NaN. min_component is the smallest component, a zero being IEEE 754-2019
-``minimum``'s, under which -0.0 is below +0.0: the loops keep no signs,
-and when the minimum is +0.0 the stored node bytes are searched for a
--0.0, so no step pays for the rule. A kernel's start node is never
-checked; it joins the reductions at the end. :func:`extremes` reduces any
-flat node buffer by the same rule.
+Before its start node a kernel's buffer holds the rows that its delayed
+values and its restart read: none for ode_rk4, m + 3 for dde_rk4_abm4 and m
+for euler_maruyama, copies of node 0 before t = 0, whose E is the constant
+history. The delay is an exact multiple m of the step, so E(t_k - r) is the
+node m rows back; no interpolation. A caller can therefore step a path in
+windows through a buffer of those rows and one window, carrying the last
+nodes over (det_integrator._run_windows).
+
+Every kernel also takes the report reductions of the path before its start
+node, as the previous window returned them, and returns those of the path
+up to its last node; this module is the one place that reduces a path.
+max_sum_defect is the largest |((S + E) + I) + R - 1| over the nodes: each
+stepped node's defect d is compared with the running max and min of d, and
+the deterministic kernels test their sum tolerance only when one of them
+moves. A NaN defect fails ``d <= dhi``: those kernels take it for a sum
+breach, and a reduction keeps it and makes both lines NaN. min_component is
+the smallest component, a zero being IEEE 754-2019 ``minimum``'s, under
+which -0.0 is below +0.0: the loops keep no signs, and when the minimum is
++0.0 the stored node bytes are searched for a -0.0, so no step pays for the
+rule. A kernel's start node is never checked; it joins the reductions at
+the end. :func:`extremes` reduces any flat node buffer by the same rule.
 
 Every right-hand side (S', E', I', R') with exposed source ed = E(t - r)
 forms the products bsi = beta*s*i, mi = mu*i, grc = gamma*rc and
 edk = ed/kr once and takes the rates as grc - bsi, bsi - edk, edk - mi and
-mi - grc.
-
-Delayed lookups assume the delay is an exact multiple ``m`` of the step, so
-``E(t_k - r)`` is the stored node value ``m`` slots back; no interpolation.
-
-The stochastic kernel steps into a buffer from the caller whose first m rows
-hold the m nodes before its start node, so its delayed value is always one
-stored row, and takes its noise increments one chunk at a time (an iterable
-of arrays, consumed as it steps). A caller can therefore step a path in
-windows through a buffer of m + 1 + window rows, carrying the last m + 1
-nodes and the reductions so far over, and hold neither the whole path nor
-a noise vector as long as it.
+mi - grc. The stochastic kernel takes its noise one chunk at a time.
 """
 from __future__ import annotations
 
@@ -53,16 +46,6 @@ OK = 0
 SUM_BREACH = 1
 NEGATIVE = 2
 EXCURSION = 3
-
-
-def _nodes(n_steps):
-    """A zeroed flat double buffer for nodes 0 .. n_steps."""
-    try:
-        return memoryview(bytearray(32 * (n_steps + 1))).cast("d")
-    except MemoryError:
-        # bytearray's own error names no size
-        raise MemoryError(f"cannot allocate the {32 * (n_steps + 1)} bytes "
-                          f"of nodes of shape ({n_steps + 1}, 4)") from None
 
 
 # -0.0 as the bytes of a node buffer's double: the sign bit alone
@@ -119,30 +102,24 @@ def extremes(x):
     return _settle(x, 0, len(x), *_join(x, 4, len(x), 0.0, 0.0, math.inf))
 
 
-def _rk4_steps(x, s, e, i, rc, e_hist, h, n_steps, beta, mu, gamma, kr,
-               sum_tol, neg_tol):
-    """Classical RK4 from the node (s, e, i, rc) over n_steps steps, storing
-    nodes 0..n_steps in the flat row view x.
+def _rk4_steps(x, a, b, edk, h, beta, mu, gamma, kr, sum_tol, neg_tol, dhi,
+               dlo):
+    """Classical RK4 from the node at flat offset a - 4 of x, storing the
+    nodes at flat offsets a, a + 4, .. < b.
 
-    The exposed source E(t - r) of every stage is the constant history e_hist
-    when it is given (all stage times lie in [0, r]), else the stage's own E
-    (the nondelayed system, e_hist None). The four stages are written out
-    with the shared products of the module docstring; with a constant
-    history its ed / kr is computed once, before the loop. Returns
-    (status, bad_node, dhi, dlo, low): dhi and dlo are the max and min of 0
-    and the defects of the nodes stepped after node 0, low their smallest
-    component.
+    The exposed source E(t - r) of every stage is the constant history when
+    edk, its ed / kr, is given (all stage times lie in [0, r]), else the
+    stage's own E (the nondelayed system, edk None). dhi and dlo are the
+    running max and min of the defects. Returns (status, flat offset of the
+    bad node, dhi, dlo, low), low the stepped nodes' smallest component.
     """
-    x[0], x[1], x[2], x[3] = s, e, i, rc
+    s, e, i, rc = x[a - 4], x[a - 3], x[a - 2], x[a - 1]
     h2 = 0.5 * h
     h6 = h / 6.0
-    dhi = dlo = 0.0
     low = math.inf
-    delayed = e_hist is not None
-    if delayed:
-        edk = e_hist / kr
+    delayed = edk is not None
     # j is the flat offset of the node being computed
-    for j in range(4, 4 * n_steps + 4, 4):
+    for j in range(a, b, 4):
         bsi = beta * s * i
         mi = mu * i
         grc = gamma * rc
@@ -200,11 +177,11 @@ def _rk4_steps(x, s, e, i, rc, e_hist, h, n_steps, beta, mu, gamma, kr,
         d = ((s + e) + i) + rc - 1.0
         if not d <= dhi:
             if not d <= sum_tol:
-                return SUM_BREACH, j >> 2, dhi, dlo, low
+                return SUM_BREACH, j, dhi, dlo, low
             dhi = d
         elif d < dlo:
             if -d > sum_tol:
-                return SUM_BREACH, j >> 2, dhi, dlo, low
+                return SUM_BREACH, j, dhi, dlo, low
             dlo = d
         if s < low:
             low = s
@@ -215,81 +192,97 @@ def _rk4_steps(x, s, e, i, rc, e_hist, h, n_steps, beta, mu, gamma, kr,
         if rc < low:
             low = rc
         if low < neg_tol:
-            return NEGATIVE, j >> 2, dhi, dlo, low
+            return NEGATIVE, j, dhi, dlo, low
         x[j], x[j + 1], x[j + 2], x[j + 3] = s, e, i, rc
     return OK, -1, dhi, dlo, low
 
 
-def ode_rk4(s, e, i, rc, h, n_steps, beta, mu, gamma, kr, sum_tol, neg_tol):
-    """Classical RK4 for the nondelayed system. Returns (nodes, status,
-    bad_node, max_sum_defect, min_component): nodes is the flat node
-    buffer, and the extremes are those of its nodes (see the module
-    docstring)."""
-    x = _nodes(n_steps)
-    status, node, dhi, dlo, low = _rk4_steps(
-        x, s, e, i, rc, None, h, n_steps, beta, mu, gamma, kr, sum_tol, neg_tol)
-    return (x, status, node, *_settle(x, 0, len(x), dhi, dlo, low))
+def ode_rk4(x, beta, mu, gamma, kr, n_steps, h, sum_tol, neg_tol,
+            defect=0.0, low=math.inf):
+    """Classical RK4 for the nondelayed system from the start node in row 0
+    of x; step k writes row k + 1. defect and low are the reductions of the
+    path before the start node. Returns (status, bad_node, max_sum_defect,
+    min_component): the first node that breaks sum_tol or neg_tol, not
+    stored, or -1, and the reductions of the path up to the last node
+    (meaningless after an exit)."""
+    b = 4 * n_steps + 4
+    status, j, dhi, dlo, stepped = _rk4_steps(
+        x, 4, b, None, h, beta, mu, gamma, kr, sum_tol, neg_tol, defect,
+        -defect)
+    return (status, j >> 2 if status else -1,
+            *_settle(x, 0, b, dhi, dlo, min(low, stepped)))
 
 
-def dde_rk4_abm4(s, e, i, rc, e_hist, h, n_steps, m, beta, mu, gamma, kr,
-                 sum_tol, neg_tol):
-    """Method of steps for the delayed system (m = r/h >= 3).
+def dde_rk4_abm4(x, m, beta, mu, gamma, kr, n_steps, h, start, sum_tol,
+                 neg_tol, defect=0.0, low=math.inf):
+    """Method of steps for the delayed system (m = r/h >= 3) from node start
+    of the path, in row m + 3 of x after the m + 3 nodes before it; step k
+    writes row m + 4 + k.
 
-    On [0, r] the delayed exposed value is the constant history, so classical
-    RK4 applies unchanged and keeps full order; it also supplies the m + 1 >= 4
-    starting nodes of the order-4 Adams-Bashforth/Adams-Moulton
-    predictor-corrector (PECE) that runs past r over node derivatives.
-    The corrector is interpolation-free: the delayed value at t_{k+1} is
-    itself a stored node. Returns what ode_rk4 returns.
+    Up to t = r the delayed exposed value is the constant history, so
+    classical RK4 applies unchanged and keeps full order; it also supplies
+    the m + 1 >= 4 starting nodes of the order-4 Adams-Bashforth/Adams-
+    Moulton predictor-corrector (PECE) that runs past r over node
+    derivatives. The corrector is interpolation-free: the delayed value at
+    t_{k+1} is itself a stored node. Every PECE run starts by rebuilding its
+    four derivative rows from the stored nodes, so a window needs no state
+    but nodes. Takes and returns what ode_rk4 does.
     """
-    x = _nodes(n_steps)
-    n1 = m if m < n_steps else n_steps
-    status, node, dhi, dlo, low = _rk4_steps(
-        x, s, e, i, rc, e_hist, h, n1, beta, mu, gamma, kr, sum_tol, neg_tol)
-    if status != OK or n1 == n_steps:
-        return (x, status, node, *_settle(x, 0, len(x), dhi, dlo, low))
+    a = 4 * m + 12
+    b = a + 4 * n_steps + 4
+    # RK4 steps up to node m; row 0 holds the constant history then
+    c = a + 4 * max(0, min(m - start, n_steps)) + 4
+    # the stepped nodes' running minimum, checked against neg_tol, joins the
+    # earlier nodes' minimum, held, at the end
+    held = low
+    status, j, dhi, dlo, low = _rk4_steps(
+        x, a + 4, c, x[1] / kr, h, beta, mu, gamma, kr, sum_tol, neg_tol,
+        defect, -defect)
+    if status != OK or c == b:
+        return (status, (j - a) >> 2 if status else -1,
+                *_settle(x, a, b, dhi, dlo, min(held, low)))
 
     # derivatives at nodes k, k-1, k-2, k-3 as float locals (the corrector
-    # never reads E' at node k-3); the delayed value at node j is the
-    # constant history while j < m, afterwards the stored node j - m
+    # never reads E' at node k-3), node k being the last stored, at flat
+    # offset c - 4; the delayed value of a node is the stored node m back
+    back = 4 * m - 1
     f = []
-    for j in range(m, m - 4, -1):
-        i, rc = x[4 * j + 2], x[4 * j + 3]
-        bsi = beta * x[4 * j] * i
+    for j in range(c - 4, c - 20, -4):
+        i, rc = x[j + 2], x[j + 3]
+        bsi = beta * x[j] * i
         mi = mu * i
         grc = gamma * rc
-        edk = (e_hist if j < m else x[4 * (j - m) + 1]) / kr
+        edk = x[j - back] / kr
         f.append((grc - bsi, bsi - edk, edk - mi, mi - grc))
     ((f0s, f0e, f0i, f0r), (f1s, f1e, f1i, f1r), (f2s, f2e, f2i, f2r),
      (f3s, _, f3i, f3r)) = f
-    s, e, i, rc = x[4 * m], x[4 * m + 1], x[4 * m + 2], x[4 * m + 3]
-    c = h / 24.0
-    back = 4 * m - 1
+    s, e, i, rc = x[c - 4], x[c - 3], x[c - 2], x[c - 1]
+    h24 = h / 24.0
     # j is the flat offset of node k + 1; E(t_{k+1} - r) is the stored node
     # k + 1 - m, shared by the predicted and the corrected node's right-hand
     # sides
-    for j in range(4 * m + 4, 4 * n_steps + 4, 4):
+    for j in range(c, b, 4):
         edk = x[j - back] / kr
-        ps = s + c * (55.0 * f0s - 59.0 * f1s + 37.0 * f2s - 9.0 * f3s)
-        pi = i + c * (55.0 * f0i - 59.0 * f1i + 37.0 * f2i - 9.0 * f3i)
-        pr = rc + c * (55.0 * f0r - 59.0 * f1r + 37.0 * f2r - 9.0 * f3r)
+        ps = s + h24 * (55.0 * f0s - 59.0 * f1s + 37.0 * f2s - 9.0 * f3s)
+        pi = i + h24 * (55.0 * f0i - 59.0 * f1i + 37.0 * f2i - 9.0 * f3i)
+        pr = rc + h24 * (55.0 * f0r - 59.0 * f1r + 37.0 * f2r - 9.0 * f3r)
         bsi = beta * ps * pi
         mi = mu * pi
         grc = gamma * pr
-        s = s + c * (9.0 * (grc - bsi) + 19.0 * f0s - 5.0 * f1s + f2s)
-        e = e + c * (9.0 * (bsi - edk) + 19.0 * f0e - 5.0 * f1e + f2e)
-        i = i + c * (9.0 * (edk - mi) + 19.0 * f0i - 5.0 * f1i + f2i)
-        rc = rc + c * (9.0 * (mi - grc) + 19.0 * f0r - 5.0 * f1r + f2r)
+        s = s + h24 * (9.0 * (grc - bsi) + 19.0 * f0s - 5.0 * f1s + f2s)
+        e = e + h24 * (9.0 * (bsi - edk) + 19.0 * f0e - 5.0 * f1e + f2e)
+        i = i + h24 * (9.0 * (edk - mi) + 19.0 * f0i - 5.0 * f1i + f2i)
+        rc = rc + h24 * (9.0 * (mi - grc) + 19.0 * f0r - 5.0 * f1r + f2r)
 
         d = ((s + e) + i) + rc - 1.0
         if not d <= dhi:
             if not d <= sum_tol:
-                status, node = SUM_BREACH, j >> 2
+                status = SUM_BREACH
                 break
             dhi = d
         elif d < dlo:
             if -d > sum_tol:
-                status, node = SUM_BREACH, j >> 2
+                status = SUM_BREACH
                 break
             dlo = d
         if s < low:
@@ -301,7 +294,7 @@ def dde_rk4_abm4(s, e, i, rc, e_hist, h, n_steps, m, beta, mu, gamma, kr,
         if rc < low:
             low = rc
         if low < neg_tol:
-            status, node = NEGATIVE, j >> 2
+            status = NEGATIVE
             break
         x[j], x[j + 1], x[j + 2], x[j + 3] = s, e, i, rc
         bsi = beta * s * i
@@ -311,16 +304,16 @@ def dde_rk4_abm4(s, e, i, rc, e_hist, h, n_steps, m, beta, mu, gamma, kr,
         f2e, f1e, f0e = f1e, f0e, bsi - edk
         f3i, f2i, f1i, f0i = f2i, f1i, f0i, edk - mi
         f3r, f2r, f1r, f0r = f2r, f1r, f0r, mi - grc
-    return (x, status, node, *_settle(x, 0, len(x), dhi, dlo, low))
+    return (status, (j - a) >> 2 if status else -1,
+            *_settle(x, a, b, dhi, dlo, min(held, low)))
 
 
-def euler_maruyama(x, beta, mu, gamma, kr, h, n_steps, m, eps, chunks, lo,
+def euler_maruyama(x, m, beta, mu, gamma, kr, n_steps, h, eps, chunks, lo,
                    hi, defect=0.0, low=math.inf):
     """Euler-Maruyama step loop with a single shared noise increment.
 
-    x is a C-contiguous float array of at least m + 1 + n_steps rows of
-    (S, E, I, R): rows 0 .. m - 1 hold the m nodes before the start node
-    (only their E is read: the constant history before t = 0), row m the
+    x is a flat view of at least m + 1 + n_steps rows: rows 0 .. m - 1 hold
+    the m nodes before the start node (only their E is read), row m the
     start node, and step k writes node k + 1 to row m + k + 1. The delayed
     exposed value of step k is the E of row k, so with m = 0 (no delay) it
     is the current node's. chunks yields the increments of steps
@@ -341,7 +334,6 @@ def euler_maruyama(x, beta, mu, gamma, kr, h, n_steps, m, eps, chunks, lo,
     node) outside [lo, hi], stored before the check, its component and
     NaN, NaN, or -1, -1 and the reductions of the path up to the last node.
     """
-    x = memoryview(x.reshape(-1))
     j = 4 * m
     s, e, i, rc = x[j], x[j + 1], x[j + 2], x[j + 3]
     # the stepped nodes' running minimum, checked against lo, joins the

@@ -399,11 +399,10 @@ def _echo(rep: Report, cfg: RunConfig, with_run: bool = False,
         rep.warn(w)
 
 
-# nodes per writer chunk, and the window in which simulate-sde steps its
-# path: a chunk's floats and text stay a few tens of kB at any length. A
-# node's time is built here from its index, k * h, which for k < 2**53 is
-# the float Trajectory.times holds, so the writer holds no path-long time
-# column.
+# steps per window of simulate and simulate-sde, each written as one chunk:
+# a window's floats and text stay a few tens of kB at any length. A node's
+# time is built here from its index, k * h, which for k < 2**53 is the
+# float Trajectory.times holds, so the writer holds no time column.
 _CSV_CHUNK = 512
 _CSV_HEADER = "t,S,E,I,R\n"
 
@@ -414,14 +413,17 @@ def _destination(path: Optional[str], header: str = ""):
     None; the destination is replaced only by a complete file.
 
     The text goes to a new temporary file, created with O_EXCL beside the
-    file that path resolves to (through a symlink, which stays a link) and
-    given the permission bits of the file it replaces. When the block ends
-    without error, os.replace moves it onto that file in one step; on any
-    error it is removed, so the destination keeps its bytes or stays
-    absent. An existing file that is not a regular one (a device, a pipe) is
-    written in place. The destination is checked as the block starts, so a
-    run whose report or trajectory could not be written fails before its
-    first step. An OSError becomes a ValidationError that names path.
+    file that path resolves to (through a symlink, which stays a link).
+    When the block ends without error, os.replace moves it onto that file
+    in one step, so an existing regular file becomes a new file that keeps
+    its permission bits but not its owner or its hard links; on any error
+    it is removed, so the destination keeps its bytes or stays absent. An
+    existing file that is not a regular one (a device, a pipe) is written
+    in place. The destination is checked as the block starts, so a run
+    whose report or trajectory could not be written fails before its first
+    step. Any OSError raised inside the block, the whole path run for
+    run.trajectory and the whole command for --out, becomes a
+    ValidationError "cannot write '<path>'".
     """
     if path is None:
         yield None
@@ -470,14 +472,12 @@ def _destination(path: Optional[str], header: str = ""):
 def _write_nodes(fh, nodes, first: int, h: float) -> None:
     """The CSV lines of nodes, the flat S, E, I, R floats of the nodes
     first, first + 1, ... of a path at step h (a memoryview or a 1-d
-    array), _CSV_CHUNK nodes at a time: .tolist() gives plain floats."""
-    for a in range(0, len(nodes), 4 * _CSV_CHUNK):
-        v = nodes[a:a + 4 * _CSV_CHUNK].tolist()
-        k = first + a // 4
-        fh.write("".join([
-            f"{t * h!r},{s!r},{e!r},{i!r},{rc!r}\n" for t, s, e, i, rc
-            in zip(range(k, k + len(v) // 4), v[::4], v[1::4], v[2::4],
-                   v[3::4])]))
+    array): .tolist() gives plain floats."""
+    v = nodes.tolist()
+    fh.write("".join([
+        f"{t * h!r},{s!r},{e!r},{i!r},{rc!r}\n" for t, s, e, i, rc
+        in zip(range(first, first + len(v) // 4), v[::4], v[1::4], v[2::4],
+               v[3::4])]))
 
 
 def _add_state(rep: Report, prefix: str, values) -> None:
@@ -498,56 +498,36 @@ def _cmd_equilibria(cfg: RunConfig) -> Report:
     return rep
 
 
-def _simulate_common(rep: Report, cfg: RunConfig, nodes: int, last,
-                     max_sum_defect: float, min_component: float) -> None:
-    rep.add("nodes", nodes)
-    _add_state(rep, "final", last)
-    rep.add("max_sum_defect", max_sum_defect)
-    rep.add("min_component", min_component)
-    rep.add("trajectory_file", cfg.trajectory)
-
-
-def _cmd_simulate(cfg: RunConfig) -> Report:
-    rep = Report("simulate")
-    _echo(rep, cfg, with_run=True)
-    h = cfg.resolved_step()
-    with _destination(cfg.trajectory, _CSV_HEADER) as fh:
-        if cfg.params.r > 0.0:
-            traj = integrate_dde(cfg.params, cfg.initial, cfg.horizon, h)
-        else:
-            traj = integrate_ode(cfg.params, cfg.initial.state0(),
-                                 cfg.horizon, h)
-        if fh is not None:
-            _write_nodes(fh, traj._nodes, 0, h)
-    _simulate_common(rep, cfg, len(traj), traj.last, traj.max_sum_defect(),
-                     traj.min_component())
-    return rep
-
-
-def _cmd_simulate_sde(cfg: RunConfig) -> Report:
-    # sde_simulator before det_integrator, which it imports itself:
-    # importing det_integrator first raised the peak RSS of the simulate-sde
-    # golden by about 0.8 MB
-    from .sde_simulator import Seed, _run_path
-
-    rep = Report("simulate-sde")
-    _echo(rep, cfg, with_run=True, with_ensemble=True)
-    h = cfg.resolved_step()
+def _cmd_simulate(cfg: RunConfig, stochastic: bool = False) -> Report:
+    if stochastic:
+        # before det_integrator, which it imports itself: the other order
+        # raised the peak RSS of the simulate-sde golden by about 0.8 MB
+        from .sde_simulator import Seed, _run_path
+    rep = Report("simulate-sde" if stochastic else "simulate")
+    _echo(rep, cfg, with_run=True, with_ensemble=stochastic)
+    p, h = cfg.params, cfg.resolved_step()
     n, m, _ = cfg.grid()
     # the path is stepped in windows of _CSV_CHUNK steps, and each window's
-    # nodes are written as it is stepped, then dropped; the kernel carries
+    # nodes are written as it is stepped, then dropped; the kernels carry
     # the report reductions over
-    first = 0
     with _destination(cfg.trajectory, _CSV_HEADER) as fh:
-        def consume(rows):
-            nonlocal first
+        def consume(first, nodes):
             if fh is not None:
-                _write_nodes(fh, rows.reshape(-1), first, h)
-            first += len(rows)
+                _write_nodes(fh, nodes, first, h)
 
-        last, defect, low = _run_path(cfg.params, cfg.initial, h, n, m,
-                                      Seed(cfg.seed), 0, _CSV_CHUNK, consume)
-    _simulate_common(rep, cfg, n + 1, last, defect, low)
+        if stochastic:
+            out = _run_path(p, cfg.initial, h, n, m, Seed(cfg.seed), 0,
+                            _CSV_CHUNK, consume)
+        elif m:
+            out = integrate_dde(p, cfg.initial, cfg.horizon, h, _CSV_CHUNK,
+                                consume)
+        else:
+            out = integrate_ode(p, cfg.initial.state0(), cfg.horizon, h,
+                                _CSV_CHUNK, consume)
+    rep.add("nodes", n + 1)
+    _add_state(rep, "final", out[0])
+    rep.extend(zip(("max_sum_defect", "min_component"), out[1:]))
+    rep.add("trajectory_file", cfg.trajectory)
     return rep
 
 
@@ -650,7 +630,7 @@ def _cmd_lyapunov(cfg: RunConfig) -> Report:
 _DISPATCH = {
     "equilibria": _cmd_equilibria,
     "simulate": _cmd_simulate,
-    "simulate-sde": _cmd_simulate_sde,
+    "simulate-sde": lambda cfg: _cmd_simulate(cfg, stochastic=True),
     "stability": _cmd_stability,
     "delay-margin": _cmd_delay_margin,
     "concentration": _cmd_concentration,

@@ -10,11 +10,16 @@ Two routes:
   afterwards an Adams-Bashforth/Adams-Moulton predictor-corrector of order 4
   runs over stored node derivatives.
 
-Both step into the kernels' flat buffer of node floats, which the
-Trajectory they return keeps with the reductions the kernel returned; the
-module loads numpy only when a caller reads an array (states, times).
+Every path of the package, these two and sde_simulator's, is stepped by
+one window loop, :func:`_run_windows`, a kernel call a window, into one
+buffer that holds the nodes the delay reaches back to and one window: a
+whole path as one window, kept in a Trajectory, or a streamed one passed
+on window by window. The module loads numpy only when a caller reads an
+array (states, times).
 """
 from __future__ import annotations
+
+import math
 
 from . import _kernels
 from .model_core import (NEGATIVITY_TOL, PROPAGATION_SUM_TOL,
@@ -42,17 +47,15 @@ class Trajectory:
 
     The nodes are held as one flat buffer of floats, four a node: the
     given states array's own (a view when it is contiguous), or, for a
-    kernel run (integrate_ode, integrate_dde, simulate_sde), the kernel's
-    buffer, read-only, with the max_sum_defect and min_component the kernel
-    returned. Given states are reduced by the kernels' rule
-    (_kernels.extremes) at each call. len, last and final_state read the
-    buffer, so they need no array; states is an (n + 1, 4) array over it,
-    built on first read without a copy, so a kernel run's states cannot be
-    written and its reductions stay its own. A run on a grid (on_grid)
-    stores no times: they are built on first read, as floats k*step, and
-    then kept. For integrate_ode and integrate_dde every stored node
-    satisfies |S+E+I+R - 1| <= 1e-10 and min component >= -1e-9; breaches,
-    a NaN node among them, abort the integration instead of being stored.
+    whole-path run (integrate_ode, integrate_dde, simulate_sde), the rows
+    of _run_windows' buffer from node 0 on, read-only, with the
+    max_sum_defect and min_component the kernel returned. Given states are
+    reduced by the kernels' rule (_kernels.extremes) at each call. len,
+    last and final_state read the buffer, so they need no array; states is
+    an (n + 1, 4) array over it, built on first read without a copy, so a
+    run's states cannot be written and its reductions stay its own. A run
+    on a grid (on_grid) stores no times: they are built on first read, as
+    floats k*step, and then kept.
     """
 
     __slots__ = ("_times", "_nodes", "_extremes", "_states", "step")
@@ -112,49 +115,98 @@ class Trajectory:
         return self._extremes or _kernels.extremes(memoryview(self._nodes))
 
 
-def _status_error(status: int, node: int) -> IntegrationError:
-    if status == _kernels.SUM_BREACH:
-        return IntegrationError(
-            f"component sum drifted beyond {PROPAGATION_SUM_TOL} "
-            f"at node {node}", node)
-    return IntegrationError(
-        f"component below {NEGATIVITY_TOL} at node {node}", node)
+def _run_windows(node0, lead: int, h: float, n: int, step, window=None,
+                 consume=None):
+    """The n-step path from node0 (S, E, I, R), stepped in windows through
+    one flat double buffer whose first lead rows hold the nodes before the
+    window's start node, copies of node0 before t = 0.
+
+    step(x, start, steps, defect, low) steps the window from node start, in
+    row lead of x, by one kernel call; it raises on a failed node, counted
+    from node 0, and returns the reductions of the path so far, given those
+    before start. Without consume the path is one window, returned as a
+    read-only Trajectory over the last n + 1 rows. With consume each
+    window's nodes but its last go, flat, to consume(first index, nodes),
+    a view that the next window overwrites, and the last node alone at the
+    end; (last node, max_sum_defect, min_component) is returned.
+    """
+    w = n if consume is None else min(window, n)
+    rows = lead + 1 + w
+    try:
+        x = memoryview(bytearray(32 * rows)).cast("d")
+    except MemoryError:
+        # bytearray's own error names no size
+        raise MemoryError(f"cannot allocate the {32 * rows} bytes of a path "
+                          f"buffer of shape ({rows}, 4)") from None
+    at = 4 * lead
+    x[0], x[1], x[2], x[3] = node0
+    # copies of node 0 in the lead rows, doubling, with no lead-long copy
+    k = 4
+    while k <= at:
+        x[k:min(2 * k, at + 4)] = x[:min(k, at + 4 - k)]
+        k *= 2
+    defect, low = 0.0, math.inf
+    for start in range(0, n, w):
+        steps = min(w, n - start)
+        defect, low = step(x, start, steps, defect, low)
+        if consume is None:
+            return Trajectory(None, x[at:].toreadonly(), h, (defect, low))
+        consume(start, x[at:at + 4 * steps])
+        x[:at + 4] = x[4 * steps:4 * steps + at + 4]
+    consume(n, x[at:at + 4])
+    return x[at:at + 4].tolist(), defect, low
 
 
-def integrate_ode(p: Params, x0: State, t_end: float, h: float) -> Trajectory:
+def _integrate(p: Params, node0, t_end: float, h: float, window, consume):
+    """The path of integrate_ode (r = 0) or integrate_dde (m + 3 nodes
+    before each window); a failed node raises an IntegrationError."""
+    n, m, _ = step_grid(p.r, t_end, h)
+    rates = p.beta, p.mu, p.gamma, p.k_r
+    tols = PROPAGATION_SUM_TOL, NEGATIVITY_TOL
+
+    def step(x, start, steps, defect, low):
+        if m:
+            status, node, defect, low = _kernels.dde_rk4_abm4(
+                x, m, *rates, steps, h, start, *tols, defect, low)
+        else:
+            status, node, defect, low = _kernels.ode_rk4(
+                x, *rates, steps, h, *tols, defect, low)
+        if status != _kernels.OK:
+            node += start
+            raise IntegrationError(
+                f"component sum drifted beyond {tols[0]} at node {node}"
+                if status == _kernels.SUM_BREACH
+                else f"component below {tols[1]} at node {node}", node)
+        return defect, low
+    return _run_windows(node0, m + 3 if m else 0, h, n, step, window,
+                        consume)
+
+
+def integrate_ode(p: Params, x0: State, t_end: float, h: float,
+                  window=None, consume=None):
     """Integrate the nondelayed system (p.r must be 0) with classical RK4.
 
     h must divide t_end (see step_grid). Simplex-sum drift beyond 1e-10 (a
     NaN sum among it) or a component below -1e-9 aborts with the node
-    index.
+    index. With consume the path streams in windows of window steps, as
+    _run_windows says.
     """
     if p.r != 0.0:
         raise ValidationError("integrate_ode requires r = 0; "
                               "use integrate_dde for a delayed run")
-    n, _, _ = step_grid(0.0, t_end, h)
-    nodes, status, node, *extremes = _kernels.ode_rk4(
-        x0.s, x0.e, x0.i, x0.rcv, h, n, p.beta, p.mu, p.gamma, p.k_r,
-        PROPAGATION_SUM_TOL, NEGATIVITY_TOL)
-    if status != _kernels.OK:
-        raise _status_error(status, node)
-    return Trajectory(None, nodes.toreadonly(), h, tuple(extremes))
+    return _integrate(p, x0, t_end, h, window, consume)
 
 
-def integrate_dde(p: Params, ic: InitialCondition, t_end: float,
-                  h: float) -> Trajectory:
+def integrate_dde(p: Params, ic: InitialCondition, t_end: float, h: float,
+                  window=None, consume=None):
     """Integrate the delayed system (p.r > 0) by the method of steps.
 
     The grid is step_grid's: r/h is a whole number >= 3, so delayed lookups
     hit stored nodes, and t_end >= r. Invariant breaches abort with the
-    node index.
+    node index. Returns what integrate_ode does.
     """
     if not p.r > 0.0:
         raise ValidationError("integrate_dde requires r > 0; "
                               "use integrate_ode for the nondelayed system")
-    n, m, _ = step_grid(p.r, t_end, h)
-    nodes, status, node, *extremes = _kernels.dde_rk4_abm4(
-        ic.s0, ic.e0, ic.i0, ic.r0, ic.e0, h, n, m,
-        p.beta, p.mu, p.gamma, p.k_r, PROPAGATION_SUM_TOL, NEGATIVITY_TOL)
-    if status != _kernels.OK:
-        raise _status_error(status, node)
-    return Trajectory(None, nodes.toreadonly(), h, tuple(extremes))
+    return _integrate(p, (ic.s0, ic.e0, ic.i0, ic.r0), t_end, h, window,
+                      consume)

@@ -5,11 +5,8 @@ Brownian increment: S loses eps*S*I dW, E gains the same amount, I and R
 keep their drift. Euler-Maruyama stepping moves every transfer (and the
 noise term) between compartments as one rounded value, so S+E+I+R is
 conserved up to the rounding of the additions alone and the eps = 0 path
-is bitwise equal to deterministic Euler. A single path is stepped in windows
-through a buffer that holds its last m + 1 nodes (m = r/h) and one window:
-either the whole path as one window, kept and returned, or fixed windows
-passed to a consumer as they are stepped, which keeps memory flat in the
-path length.
+is bitwise equal to deterministic Euler. A single path is stepped by the
+window loop of the deterministic paths, det_integrator._run_windows.
 
 On top of the path simulator: replica ensembles against the deterministic
 reference, an empirical check of the exp(-c*rho^2/eps^2) concentration tail,
@@ -26,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .det_integrator import IntegrationError, Trajectory
+from .det_integrator import IntegrationError, Trajectory, _run_windows
 from .model_core import (InitialCondition, Params, State, ValidationError,
                          _Checked, _rho_grid, make_run_state, step_grid)
 
@@ -267,43 +264,23 @@ def _run_path(p: Params, ic: InitialCondition, h: float, n: int, m: int,
               seed: Optional[Seed], replica: int, window: Optional[int] = None,
               consume=None):
     """The n-step path of replica `replica` of seed, which draws nothing at
-    eps = 0 (seed may then be None), stepped in windows through one buffer
-    whose first m rows hold the nodes before the window's start node.
-
-    Without consume the path is one window, returned as a Trajectory over
-    the last n + 1 rows of its (m + 1 + n)-row buffer, read-only, with the
-    kernel's reductions. With consume it is stepped window steps at a time,
-    one kernel call each, through a buffer of m + 1 + min(window, n) rows:
-    each window's nodes but its last go to consume(rows) as soon as they
-    are stepped, so the calls see nodes 0 .. n in order, the last one
-    alone; rows are a view that the next window overwrites. The kernel
-    carries the reductions over, and (last node, max_sum_defect,
-    min_component) is returned. Either way a node that leaves the band
-    raises at once, with its step counted from node 0.
+    eps = 0 (seed may then be None), as det_integrator._run_windows returns
+    it, m nodes before each window. A node that leaves the band raises at
+    once, with its step counted from node 0.
     """
     rng = None if p.epsilon == 0.0 else seed.rng(replica)
-    w = n if consume is None else min(window, n)
-    x = np.empty((m + 1 + w, 4))
-    # node 0 and, for its E (the constant history), the m nodes before it
-    x[:m + 1] = ic.s0, ic.e0, ic.i0, ic.r0
-    defect, low = 0.0, math.inf
-    for start in range(0, n, w):
-        steps = min(w, n - start)
+
+    def step(x, start, steps, defect, low):
         status, node, comp, defect, low = _kernels.euler_maruyama(
-            x, p.beta, p.mu, p.gamma, p.k_r, h, steps, m, p.epsilon,
+            x, m, p.beta, p.mu, p.gamma, p.k_r, steps, h, p.epsilon,
             _increments(rng, h, steps), -EXCURSION_BAND, 1.0 + EXCURSION_BAND,
             defect, low)
         if status == _kernels.EXCURSION:
-            raise _excursion_error(start + node, comp, x[m + node, comp],
-                                   replica)
-        if consume is None:
-            x.flags.writeable = False
-            return Trajectory(None, x[m:], h, (defect, low))
-        consume(x[m:m + steps])
-        # the last m + 1 nodes become the next window's history and start
-        x[:m + 1] = x[steps:steps + m + 1]
-    consume(x[m:m + 1])
-    return x[m].tolist(), defect, low
+            raise _excursion_error(start + node, comp,
+                                   x[4 * (m + node) + comp], replica)
+        return defect, low
+    return _run_windows((ic.s0, ic.e0, ic.i0, ic.r0), m, h, n, step, window,
+                        consume)
 
 
 # Replicas step together over a replica axis, in blocks of at most
@@ -457,9 +434,8 @@ def simulate_sde(p: Params, ic: InitialCondition, t_end: float, h: float,
     sign +; I and R are drift-only. The delayed exposed value is read from
     stored nodes exactly as in the deterministic integrator, on the same
     step_grid. Components leaving [-0.05, 1.05] abort with an excursion
-    diagnostic naming the step and component. The whole path is stepped as
-    one window (one kernel call); the command line's simulate-sde steps the
-    same nodes in windows of a few hundred and holds none of the rest.
+    diagnostic naming the step and component. The whole path is one window;
+    the command line streams the same nodes in windows (_run_path).
     """
     _check_int("replica", replica, 0)
     n, m, _ = step_grid(p.r, t_end, h)

@@ -846,14 +846,13 @@ class TestMain:
             f"{t!r},{s!r},{e!r},{i!r},{rc!r}\n" for t, (s, e, i, rc)
             in zip(traj.times.tolist(), traj.states.tolist()))
 
-    # (command, r, n steps, r0): seeded paths whose steps end inside, at and
-    # past simulate-sde's 512-step windows, without and with a delay; then
-    # disease-free starts (r0 given), whose minimum is a zero: +0.0
-    # throughout, or -0.0 at node 0 alone
+    # (command, r, n steps, r0): paths, seeded for simulate-sde, whose steps
+    # end inside, at and past the 512-step windows, without and with a
+    # delay; then disease-free starts (r0 given), whose minimum is a zero:
+    # +0.0 throughout, or -0.0 at node 0 alone
     PATH_RUNS = [
-        *(("simulate-sde", r, n, None) for r in (0.0, 0.5)
-          for n in (511, 512, 513, 1025)),
-        *(("simulate", r, 1025, None) for r in (0.0, 0.5)),
+        *((command, r, n, None) for command in ("simulate-sde", "simulate")
+          for r in (0.0, 0.5) for n in (511, 512, 513, 1025)),
         *((command, r, 513, r0) for command in ("simulate", "simulate-sde")
           for r in (0.0, 0.5) for r0 in ("0.0", "-0.0"))]
 
@@ -972,15 +971,18 @@ class TestMain:
         assert "has 2e+300 nodes" in captured.err
 
     def test_grid_too_large_for_memory(self, tmp_path, capsys):
-        # 1e15 nodes fit numpy's index type but no address space: the node
-        # array fails to allocate without touching memory
-        text = MINIMAL + "run.horizon = 1e13\nrun.step = 0.01\n"
+        # a delay of m = 1e15 steps: the window buffer holds the m + 3 nodes
+        # before a window beside its 512, which fit the index type but no
+        # address space, so it fails to allocate before the first step
+        text = ("params.beta = 0.4\nparams.mu = 0.2\nparams.gamma = 0.1\n"
+                "params.k_r = 1e14\nparams.r = 1e13\nrun.horizon = 1e13\n"
+                "run.step = 0.01\n")
         rc = main(["simulate", "--config", self.write(tmp_path, text)])
         assert rc == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("validation error: out of memory: ")
-        assert "(1000000000000001, 4)" in captured.err
+        assert "(1000000000000516, 4)" in captured.err
 
     def test_lyapunov_epsilon_square_overflow_is_a_false_condition(
             self, tmp_path, capsys):

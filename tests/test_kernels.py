@@ -26,9 +26,10 @@ import math
 import numpy as np
 import pytest
 
-from seirs_delay import (ExcursionError, Params, Seed, _kernels,
-                         integrate_dde, integrate_ode, make_initial_condition,
-                         sde_simulator, simulate_sde)
+from seirs_delay import (ExcursionError, IntegrationError, Params, Seed,
+                         _kernels, det_integrator, integrate_dde,
+                         integrate_ode, make_initial_condition, sde_simulator,
+                         simulate_sde)
 from seirs_delay.model_core import (NEGATIVITY_TOL, PROPAGATION_SUM_TOL,
                                     step_grid)
 
@@ -134,19 +135,33 @@ def _draw(seed):
     return (1.0 - (e0 + i0 + r0), e0, i0, r0), h, m, (beta, mu, gamma, kr)
 
 
+def _kernel(kernel, x0, n, m, rates, h, tols, defect=0.0, low=math.inf):
+    """An n-step call of the deterministic kernel from the start node x0,
+    stepped into a buffer whose rows before it (m + 3 for dde_rk4_abm4, the
+    constant history) hold x0 too: the rows from the start node on, then the
+    kernel's status, exit node, max_sum_defect and min_component."""
+    lead = m + 3 if kernel == "dde_rk4_abm4" else 0
+    x = np.zeros((lead + 1 + n, 4))
+    x[:lead + 1] = x0
+    view = memoryview(x.reshape(-1))
+    if kernel == "ode_rk4":
+        out = _kernels.ode_rk4(view, *rates, n, h, *tols, defect, low)
+    else:
+        out = _kernels.dde_rk4_abm4(view, m, *rates, n, h, 0, *tols, defect,
+                                    low)
+    return (x[lead:], *out)
+
+
 def _run_draw(kernel, seed):
     x0, h, m, rates = _draw(seed)
-    tols = (PROPAGATION_SUM_TOL, NEGATIVITY_TOL)
-    if kernel == "ode_rk4":
-        return _kernels.ode_rk4(*x0, h, DRAW_STEPS, *rates, *tols)
-    return _kernels.dde_rk4_abm4(*x0, x0[1], h, DRAW_STEPS, m, *rates, *tols)
+    return _kernel(kernel, x0, DRAW_STEPS, m, rates, h,
+                   (PROPAGATION_SUM_TOL, NEGATIVITY_TOL))
 
 
 def draw_digest(kernel, seed):
     """Status, exit node and every stored row (all of them, or the rows
     before the exit: a few draws leave the simplex)."""
-    nodes, status, node, _, _ = _run_draw(kernel, seed)
-    out = np.frombuffer(nodes).reshape(-1, 4)
+    out, status, node, _, _ = _run_draw(kernel, seed)
     stored = len(out) if status == _kernels.OK else node
     return hashlib.sha256(f"{status},{node};".encode()
                           + out[:stored].tobytes()).hexdigest()
@@ -216,13 +231,9 @@ H, N, M = 0.01, 1000, 50
 
 def _det(kernel, x0, sum_tol, neg_tol):
     """The kernel's node rows, status and exit node."""
-    if kernel == "ode_rk4":
-        out = _kernels.ode_rk4(*x0, H, N, *RATES, sum_tol, neg_tol)
-    else:
-        out = _kernels.dde_rk4_abm4(*x0, x0[1], H, N, M, *RATES, sum_tol,
-                                    neg_tol)
-    nodes, status, node, _, _ = out
-    return np.frombuffer(nodes).reshape(-1, 4), status, node
+    out, status, node, _, _ = _kernel(kernel, x0, N, M, RATES, H,
+                                      (sum_tol, neg_tol))
+    return out, status, node
 
 
 def _defects(x):
@@ -272,17 +283,11 @@ NAN_EXITS = [("ode_rk4", 0.1, 1e-300, 1), ("dde_rk4_abm4", 0.1, 1e-300, 1),
 
 @pytest.mark.parametrize("kernel,gamma,kr,node", NAN_EXITS)
 def test_a_nan_node_is_a_sum_breach(kernel, gamma, kr, node):
-    x0, h, m = IC_SUM, 0.01, 50
-    args = (h, 1000, *([m] if kernel == "dde_rk4_abm4" else []), 0.4, 0.2,
-            gamma, kr, np.inf, -np.inf)
-    if kernel == "dde_rk4_abm4":
-        out = _kernels.dde_rk4_abm4(*x0, x0[1], *args)
-    else:
-        out = _kernels.ode_rk4(*x0, *args)
-    nodes, status, bad, _, _ = out
+    out, status, bad, _, _ = _kernel(kernel, IC_SUM, 1000, 50,
+                                     (0.4, 0.2, gamma, kr), 0.01,
+                                     (np.inf, -np.inf))
     assert (status, bad) == (_kernels.SUM_BREACH, node)
-    rows = np.frombuffer(nodes).reshape(-1, 4)[:node]
-    assert not np.isnan(rows).any()
+    assert not np.isnan(out[:node]).any()
 
 
 def _bits(v):
@@ -294,9 +299,8 @@ def _bits(v):
 def test_returned_extremes_are_numpys_reductions(kernel, seed):
     # max |row sum - 1| and the smallest value of the stored nodes, as
     # numpy reduces them: the same bits
-    nodes, status, _, defect, low = _run_draw(kernel, seed)
+    x, status, _, defect, low = _run_draw(kernel, seed)
     assert status == _kernels.OK
-    x = np.frombuffer(nodes).reshape(-1, 4)
     assert _bits(defect) == np.abs(x.sum(axis=1) - 1.0).max().tobytes()
     assert _bits(low) == x.min().tobytes()
 
@@ -307,13 +311,9 @@ def test_returned_extremes_are_numpys_reductions(kernel, seed):
 def test_node_0_joins_the_extremes(kernel, n, excess):
     # a start off the simplex: its defect is the path's largest or close
     x0 = (IC_SUM[0] + excess, *IC_SUM[1:])
-    if kernel == "ode_rk4":
-        out = _kernels.ode_rk4(*x0, H, n, *RATES, 1e-10, -1e-9)
-    else:
-        out = _kernels.dde_rk4_abm4(*x0, x0[1], H, n, M, *RATES, 1e-10, -1e-9)
-    nodes, status, _, defect, low = out
+    x, status, _, defect, low = _kernel(kernel, x0, n, M, RATES, H,
+                                        (1e-10, -1e-9))
     assert status == _kernels.OK
-    x = np.frombuffer(nodes).reshape(-1, 4)
     assert len(x) == n + 1
     assert _bits(defect) == np.abs(x.sum(axis=1) - 1.0).max().tobytes()
     assert _bits(low) == x.min().tobytes()
@@ -321,19 +321,16 @@ def test_node_0_joins_the_extremes(kernel, n, excess):
 
 def _start(kernel, x0):
     """The kernel's path from x0 under the run tolerances."""
-    if kernel == "ode_rk4":
-        return _kernels.ode_rk4(*x0, H, N, *RATES, 1e-10, -1e-9)
-    return _kernels.dde_rk4_abm4(*x0, x0[1], H, N, M, *RATES, 1e-10, -1e-9)
+    return _kernel(kernel, x0, N, M, RATES, H, (1e-10, -1e-9))
 
 
 @pytest.mark.parametrize("kernel", ["ode_rk4", "dde_rk4_abm4"])
 def test_a_negative_start_is_the_minimum_over_zeros(kernel):
     # E and I stay +0.0 after node 0, whose S is below zero: node 0's value
     # is the minimum, and no zero's sign is in question
-    nodes, status, _, defect, low = _start(kernel, (-1e-12, 0.0, 0.0,
-                                                    1.0 + 1e-12))
+    x, status, _, defect, low = _start(kernel, (-1e-12, 0.0, 0.0,
+                                                1.0 + 1e-12))
     assert status == _kernels.OK
-    x = np.frombuffer(nodes).reshape(-1, 4)
     assert (x[1:, 1:3] == 0.0).all() and (x[1:] >= 0.0).all()
     assert _bits(low) == x.min().tobytes() == _bits(-1e-12)
     assert _bits(defect) == np.abs(x.sum(axis=1) - 1.0).max().tobytes()
@@ -345,14 +342,13 @@ def test_a_negative_start_is_the_minimum_over_zeros(kernel):
                                 (1.0, 0.0, -0.0, 0.0),
                                 (1.0, -0.0, 0.0, 0.0),
                                 (0.95, 0.0, 0.0, 0.05)])
-def test_a_zero_minimum_of_uncertain_sign_is_left_to_numpy(kernel, x0):
+def test_a_zero_minimum_takes_the_ieee_minimum_sign(kernel, x0):
     # numpy's min picks a signed zero by its SIMD order when the path holds
     # both, so the kernels take IEEE 754-2019 minimum's instead: -0.0 when
     # any stored zero is -0.0 (node 0's, in the first four starts), else
     # +0.0 (the last start keeps E and I at +0.0); the defect is numpy's
-    nodes, status, _, defect, low = _start(kernel, x0)
+    x, status, _, defect, low = _start(kernel, x0)
     assert status == _kernels.OK
-    x = np.frombuffer(nodes).reshape(-1, 4)
     assert x.min() == 0.0
     assert [_bits(defect), _bits(low)] == list(map(_bits, path_reductions(x)))
     assert _bits(low) == _bits(-0.0 if np.signbit(x0).any() else 0.0)
@@ -379,7 +375,7 @@ def test_euler_maruyama_excursion_exit(x0, rates, comp, node):
         x = np.empty((m + 1 + n, 4))
         x[:m + 1] = x0
         status, bad, c, _, _ = _kernels.euler_maruyama(
-            x, *rates, h, n, m, 0.1, chunks, lo, hi)
+            memoryview(x.reshape(-1)), m, *rates, n, h, 0.1, chunks, lo, hi)
         return x[m:], status, bad, c
     free, status, _, _ = run(-1.0, 2.0)
     assert status == _kernels.OK
@@ -402,43 +398,65 @@ def test_euler_maruyama_excursion_exit(x0, rates, comp, node):
 
 WINDOW_STEPS = 1100
 WINDOW_M = 50
+# the rates of each delay: at r = 6 (m = 600 steps) the delayed kernel's
+# RK4 start ends inside a 512-step window; at r = 0.03 (m = 3) a PECE start
+# reads rows of three windows before it
+K_R = {0.0: 2.0, 0.03: 2.0, 0.5: 2.0, 6.0: 20.0}
 
 
-def _stepped(p, seed, window=None, n=WINDOW_STEPS):
-    """A path of n steps as sde_simulator._run_path steps it: as one window
-    (window None), or streamed in windows of window steps, with the nodes of
-    every consume call and the calls' row counts; and the bytes of the
-    last node, max_sum_defect and min_component it reports."""
-    m = WINDOW_M if p.r else 0
+def _stepped(kernel, p, seed, window=None, n=WINDOW_STEPS):
+    """A path of n steps of kernel as det_integrator._run_windows steps it:
+    as one window (window None), or streamed in windows of window steps,
+    with the nodes of every consume call and the calls' row counts; and the
+    bytes of the last node, max_sum_defect and min_component it reports.
+    The stochastic path is replica 0 of seed."""
+    h = 0.01
+    if kernel == "euler_maruyama":
+        m = round(p.r / h)
+
+        def run(*streamed):
+            return sde_simulator._run_path(p, IC, h, n, m, Seed(seed), 0,
+                                           *streamed)
+    elif kernel == "ode_rk4":
+        def run(*streamed):
+            return integrate_ode(p, IC.state0(), n * h, h, *streamed)
+    else:
+        def run(*streamed):
+            return integrate_dde(p, IC, n * h, h, *streamed)
     if window is None:
-        traj = sde_simulator._run_path(p, IC, 0.01, n, m, Seed(seed), 0)
+        traj = run()
         return traj.states, None, list(map(_bits, [
             *traj.last, traj.max_sum_defect(), traj.min_component()]))
     blocks = []
-    last, *reductions = sde_simulator._run_path(
-        p, IC, 0.01, n, m, Seed(seed), 0, window,
-        lambda rows: blocks.append(rows.copy()))
+
+    def consume(first, nodes):
+        assert first == sum(map(len, blocks))
+        blocks.append(np.array(nodes).reshape(-1, 4))
+    last, *reductions = run(window, consume)
     return (np.concatenate(blocks), [len(b) for b in blocks],
             list(map(_bits, [*last, *reductions])))
 
 
-@pytest.mark.parametrize("r", [0.0, 0.5])
+@pytest.mark.parametrize("r", [0.0, 0.03, 0.5, 6.0])
 @pytest.mark.parametrize("window", [1, 3, WINDOW_M, WINDOW_M + 1, 128, 512,
                                     WINDOW_STEPS, 2 * WINDOW_STEPS])
 def test_windows_step_the_nodes_of_one_window(r, window):
     # and report the last node and the reductions of one window, which are
-    # numpy's, a zero minimum by IEEE 754-2019 minimum
-    p = Params(0.4, 0.2, 0.1, 2.0, r=r, epsilon=0.1)
-    whole, _, summary = _stepped(p, 8)
-    streamed, sizes, streamed_summary = _stepped(p, 8, window)
-    assert streamed.tobytes() == whole.tobytes()
-    assert streamed_summary == summary == list(map(_bits, [
-        *whole[-1], *path_reductions(whole)]))
-    # every call but the last holds one window's nodes; the last node
-    # comes alone
-    w = min(window, WINDOW_STEPS)
-    assert sizes == [w] * (WINDOW_STEPS // w) + (
-        [WINDOW_STEPS % w] if WINDOW_STEPS % w else []) + [1]
+    # numpy's, a zero minimum by IEEE 754-2019 minimum; so for the
+    # stochastic kernel and for the deterministic one of the delay
+    p = Params(0.4, 0.2, 0.1, K_R[r], r=r, epsilon=0.1)
+    for kernel in ("euler_maruyama", "dde_rk4_abm4" if r else "ode_rk4"):
+        whole, _, summary = _stepped(kernel, p, 8)
+        streamed, sizes, streamed_summary = _stepped(kernel, p, 8, window)
+        assert len(whole) == WINDOW_STEPS + 1
+        assert streamed.tobytes() == whole.tobytes(), kernel
+        assert streamed_summary == summary == list(map(_bits, [
+            *whole[-1], *path_reductions(whole)])), kernel
+        # every call but the last holds one window's nodes; the last node
+        # comes alone
+        w = min(window, WINDOW_STEPS)
+        assert sizes == [w] * (WINDOW_STEPS // w) + (
+            [WINDOW_STEPS % w] if WINDOW_STEPS % w else []) + [1]
 
 
 @pytest.mark.parametrize("start, held, low", [
@@ -451,14 +469,20 @@ def test_a_window_settles_a_zero_minimum_with_the_path_before_it(start, held,
                                                                  low):
     # a disease-free window keeps E, I and R at +0.0 after its start, so
     # its zero minimum is -0.0 only when its start or an earlier window
-    # (held) holds a -0.0
+    # (held) holds a -0.0; so in every kernel
     n = 600
     x = np.empty((n + 1, 4))
     x[0] = start
-    out = _kernels.euler_maruyama(x, 0.4, 0.2, 0.1, 2.0, 0.01, n, 0, 0.1,
-                                  [np.ones(n)], -0.05, 1.05, 0.0, held)
+    out = _kernels.euler_maruyama(memoryview(x.reshape(-1)), 0, 0.4, 0.2,
+                                  0.1, 2.0, n, 0.01, 0.1, [np.ones(n)], -0.05,
+                                  1.05, 0.0, held)
     assert out[:4] == (_kernels.OK, -1, -1, 0.0)
     assert repr(out[4]) == low and not np.signbit(x[1:]).any()
+    for kernel in ("ode_rk4", "dde_rk4_abm4"):
+        x, *out = _kernel(kernel, start, n, M, RATES, H, (1e-10, -1e-9), 0.0,
+                          held)
+        assert out[:3] == [_kernels.OK, -1, 0.0], kernel
+        assert repr(out[3]) == low and not np.signbit(x[1:]).any(), kernel
 
 
 def test_a_nan_carried_in_stays_and_the_band_still_holds():
@@ -469,7 +493,7 @@ def test_a_nan_carried_in_stays_and_the_band_still_holds():
         x = np.empty((n + 1, 4))
         x[0] = IC.s0, IC.e0, IC.i0, IC.r0
         out = _kernels.euler_maruyama(
-            x, 0.4, 0.2, 0.1, 2.0, 0.01, n, 0, 1.5,
+            memoryview(x.reshape(-1)), 0, 0.4, 0.2, 0.1, 2.0, n, 0.01, 1.5,
             sde_simulator._increments(Seed(0).rng(), 0.01, n), lo, 1.05,
             math.nan, math.nan)
         if lo == -1.0:
@@ -477,6 +501,49 @@ def test_a_nan_carried_in_stays_and_the_band_still_holds():
             assert math.isnan(out[3]) and math.isnan(out[4])
         else:
             assert out[0] == _kernels.EXCURSION and x[out[1], out[2]] < lo
+
+
+# (kernel, status, node): exits of test_sum_breach_exit and
+# test_negative_exit, each inside a later window of every size below
+WINDOW_EXITS = [("ode_rk4", _kernels.SUM_BREACH, 864),
+                ("dde_rk4_abm4", _kernels.SUM_BREACH, 42),
+                ("dde_rk4_abm4", _kernels.SUM_BREACH, 141),
+                ("ode_rk4", _kernels.NEGATIVE, 200),
+                ("dde_rk4_abm4", _kernels.NEGATIVE, 30),
+                ("dde_rk4_abm4", _kernels.NEGATIVE, 120)]
+
+
+@pytest.mark.parametrize("kernel,status,node", WINDOW_EXITS)
+@pytest.mark.parametrize("window", [7, 25])
+def test_windows_report_the_exit_node_of_the_path(kernel, status, node,
+                                                  window, monkeypatch):
+    # the run tolerance that the node breaks is set just inside it, as in
+    # the exit tests above; the error names the node counted from node 0,
+    # and the windows before its own were passed on
+    x0 = IC_SUM if status == _kernels.SUM_BREACH else IC_NEG
+    free, ok, _ = _det(kernel, x0, 1.0, -1.0)
+    assert ok == _kernels.OK and node > window
+    if status == _kernels.SUM_BREACH:
+        tol = ("PROPAGATION_SUM_TOL", float(_defects(free)[1:node].max()))
+    else:
+        tol = ("NEGATIVITY_TOL", float(free.min(axis=1)[1:node].min()))
+    monkeypatch.setattr(det_integrator, *tol)
+    ic = make_initial_condition(e0=x0[1], s0=x0[0], i0=x0[2], r0=x0[3])
+    blocks = []
+
+    def consume(first, nodes):
+        blocks.append(np.array(nodes).reshape(-1, 4))
+    with pytest.raises(IntegrationError) as exc:
+        if kernel == "ode_rk4":
+            integrate_ode(Params(*RATES), ic.state0(), N * H, H, window,
+                          consume)
+        else:
+            integrate_dde(Params(*RATES, r=M * H), ic, N * H, H, window,
+                          consume)
+    assert exc.value.node == node and f"at node {node}" in str(exc.value)
+    streamed = np.concatenate(blocks)
+    assert len(streamed) == (node - 1) // window * window
+    assert np.array_equal(streamed, free[:len(streamed)])
 
 
 # (r, eps, seed, step): a path that leaves the band inside a later window of
@@ -490,10 +557,10 @@ def test_windows_report_the_excursion_of_one_window(r, eps, seed, step,
                                                    window):
     p = Params(0.4, 0.2, 0.1, 2.0, r=r, epsilon=eps)
     with pytest.raises(ExcursionError) as whole:
-        _stepped(p, seed, n=2000)
+        _stepped("euler_maruyama", p, seed, n=2000)
     assert whole.value.node == step
     with pytest.raises(ExcursionError) as streamed:
-        _stepped(p, seed, window, n=2000)
+        _stepped("euler_maruyama", p, seed, window, n=2000)
     assert (streamed.value.node, streamed.value.component,
             str(streamed.value)) == (step, whole.value.component,
                                      str(whole.value))

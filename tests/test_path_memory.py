@@ -1,6 +1,6 @@
 """A path run holds its (n + 1, 4) path and a fixed slack, nothing else that
-grows with n; the command line's simulate-sde, which streams its path,
-holds only the slack.
+grows with n; the command line's simulate and simulate-sde, which stream
+their paths, hold only the slack.
 
 tracemalloc counts Python's objects and numpy's array buffers alike, in
 requested bytes. Each measurement starts tracing after a warm-up run, so
@@ -69,13 +69,12 @@ def test_a_path_run_holds_its_path_and_a_fixed_slack(name):
 # joined string, about 210 kB, so a path whose extra column outweighs it
 # takes too long to trace. The CLI is measured at two lengths instead: its
 # slack moves by less than DRIFT between them, while one more path-long
-# column would move it by 8 * (N2 - N1) bytes. simulate holds its (n + 1, 4)
-# path beside the slack; simulate-sde streams its path, a window at a time,
-# so its whole traced peak moves by less than DRIFT.
+# column would move it by 8 * (N2 - N1) bytes. Both commands stream their
+# paths, a window at a time, so the whole traced peak moves by less than
+# DRIFT.
 N1, N2 = 1100, 4100
 DRIFT = 11 * 1024
 assert DRIFT < 8 * (N2 - N1) // 2
-PATH_BYTES = {"simulate": 32, "simulate-sde": 0}
 
 
 @pytest.mark.parametrize("command, eps", [("simulate", 0.0),
@@ -98,30 +97,32 @@ def test_a_cli_path_run_holds_its_path_and_a_fixed_slack(command, eps,
         finally:
             tracemalloc.stop()
         assert csv.read_text().count("\n") == n + 2
-        return peak - PATH_BYTES[command] * (n + 1)
+        return peak
 
     beyond(300)
     assert abs(beyond(N2) - beyond(N1)) < DRIFT
 
 
 
-def test_a_simulate_that_fails_at_node_1_holds_its_whole_path(tmp_path,
-                                                              capsys):
-    # the kernel's buffer is a bytearray, made (and zeroed) for the whole
-    # grid before the first step: a path that sums to NaN at node 1 still
-    # costs its 32 bytes a node
+def test_a_simulate_that_fails_at_node_1_holds_one_window(tmp_path, capsys):
+    # the buffer holds one window of nodes, not the grid: a path that sums
+    # to NaN at node 1 costs less than its 32 bytes a node
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"params.beta = 0.4\nparams.mu = 0.2\nparams.gamma = 0.1\n"
                    f"params.k_r = 1e-300\nrun.horizon = {N * H!r}\n"
                    f"run.step = {H!r}\n")
-    tracemalloc.start()
-    try:
-        assert main(["simulate", "--config", str(cfg)]) == EXIT_NUMERICAL
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert "at node 1\n" in capsys.readouterr().err
-    assert peak >= 32 * (N + 1)
+
+    def peak():
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", str(cfg)]) == EXIT_NUMERICAL
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    peak()
+    assert peak() < 32 * (N + 1)
+    assert capsys.readouterr().err.count("at node 1\n") == 2
+
 
 def test_writer_builds_each_chunks_times_without_the_time_column(tmp_path):
     # the writer takes the flat node floats alone: each chunk's times are
@@ -134,3 +135,26 @@ def test_writer_builds_each_chunks_times_without_the_time_column(tmp_path):
             for line in dest.read_text().splitlines()[1:]]
     times = np.arange(len(states)) * 0.1
     assert rows == [[t, *x] for t, x in zip(times.tolist(), states.tolist())]
+
+
+def test_a_long_delay_holds_its_lead_rows_once(tmp_path):
+    # the m + 3 rows before a window hold copies of node 0, made in place:
+    # a simulate whose delay is m = 5000 steps holds its window buffer of
+    # m + 516 rows and no second copy of the lead rows beside it
+    m = 5000
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"params.beta = 0.4\nparams.mu = 0.2\nparams.gamma = 0.1\n"
+                   f"params.k_r = 600.0\nparams.r = {m * H!r}\n"
+                   f"run.horizon = {m * H!r}\nrun.step = {H!r}\n")
+
+    def peak():
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "report.txt")]) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    peak()
+    buffer = 32 * (m + 516)
+    assert buffer < peak() < buffer + 8 * m

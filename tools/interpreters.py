@@ -6,8 +6,10 @@ For each interpreter, runs `<python> -m seirs_delay` with src/ as its
 PYTHONPATH on the seven goldens that need no numpy (equilibria, stability,
 both delay-margin, lyapunov and both simulate) and compares each report
 with its golden byte for byte. It also runs `simulate` from a disease-free
-start, whose minimum is a zero, and compares its report with the one this
-script's own interpreter renders in process, and checks that --version
+start, whose minimum is a zero, and a delayed `simulate` over 1025 steps,
+which streams its path to run.trajectory in three windows, and compares
+their reports, and the streamed run's CSV, with the bytes this script's
+own interpreter writes in process; and it checks that --version
 prints the package version and that an unknown command exits 2. Where the
 interpreter can import numpy, the simulate-sde and concentration goldens
 run too. An interpreter that cannot start is reported as skipped. It is a
@@ -37,6 +39,10 @@ NUMPY_GOLDENS = {"simulate-sde": "simulate-sde",
 DISEASE_FREE = ("params.beta = 0.1\nparams.mu = 0.2\nparams.gamma = 0.3\n"
                 "params.k_r = 2.0\nrun.horizon = 10.0\ninit.s0 = 1.0\n"
                 "init.e0 = 0.0\ninit.i0 = 0.0\ninit.r0 = 0.0\n")
+# r = 0.5 over 1025 steps of 0.01: two whole 512-step windows and one step
+STREAMED = ("params.beta = 0.4\nparams.mu = 0.2\nparams.gamma = 0.1\n"
+            "params.k_r = 2.0\nparams.r = 0.5\nrun.horizon = 10.25\n"
+            "run.step = 0.01\n")
 # the children see src/ and nothing of this interpreter's path, and write
 # no bytecode into src/
 ENV = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
@@ -47,10 +53,11 @@ def run(python: str, *args: str) -> subprocess.CompletedProcess:
                           cwd=ROOT, timeout=300)
 
 
-def check(python: str, disease_free: str) -> int:
-    """Print one line per check of python, disease_free being the path of
-    the DISEASE_FREE config; return the number of mismatches, or 0 when
-    python cannot start."""
+def check(python: str, local: dict, csv: tuple) -> int:
+    """Print one line per check of python; return the number of mismatches,
+    or 0 when python cannot start. local maps the name of each in-process
+    simulate run to its config path and report bytes; csv is the path and
+    the bytes of the streamed run's trajectory."""
     try:
         probe = run(python, "-c", "import sys; print(sys.version.split()[0])")
     except OSError as exc:
@@ -72,11 +79,9 @@ def check(python: str, disease_free: str) -> int:
                                   str(GOLDEN / f"{name}.cfg")],
                0, (GOLDEN / f"{name}.report.txt").read_bytes())
               for name, command in goldens.items()]
-    checks += [("disease-free simulate",
-                ["-m", "seirs_delay", "simulate", "--config", disease_free],
-                0, cli.run("simulate", cli.parse_config(DISEASE_FREE))
-                .render().encode()),
-               ("--version", ["-m", "seirs_delay", "--version"], 0,
+    checks += [(name, ["-m", "seirs_delay", "simulate", "--config", path], 0,
+                report) for name, (path, report) in local.items()]
+    checks += [("--version", ["-m", "seirs_delay", "--version"], 0,
                 f"{__version__}\n".encode()),
                ("unknown command", ["-m", "seirs_delay", "bogus", "--config",
                                     str(GOLDEN / "equilibria.cfg")], 2, b"")]
@@ -86,6 +91,9 @@ def check(python: str, disease_free: str) -> int:
         ok = out.returncode == code and out.stdout == stdout
         if code == 0:
             ok = ok and out.stderr == b""
+        if what == "streamed simulate":
+            with open(csv[0], "rb") as fh:
+                ok = ok and fh.read() == csv[1]
         if not ok:
             mismatches += 1
         print(f"{python} ({version}): {what}: "
@@ -99,10 +107,19 @@ def main(argv) -> int:
               file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as tmp:
-        disease_free = os.path.join(tmp, "disease-free.cfg")
-        with open(disease_free, "w") as fh:
-            fh.write(DISEASE_FREE)
-        mismatches = sum(check(python, disease_free) for python in argv)
+        csv = os.path.join(tmp, "streamed.csv")
+        local = {}
+        for name, text in (("disease-free simulate", DISEASE_FREE),
+                           ("streamed simulate",
+                            f"{STREAMED}run.trajectory = {csv}\n")):
+            path = os.path.join(tmp, f"{name.replace(' ', '-')}.cfg")
+            with open(path, "w") as fh:
+                fh.write(text)
+            local[name] = path, cli.run("simulate", cli.parse_config(
+                text)).render().encode()
+        with open(csv, "rb") as fh:
+            streamed = csv, fh.read()
+        mismatches = sum(check(python, local, streamed) for python in argv)
     print(f"{mismatches} mismatches")
     return 1 if mismatches else 0
 
