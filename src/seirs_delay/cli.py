@@ -399,11 +399,10 @@ def _echo(rep: Report, cfg: RunConfig, with_run: bool = False,
         rep.warn(w)
 
 
-# steps per window of simulate and simulate-sde, each written as one chunk:
-# a window's floats and text stay a few tens of kB at any length. A node's
-# time is built here from its index, k * h, which for k < 2**53 is the
-# float Trajectory.times holds, so the writer holds no time column.
-_CSV_CHUNK = 512
+# simulate and simulate-sde write each window of their path
+# (det_integrator._WINDOW steps) as one chunk. A node's time is built here
+# from its index, k * h, which for k < 2**53 is the float Trajectory.times
+# holds, so the writer holds no time column.
 _CSV_HEADER = "t,S,E,I,R\n"
 
 
@@ -507,23 +506,21 @@ def _cmd_simulate(cfg: RunConfig, stochastic: bool = False) -> Report:
     _echo(rep, cfg, with_run=True, with_ensemble=stochastic)
     p, h = cfg.params, cfg.resolved_step()
     n, m, _ = cfg.grid()
-    # the path is stepped in windows of _CSV_CHUNK steps, and each window's
-    # nodes are written as it is stepped, then dropped; the kernels carry
-    # the report reductions over
+    # the path is stepped in windows of det_integrator._WINDOW steps, and
+    # each window's nodes are written as it is stepped, then dropped; the
+    # kernels carry the report reductions over
     with _destination(cfg.trajectory, _CSV_HEADER) as fh:
         def consume(first, nodes):
             if fh is not None:
                 _write_nodes(fh, nodes, first, h)
 
         if stochastic:
-            out = _run_path(p, cfg.initial, h, n, m, Seed(cfg.seed), 0,
-                            _CSV_CHUNK, consume)
+            out = _run_path(p, cfg.initial, h, n, m, Seed(cfg.seed), 0, consume)
         elif m:
-            out = integrate_dde(p, cfg.initial, cfg.horizon, h, _CSV_CHUNK,
-                                consume)
+            out = integrate_dde(p, cfg.initial, cfg.horizon, h, consume)
         else:
             out = integrate_ode(p, cfg.initial.state0(), cfg.horizon, h,
-                                _CSV_CHUNK, consume)
+                                consume)
     rep.add("nodes", n + 1)
     _add_state(rep, "final", out[0])
     rep.extend(zip(("max_sum_defect", "min_component"), out[1:]))

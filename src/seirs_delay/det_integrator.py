@@ -33,6 +33,10 @@ __all__ = [
     "integrate_dde",
 ]
 
+# steps per window of a streamed path; simulate and simulate-sde write each
+# window as one CSV chunk, a few tens of kB at any length
+_WINDOW = 512
+
 
 class IntegrationError(RuntimeError):
     """An invariant failed during integration; .node is the first bad node."""
@@ -49,13 +53,15 @@ class Trajectory:
     given states array's own (a view when it is contiguous), or, for a
     whole-path run (integrate_ode, integrate_dde, simulate_sde), the rows
     of _run_windows' buffer from node 0 on, read-only, with the
-    max_sum_defect and min_component the kernel returned. Given states are
-    reduced by the kernels' rule (_kernels.extremes) at each call. len,
-    last and final_state read the buffer, so they need no array; states is
-    an (n + 1, 4) array over it, built on first read without a copy, so a
-    run's states cannot be written and its reductions stay its own. A run
-    on a grid (on_grid) stores no times: they are built on first read, as
-    floats k*step, and then kept.
+    max_sum_defect and min_component the kernel returned. That buffer also
+    keeps its lead rows before node 0: a whole-path integrate_dde holds
+    32(m + 3) bytes beside the 32(n + 1) of its path, and simulate_sde 32m.
+    Given states are reduced by the kernels' rule (_kernels.extremes) at
+    each call. len, last and final_state read the buffer, so they need no
+    array; states is an (n + 1, 4) array over it, built on first read
+    without a copy, so a run's states cannot be written and its reductions
+    stay its own. A run on a grid (on_grid) stores no times: they are built
+    on first read, as floats k*step, and then kept.
     """
 
     __slots__ = ("_times", "_nodes", "_extremes", "_states", "step")
@@ -115,8 +121,7 @@ class Trajectory:
         return self._extremes or _kernels.extremes(memoryview(self._nodes))
 
 
-def _run_windows(node0, lead: int, h: float, n: int, step, window=None,
-                 consume=None):
+def _run_windows(node0, lead: int, h: float, n: int, step, consume=None):
     """The n-step path from node0 (S, E, I, R), stepped in windows through
     one flat double buffer whose first lead rows hold the nodes before the
     window's start node, copies of node0 before t = 0.
@@ -125,12 +130,13 @@ def _run_windows(node0, lead: int, h: float, n: int, step, window=None,
     row lead of x, by one kernel call; it raises on a failed node, counted
     from node 0, and returns the reductions of the path so far, given those
     before start. Without consume the path is one window, returned as a
-    read-only Trajectory over the last n + 1 rows. With consume each
-    window's nodes but its last go, flat, to consume(first index, nodes),
-    a view that the next window overwrites, and the last node alone at the
-    end; (last node, max_sum_defect, min_component) is returned.
+    read-only Trajectory over the last n + 1 rows. With consume the path is
+    stepped _WINDOW steps at a time: each window's nodes but its last go,
+    flat, to consume(first index, nodes), a view that the next window
+    overwrites, and the last node alone at the end; (last node,
+    max_sum_defect, min_component) is returned.
     """
-    w = n if consume is None else min(window, n)
+    w = n if consume is None else min(_WINDOW, n)
     rows = lead + 1 + w
     try:
         x = memoryview(bytearray(32 * rows)).cast("d")
@@ -157,7 +163,7 @@ def _run_windows(node0, lead: int, h: float, n: int, step, window=None,
     return x[at:at + 4].tolist(), defect, low
 
 
-def _integrate(p: Params, node0, t_end: float, h: float, window, consume):
+def _integrate(p: Params, node0, t_end: float, h: float, consume):
     """The path of integrate_ode (r = 0) or integrate_dde (m + 3 nodes
     before each window); a failed node raises an IntegrationError."""
     n, m, _ = step_grid(p.r, t_end, h)
@@ -178,27 +184,24 @@ def _integrate(p: Params, node0, t_end: float, h: float, window, consume):
                 if status == _kernels.SUM_BREACH
                 else f"component below {tols[1]} at node {node}", node)
         return defect, low
-    return _run_windows(node0, m + 3 if m else 0, h, n, step, window,
-                        consume)
+    return _run_windows(node0, m + 3 if m else 0, h, n, step, consume)
 
 
-def integrate_ode(p: Params, x0: State, t_end: float, h: float,
-                  window=None, consume=None):
+def integrate_ode(p: Params, x0: State, t_end: float, h: float, consume=None):
     """Integrate the nondelayed system (p.r must be 0) with classical RK4.
 
     h must divide t_end (see step_grid). Simplex-sum drift beyond 1e-10 (a
     NaN sum among it) or a component below -1e-9 aborts with the node
-    index. With consume the path streams in windows of window steps, as
-    _run_windows says.
+    index. With consume the path streams in windows (_run_windows).
     """
     if p.r != 0.0:
         raise ValidationError("integrate_ode requires r = 0; "
                               "use integrate_dde for a delayed run")
-    return _integrate(p, x0, t_end, h, window, consume)
+    return _integrate(p, x0, t_end, h, consume)
 
 
 def integrate_dde(p: Params, ic: InitialCondition, t_end: float, h: float,
-                  window=None, consume=None):
+                  consume=None):
     """Integrate the delayed system (p.r > 0) by the method of steps.
 
     The grid is step_grid's: r/h is a whole number >= 3, so delayed lookups
@@ -208,5 +211,4 @@ def integrate_dde(p: Params, ic: InitialCondition, t_end: float, h: float,
     if not p.r > 0.0:
         raise ValidationError("integrate_dde requires r > 0; "
                               "use integrate_ode for the nondelayed system")
-    return _integrate(p, (ic.s0, ic.e0, ic.i0, ic.r0), t_end, h, window,
-                      consume)
+    return _integrate(p, (ic.s0, ic.e0, ic.i0, ic.r0), t_end, h, consume)

@@ -797,7 +797,7 @@ class TestMain:
         # 1201 nodes: 10 noise chunks of the path and 3 writer chunks; the
         # CSV's times are built chunk by chunk and its rows are the path's
         from seirs_delay import Seed, simulate_sde
-        from seirs_delay.cli import _CSV_CHUNK
+        from seirs_delay.det_integrator import _WINDOW
         from seirs_delay.sde_simulator import _NOISE_CHUNK
 
         dest = tmp_path / "traj.csv"
@@ -808,7 +808,7 @@ class TestMain:
         cfg = parse_config(text)
         traj = simulate_sde(cfg.params, cfg.initial, cfg.horizon, 0.01,
                             Seed(3))
-        assert len(traj) > max(3 * _NOISE_CHUNK, 2 * _CSV_CHUNK)
+        assert len(traj) > max(3 * _NOISE_CHUNK, 2 * _WINDOW)
         assert main(["simulate-sde", "--config",
                      self.write(tmp_path, text)]) == EXIT_OK
         lines = dest.read_text().splitlines()

@@ -406,23 +406,23 @@ K_R = {0.0: 2.0, 0.03: 2.0, 0.5: 2.0, 6.0: 20.0}
 
 def _stepped(kernel, p, seed, window=None, n=WINDOW_STEPS):
     """A path of n steps of kernel as det_integrator._run_windows steps it:
-    as one window (window None), or streamed in windows of window steps,
-    with the nodes of every consume call and the calls' row counts; and the
-    bytes of the last node, max_sum_defect and min_component it reports.
-    The stochastic path is replica 0 of seed."""
+    as one window (window None), or streamed with det_integrator._WINDOW
+    set to window, with the nodes of every consume call and the calls' row
+    counts; and the bytes of the last node, max_sum_defect and
+    min_component it reports. The stochastic path is replica 0 of seed."""
     h = 0.01
     if kernel == "euler_maruyama":
         m = round(p.r / h)
 
-        def run(*streamed):
+        def run(consume=None):
             return sde_simulator._run_path(p, IC, h, n, m, Seed(seed), 0,
-                                           *streamed)
+                                           consume)
     elif kernel == "ode_rk4":
-        def run(*streamed):
-            return integrate_ode(p, IC.state0(), n * h, h, *streamed)
+        def run(consume=None):
+            return integrate_ode(p, IC.state0(), n * h, h, consume=consume)
     else:
-        def run(*streamed):
-            return integrate_dde(p, IC, n * h, h, *streamed)
+        def run(consume=None):
+            return integrate_dde(p, IC, n * h, h, consume=consume)
     if window is None:
         traj = run()
         return traj.states, None, list(map(_bits, [
@@ -432,7 +432,9 @@ def _stepped(kernel, p, seed, window=None, n=WINDOW_STEPS):
     def consume(first, nodes):
         assert first == sum(map(len, blocks))
         blocks.append(np.array(nodes).reshape(-1, 4))
-    last, *reductions = run(window, consume)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(det_integrator, "_WINDOW", window)
+        last, *reductions = run(consume)
     return (np.concatenate(blocks), [len(b) for b in blocks],
             list(map(_bits, [*last, *reductions])))
 
@@ -528,6 +530,7 @@ def test_windows_report_the_exit_node_of_the_path(kernel, status, node,
     else:
         tol = ("NEGATIVITY_TOL", float(free.min(axis=1)[1:node].min()))
     monkeypatch.setattr(det_integrator, *tol)
+    monkeypatch.setattr(det_integrator, "_WINDOW", window)
     ic = make_initial_condition(e0=x0[1], s0=x0[0], i0=x0[2], r0=x0[3])
     blocks = []
 
@@ -535,11 +538,9 @@ def test_windows_report_the_exit_node_of_the_path(kernel, status, node,
         blocks.append(np.array(nodes).reshape(-1, 4))
     with pytest.raises(IntegrationError) as exc:
         if kernel == "ode_rk4":
-            integrate_ode(Params(*RATES), ic.state0(), N * H, H, window,
-                          consume)
+            integrate_ode(Params(*RATES), ic.state0(), N * H, H, consume)
         else:
-            integrate_dde(Params(*RATES, r=M * H), ic, N * H, H, window,
-                          consume)
+            integrate_dde(Params(*RATES, r=M * H), ic, N * H, H, consume)
     assert exc.value.node == node and f"at node {node}" in str(exc.value)
     streamed = np.concatenate(blocks)
     assert len(streamed) == (node - 1) // window * window
