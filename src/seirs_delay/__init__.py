@@ -40,10 +40,11 @@ _EXPORTS = {
         "LyapunovCertificate", "lyapunov_certificate", "lyapunov_condition",
         "lyapunov_margin"),
     "sde_simulator": (
-        "ConcentrationReport", "EnsembleSummary", "ExcursionError",
+        "ConcentrationReport", "EnsembleSummary",
         "InsufficientExceedances", "Seed", "StochasticStabilityReport",
         "concentration_check", "ensemble",
         "simulate_sde", "stochastic_stability_experiment"),
+    "_stream": ("ExcursionError",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

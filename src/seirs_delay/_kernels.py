@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import chain
 
 OK = 0
 SUM_BREACH = 1
@@ -317,8 +318,8 @@ def euler_maruyama(x, m, beta, mu, gamma, kr, n_steps, h, eps, chunks, lo,
     start node, and step k writes node k + 1 to row m + k + 1. The delayed
     exposed value of step k is the E of row k, so with m = 0 (no delay) it
     is the current node's. chunks yields the increments of steps
-    0 .. n_steps - 1 in order, as 1-D arrays of consecutive steps; each is
-    read once, before the next is asked for. The transfer terms a
+    0 .. n_steps - 1 in order, as lists of floats of consecutive steps; each
+    is read once, before the next is asked for. The transfer terms a
     (infection), b (latency exit), c (recovery), d (immunity loss) and the
     noise term w are each computed once per step and moved between
     compartments with the same rounded value, so the four updates cancel
@@ -339,37 +340,35 @@ def euler_maruyama(x, m, beta, mu, gamma, kr, n_steps, h, eps, chunks, lo,
     # the stepped nodes' running minimum, checked against lo, joins the
     # earlier nodes' minimum, held, at the end
     dhi, dlo, held, low = defect, -defect, low, math.inf
-    k0 = 0
-    for dw in chunks:
-        for k, z in zip(range(k0, n_steps), dw.tolist()):
-            ed = x[4 * k + 1]
-            a = h * (beta * s * i)
-            b = h * (ed / kr)
-            c = h * (mu * i)
-            d = h * (gamma * rc)
-            w = eps * (s * i) * z
-            s = s - a + d - w
-            e = e + a - b + w
-            i = i + b - c
-            rc = rc + c - d
-            j += 4
-            x[j], x[j + 1], x[j + 2], x[j + 3] = s, e, i, rc
-            if s < low:
-                low = s
-            if e < low:
-                low = e
-            if i < low:
-                low = i
-            if rc < low:
-                low = rc
-            if low < lo or s > hi or e > hi or i > hi or rc > hi:
-                out = [v < lo or v > hi for v in (s, e, i, rc)]
-                return EXCURSION, k + 1, out.index(True), math.nan, math.nan
-            dev = ((s + e) + i) + rc - 1.0
-            if not dev <= dhi:
-                if dhi == dhi:
-                    dhi = dev
-            elif dev < dlo:
-                dlo = dev
-        k0 += len(dw)
+    # chain lets go of a chunk before it asks for the next one
+    for k, z in zip(range(n_steps), chain.from_iterable(chunks)):
+        ed = x[4 * k + 1]
+        a = h * (beta * s * i)
+        b = h * (ed / kr)
+        c = h * (mu * i)
+        d = h * (gamma * rc)
+        w = eps * (s * i) * z
+        s = s - a + d - w
+        e = e + a - b + w
+        i = i + b - c
+        rc = rc + c - d
+        j += 4
+        x[j], x[j + 1], x[j + 2], x[j + 3] = s, e, i, rc
+        if s < low:
+            low = s
+        if e < low:
+            low = e
+        if i < low:
+            low = i
+        if rc < low:
+            low = rc
+        if low < lo or s > hi or e > hi or i > hi or rc > hi:
+            out = [v < lo or v > hi for v in (s, e, i, rc)]
+            return EXCURSION, k + 1, out.index(True), math.nan, math.nan
+        dev = ((s + e) + i) + rc - 1.0
+        if not dev <= dhi:
+            if dhi == dhi:
+                dhi = dev
+        elif dev < dlo:
+            dlo = dev
     return (OK, -1, -1, *_settle(x, 4 * m, j + 4, dhi, dlo, min(held, low)))

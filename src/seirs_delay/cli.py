@@ -499,9 +499,8 @@ def _cmd_equilibria(cfg: RunConfig) -> Report:
 
 def _cmd_simulate(cfg: RunConfig, stochastic: bool = False) -> Report:
     if stochastic:
-        # before det_integrator, which it imports itself: the other order
-        # raised the peak RSS of the simulate-sde golden by about 0.8 MB
-        from .sde_simulator import Seed, _run_path
+        # the single path draws its noise without numpy
+        from ._stream import _run_path
     rep = Report("simulate-sde" if stochastic else "simulate")
     _echo(rep, cfg, with_run=True, with_ensemble=stochastic)
     p, h = cfg.params, cfg.resolved_step()
@@ -515,7 +514,7 @@ def _cmd_simulate(cfg: RunConfig, stochastic: bool = False) -> Report:
                 _write_nodes(fh, nodes, first, h)
 
         if stochastic:
-            out = _run_path(p, cfg.initial, h, n, m, Seed(cfg.seed), 0, consume)
+            out = _run_path(p, cfg.initial, h, n, m, cfg.seed, 0, consume)
         elif m:
             out = integrate_dde(p, cfg.initial, cfg.horizon, h, consume)
         else:

@@ -10,9 +10,9 @@ Two routes:
   afterwards an Adams-Bashforth/Adams-Moulton predictor-corrector of order 4
   runs over stored node derivatives.
 
-Every path of the package, these two and sde_simulator's, is stepped by
-one window loop, :func:`_run_windows`, a kernel call a window, into one
-buffer that holds the nodes the delay reaches back to and one window: a
+Every path of the package, these two and the stochastic one
+(_stream._run_path), is stepped by one window loop, :func:`_run_windows`,
+a kernel call a window, into one buffer that holds the nodes the delay reaches back to and one window: a
 whole path as one window, kept in a Trajectory, or a streamed one passed
 on window by window. The module loads numpy only when a caller reads an
 array (states, times).
@@ -58,7 +58,8 @@ class Trajectory:
     32(m + 3) bytes beside the 32(n + 1) of its path, and simulate_sde 32m.
     Given states are reduced by the kernels' rule (_kernels.extremes) at
     each call. len, last and final_state read the buffer, so they need no
-    array; states is an (n + 1, 4) array over it, built on first read
+    array, and no path run loads numpy, simulate_sde's noisy one included;
+    states is an (n + 1, 4) numpy array over it, built on first read
     without a copy, so a run's states cannot be written and its reductions
     stay its own. A run on a grid (on_grid) stores no times: they are built
     on first read, as floats k*step, and then kept.

@@ -5,10 +5,12 @@ Brownian increment: S loses eps*S*I dW, E gains the same amount, I and R
 keep their drift. Euler-Maruyama stepping moves every transfer (and the
 noise term) between compartments as one rounded value, so S+E+I+R is
 conserved up to the rounding of the additions alone and the eps = 0 path
-is bitwise equal to deterministic Euler. A single path is stepped by the
-window loop of the deterministic paths, det_integrator._run_windows.
+is bitwise equal to deterministic Euler. A single path (simulate_sde) is
+_stream._run_path, which draws its noise in pure Python and needs no numpy;
+this module is the replica ensembles, which draw theirs from numpy
+Generators seeded from the same PCG64 states (Seed.rngs).
 
-On top of the path simulator: replica ensembles against the deterministic
+On top of the single path: replica ensembles against the deterministic
 reference, an empirical check of the exp(-c*rho^2/eps^2) concentration tail,
 and the stochastic stability experiment, which reports lyapunov's
 noise-robust stability condition next to its terminal spread.
@@ -20,21 +22,20 @@ import math
 import sys
 from typing import NamedTuple, Optional, Sequence
 
-from . import _kernels
-from .det_integrator import IntegrationError, Trajectory, _run_windows
+from ._stream import (_NOISE_CHUNK, EXCURSION_BAND, ExcursionError,
+                      _excursion_error, _run_path, spawned_words)
+from .det_integrator import Trajectory
 from .model_core import (InitialCondition, Params, State, ValidationError,
                          _Checked, _rho_grid, make_run_state, step_grid)
 
 # after the package's modules, which a run without cached bytecode compiles
-# first: about 0.2 MB less peak RSS in a simulate-sde run
+# first: a smaller peak RSS in a concentration run
 import numpy as np
 
 __all__ = [
-    "EXCURSION_BAND",
     "TRANSFER_FACTOR",
     "SAFETY",
     "Seed",
-    "ExcursionError",
     "InsufficientExceedances",
     "EnsembleSummary",
     "ConcentrationReport",
@@ -44,11 +45,6 @@ __all__ = [
     "concentration_check",
     "stochastic_stability_experiment",
 ]
-
-# paths may overshoot [0, 1] by this much before the run aborts
-EXCURSION_BAND = 0.05
-
-_COMP_NAMES = ("S", "E", "I", "R")
 
 
 def _check_int(name: str, value, low: int) -> None:
@@ -62,91 +58,6 @@ def _check_int(name: str, value, low: int) -> None:
 
 class _SeedFields(NamedTuple):
     master: int
-
-
-# numpy's SeedSequence hash. Entropy words are mixed into a pool of 4
-# uint32 words by hashes whose constants run INIT_A * MULT_A**k (mod 2**32),
-# k = 0, 1, ...; generate_state hashes the pool out with constants INIT_B *
-# MULT_B**k. A hash with constant c xors with c and multiplies by the next
-# constant, so every constant is independent of the data.
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL = 4
-
-
-def _words(n: int) -> list[int]:
-    """n as uint32 words, least significant first, as SeedSequence splits
-    an integer (0 is one word)."""
-    out = [n & _M32]
-    while n > _M32:
-        n >>= 32
-        out.append(n & _M32)
-    return out
-
-
-def _hash_steps(hc: int, mult: int, count: int) -> list[tuple[int, int]]:
-    """The (xor, multiply) constants of count successive hashes from hash
-    constant hc; the last multiply constant is the next hash's xor."""
-    steps = []
-    for _ in range(count):
-        steps.append((hc, hc * mult & _M32))
-        hc = steps[-1][1]
-    return steps
-
-
-def _hash(value: int, xor: int, mul: int, rep: int) -> int:
-    """SeedSequence's hash of value with constants xor and mul, in every
-    64-bit lane of value at once; rep holds a 1 in every lane. A lane holds
-    a uint32 with room for its product with a uint32 constant, and each
-    step masks it back to 32 bits."""
-    mask = _M32 * rep
-    value = (value ^ xor * rep) * mul & mask
-    return (value ^ value >> 16) & mask
-
-
-def _mix(x: int, y: int, rep: int) -> int:
-    """SeedSequence's mix of hash y into pool word x, lane by lane:
-    L x - R y (mod 2**32), formed as L x + (2**32 - R) y because a lane
-    cannot borrow from the next."""
-    mask = _M32 * rep
-    r = ((_MIX_L * x & mask) + ((_M32 + 1 - _MIX_R) * y & mask)) & mask
-    return (r ^ r >> 16) & mask
-
-
-# generate_state(4, np.uint64) hashes out 8 uint32 words, cycling the pool
-_OUT_HASH = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL)
-
-
-def _run_states(pool: list[int], hc: int, first: int,
-                out: np.ndarray) -> None:
-    """Write generate_state(4, np.uint64) of replicas first .. first +
-    len(out) - 1, which share their higher key words, to the rows of out.
-
-    Replica j is lane j, bits 64 j .. 64 j + 63, of one Python int per
-    word, so one integer operation hashes the whole run. (numpy integer
-    ufuncs would do the same, but their first call maps in library code
-    that raises the peak RSS of a simulate-sde run by about 0.1 MB.)
-    """
-    n = len(out)
-    x, xn = 1 << 64, 1 << 64 * n
-    rep = (xn - 1) // (x - 1)
-    # lane j holds j: the sum of j x**j over j < n, in closed form
-    index = (x - n * xn + (n - 1) * xn * x) // (x - 1) ** 2
-    p = [word * rep for word in pool]
-    for key in ((first & _M32) * rep + index,
-                *(word * rep for word in _words(first)[1:])):
-        steps = _hash_steps(hc, _MULT_A, _POOL)
-        hc = steps[-1][1]
-        for d, (xor, mul) in enumerate(steps):
-            p[d] = _mix(p[d], _hash(key, xor, mul, rep), rep)
-    for k in range(_POOL):
-        # uint64 word k of a state is output words 2 k and 2 k + 1
-        lo, hi = (_hash(p[i % _POOL], *_OUT_HASH[i], rep)
-                  for i in (2 * k, 2 * k + 1))
-        out[:, k] = np.frombuffer((lo | hi << 32).to_bytes(8 * n, "little"),
-                                  "<u8")
 
 
 @functools.cache
@@ -179,13 +90,13 @@ class Seed(_Checked, _SeedFields):
 
     Stream i is seeded as by SeedSequence(master, spawn_key=(i,)), so the
     pair (master, replica) determines the noise path no matter how many
-    replicas run or in which order. rngs derives the PCG64 states of a whole
-    run of replicas in one pass: the master's pool is mixed once, and only
-    the replicas' key words and the output hash are mixed, for all replicas
-    at once in the lanes of Python ints. rng(i) is rngs(i, 1)[0], so there
-    is one derivation. A returned Generator's bit_generator.seed_seq is a
-    spent stand-in, not a SeedSequence: it cannot spawn nor generate state
-    again.
+    replicas run or in which order. There is one derivation of those
+    states, _stream.spawned_words, and two samplers: rngs seeds numpy
+    Generators from it for the replica ensembles, and a single path
+    (simulate_sde) draws from _stream.Stream, which steps the same PCG64 in
+    Python integers. rng(i) is rngs(i, 1)[0]. A returned Generator's
+    bit_generator.seed_seq is a spent stand-in, not a SeedSequence: it
+    cannot spawn nor generate state again.
     """
 
     __slots__ = ()
@@ -201,91 +112,24 @@ class Seed(_Checked, _SeedFields):
         """The Generators of replicas first .. first + count - 1."""
         _check_int("replica", first, 0)
         _check_int("count", count, 0)
-        first = int(first)
-        master = int(self.master)
-        # a spawned sequence mixes its key words into the master's pool,
-        # which took _POOL hashes per master word (at least _POOL words)
-        pool = np.random.SeedSequence(master).pool.tolist()
-        hc = _INIT_A * pow(_MULT_A, _POOL * max(_POOL, len(_words(master))),
-                           _M32 + 1) & _M32
-        states = np.empty((count, _POOL), dtype=np.uint64)
-        done = 0
-        while done < count:
-            # a run of replicas that share their higher key words, so that
-            # only the lowest one varies
-            n = min(count - done, _M32 + 1 - ((first + done) & _M32))
-            _run_states(pool, hc, first + done, states[done:done + n])
-            done += n
+        states = np.empty((count, 4), dtype=np.uint64)
+        for done, n, words in spawned_words(int(self.master), int(first),
+                                            count):
+            for k, word in enumerate(words):
+                states[done:done + n, k] = np.frombuffer(
+                    word.to_bytes(8 * n, "little"), "<u8")
         spawned = _spawned_state()
         return [np.random.Generator(np.random.PCG64(spawned(row)))
                 for row in states]
-
-
-class ExcursionError(IntegrationError):
-    """A path left [-EXCURSION_BAND, 1 + EXCURSION_BAND]."""
-
-    def __init__(self, message: str, node: int, component: str,
-                 replica: int = -1):
-        super().__init__(message, node)
-        self.component = component
-        self.replica = replica
 
 
 class InsufficientExceedances(RuntimeError):
     """Too few tail points with enough exceedances to fit the decay constant."""
 
 
-def _excursion_error(node: int, comp: int, value: float,
-                     replica: int) -> ExcursionError:
-    name = _COMP_NAMES[comp]
-    tag = f" (replica {replica})" if replica >= 0 else ""
-    return ExcursionError(
-        f"excursion: component {name} = {float(value)!r} left "
-        f"[-{EXCURSION_BAND}, {1.0 + EXCURSION_BAND}] at step {node}{tag}",
-        node, name, replica)
-
-
-def _increments(rng: Optional[np.random.Generator], h: float, n: int):
-    """The next n Brownian increments of a path, _NOISE_CHUNK steps at a
-    time, as a replica draws them: rng.normal(0.0, sqrt(h), k), which rounds
-    as the replicas' scaled standard normals do; zeros, drawing nothing,
-    when rng is None. normal draws its values one after another, so the
-    increments of a path are the same floats however its steps are split
-    between calls."""
-    if rng is None:
-        zeros = np.zeros(min(n, _NOISE_CHUNK))
-        for k in range(0, n, _NOISE_CHUNK):
-            yield zeros[:n - k]
-        return
-    sd = math.sqrt(h)
-    for k in range(0, n, _NOISE_CHUNK):
-        yield rng.normal(0.0, sd, min(n - k, _NOISE_CHUNK))
-
-
-def _run_path(p: Params, ic: InitialCondition, h: float, n: int, m: int,
-              seed: Optional[Seed], replica: int, consume=None):
-    """The n-step path of replica `replica` of seed, which draws nothing at
-    eps = 0 (seed may then be None), as det_integrator._run_windows returns
-    it, m nodes before each window. A node that leaves the band raises at
-    once, with its step counted from node 0.
-    """
-    rng = None if p.epsilon == 0.0 else seed.rng(replica)
-
-    def step(x, start, steps, defect, low):
-        status, node, comp, defect, low = _kernels.euler_maruyama(
-            x, m, p.beta, p.mu, p.gamma, p.k_r, steps, h, p.epsilon,
-            _increments(rng, h, steps), -EXCURSION_BAND, 1.0 + EXCURSION_BAND,
-            defect, low)
-        if status == _kernels.EXCURSION:
-            raise _excursion_error(start + node, comp,
-                                   x[4 * (m + node) + comp], replica)
-        return defect, low
-    return _run_windows((ic.s0, ic.e0, ic.i0, ic.r0), m, h, n, step, consume)
-
-
 # Replicas step together over a replica axis, in blocks of at most
 # _REPLICA_BLOCK columns; each block draws its noise _NOISE_CHUNK steps at a
-# time, as a single path (_increments) draws its own. Per column a block
+# time, as a single path (_stream._increments) draws its own. Per column a block
 # holds _NOISE_CHUNK + m + 20 floats (noise chunk, E history, state, flows,
 # rates, deviations, sups), 1184 + 8 m bytes at the default chunk, and one
 # Generator, about 0.7 kB with its PCG64 and bound draw method (numpy 2.4);
@@ -294,7 +138,6 @@ def _run_path(p: Params, ic: InitialCondition, h: float, n: int, m: int,
 # golden's 1600 columns) and not with n. The cap fits the 2 x 800 columns of
 # the concentration golden in one block.
 _REPLICA_BLOCK = 2048
-_NOISE_CHUNK = 128
 
 
 def _run_replicas(p: Params, ic: InitialCondition, h: float, n: int, m: int,
@@ -434,12 +277,15 @@ def simulate_sde(p: Params, ic: InitialCondition, t_end: float, h: float,
     sign +; I and R are drift-only. The delayed exposed value is read from
     stored nodes exactly as in the deterministic integrator, on the same
     step_grid. Components leaving [-0.05, 1.05] abort with an excursion
-    diagnostic naming the step and component. The whole path is one window;
-    the command line streams the same nodes in windows (_run_path).
+    diagnostic naming the step and component. The increments are
+    seed.rng(replica).normal(0.0, sqrt(h), k) bit for bit, drawn by
+    _stream.Stream without numpy; only reading the Trajectory's states or
+    times loads numpy. The whole path is one window; the command line
+    streams the same nodes in windows (_stream._run_path).
     """
     _check_int("replica", replica, 0)
     n, m, _ = step_grid(p.r, t_end, h)
-    return _run_path(p, ic, h, n, m, seed, replica)
+    return _run_path(p, ic, h, n, m, int(seed.master), int(replica))
 
 
 class EnsembleSummary(NamedTuple):

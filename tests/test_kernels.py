@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from seirs_delay import (ExcursionError, IntegrationError, Params, Seed,
-                         _kernels, det_integrator, integrate_dde,
+                         _kernels, _stream, det_integrator, integrate_dde,
                          integrate_ode, make_initial_condition, sde_simulator,
                          simulate_sde)
 from seirs_delay.model_core import (NEGATIVITY_TOL, PROPAGATION_SUM_TOL,
@@ -369,7 +369,7 @@ def test_euler_maruyama_excursion_exit(x0, rates, comp, node):
     chunk = sde_simulator._NOISE_CHUNK
 
     def run(lo, hi):
-        chunks = (dw[k:k + chunk] for k in range(0, n, chunk))
+        chunks = (dw[k:k + chunk].tolist() for k in range(0, n, chunk))
         # node 0 in row m, and x0 in the m rows before it: their E is the
         # constant history
         x = np.empty((m + 1 + n, 4))
@@ -415,8 +415,7 @@ def _stepped(kernel, p, seed, window=None, n=WINDOW_STEPS):
         m = round(p.r / h)
 
         def run(consume=None):
-            return sde_simulator._run_path(p, IC, h, n, m, Seed(seed), 0,
-                                           consume)
+            return _stream._run_path(p, IC, h, n, m, seed, 0, consume)
     elif kernel == "ode_rk4":
         def run(consume=None):
             return integrate_ode(p, IC.state0(), n * h, h, consume=consume)
@@ -476,7 +475,7 @@ def test_a_window_settles_a_zero_minimum_with_the_path_before_it(start, held,
     x = np.empty((n + 1, 4))
     x[0] = start
     out = _kernels.euler_maruyama(memoryview(x.reshape(-1)), 0, 0.4, 0.2,
-                                  0.1, 2.0, n, 0.01, 0.1, [np.ones(n)], -0.05,
+                                  0.1, 2.0, n, 0.01, 0.1, [[1.0] * n], -0.05,
                                   1.05, 0.0, held)
     assert out[:4] == (_kernels.OK, -1, -1, 0.0)
     assert repr(out[4]) == low and not np.signbit(x[1:]).any()
@@ -496,7 +495,7 @@ def test_a_nan_carried_in_stays_and_the_band_still_holds():
         x[0] = IC.s0, IC.e0, IC.i0, IC.r0
         out = _kernels.euler_maruyama(
             memoryview(x.reshape(-1)), 0, 0.4, 0.2, 0.1, 2.0, n, 0.01, 1.5,
-            sde_simulator._increments(Seed(0).rng(), 0.01, n), lo, 1.05,
+            _stream._increments(_stream.Stream(0, 0), 0.01, n), lo, 1.05,
             math.nan, math.nan)
         if lo == -1.0:
             assert out[:3] == (_kernels.OK, -1, -1)

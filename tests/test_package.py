@@ -113,19 +113,35 @@ def test_lyapunov_with_a_false_condition_loads_no_numpy(tmp_path):
     assert [m for m in ARRAY_MODULES if m in loaded] == []
 
 
+# a delayed noisy path over 1025 steps of 0.01: two whole 512-step windows
+# and one step, streamed to run.trajectory
+SDE_STREAMED = ("params.beta = 0.4\nparams.mu = 0.2\nparams.gamma = 0.1\n"
+                "params.k_r = 2.0\nparams.r = 0.5\nparams.epsilon = 0.1\n"
+                "run.horizon = 10.25\nrun.step = 0.01\nensemble.seed = 7\n")
+
+
 @pytest.fixture(scope="module")
 def after_stochastic_runs(tmp_path_factory):
-    """sys.modules after main ran simulate-sde's golden, and after it ran a
-    short concentration job, each in its own interpreter."""
+    """sys.modules after main ran simulate-sde's golden and a streamed
+    simulate-sde run that writes run.trajectory, and after it ran a short
+    concentration job, each command in its own interpreter."""
+    tmp = tmp_path_factory.mktemp("stochastic")
     # a short concentration run: the golden's 2 x 800 replicas take longer
     # than its imports
-    short = tmp_path_factory.mktemp("concentration") / "concentration.cfg"
+    short = tmp / "concentration.cfg"
     short.write_text("params.beta = 0.1\nparams.mu = 0.2\nparams.gamma = 0.3\n"
                      "params.k_r = 2.0\nparams.epsilon = 0.1\n"
                      "run.horizon = 2.0\nensemble.n_rep = 40\n")
-    return {command: loaded_after(main_quietly((command, cfg))) for command, cfg
-            in (("simulate-sde", GOLDEN / "simulate-sde.cfg"),
-                ("concentration", short))}
+    streamed = tmp / "simulate-sde.cfg"
+    streamed.write_text(SDE_STREAMED
+                        + f"run.trajectory = {tmp / 'traj.csv'}\n")
+    out = {"simulate-sde": loaded_after(main_quietly(
+               ("simulate-sde", GOLDEN / "simulate-sde.cfg"),
+               ("simulate-sde", streamed))),
+           "concentration": loaded_after(main_quietly(
+               ("concentration", short)))}
+    assert (tmp / "traj.csv").read_text().count("\n") == 1027
+    return out
 
 
 def test_only_the_stochastic_run_commands_load_numpy(after_analytic_goldens,
@@ -144,8 +160,15 @@ def test_only_the_stochastic_run_commands_load_numpy(after_analytic_goldens,
     assert simulate - after_analytic_goldens == {
         "seirs_delay._kernels", "seirs_delay.det_integrator"}
     assert [m for m in ("numpy", "array") if m in simulate] == []
-    for command, loaded in after_stochastic_runs.items():
-        assert "numpy" in loaded, command
+    # simulate-sde draws its noise in pure Python: it loads the stream
+    # module beyond what simulate loads, and neither numpy, array nor the
+    # ensembles' module
+    sde = after_stochastic_runs["simulate-sde"]
+    assert sde - simulate == {"seirs_delay._stream"}
+    assert [m for m in ("numpy", "array", "seirs_delay.sde_simulator")
+            if m in sde] == []
+    # the ensembles keep numpy
+    assert "numpy" in after_stochastic_runs["concentration"]
 
 
 def test_a_zero_minimum_loads_no_numpy(tmp_path):

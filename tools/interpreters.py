@@ -3,16 +3,16 @@
     python tools/interpreters.py <python> [<python> ...]
 
 For each interpreter, runs `<python> -m seirs_delay` with src/ as its
-PYTHONPATH on the seven goldens that need no numpy (equilibria, stability,
-both delay-margin, lyapunov and both simulate) and compares each report
-with its golden byte for byte. It also runs `simulate` from a disease-free
-start, whose minimum is a zero, and a delayed `simulate` over 1025 steps,
-which streams its path to run.trajectory in three windows, and compares
-their reports, and the streamed run's CSV, with the bytes this script's
-own interpreter writes in process; and it checks that --version
-prints the package version and that an unknown command exits 2. Where the
-interpreter can import numpy, the simulate-sde and concentration goldens
-run too. An interpreter that cannot start is reported as skipped. It is a
+PYTHONPATH on the eight goldens that need no numpy (equilibria, stability,
+both delay-margin, lyapunov, both simulate and simulate-sde) and compares
+each report with its golden byte for byte. It also runs `simulate` from a
+disease-free start, whose minimum is a zero, and a delayed `simulate` and
+a delayed `simulate-sde` over 1025 steps, which stream their paths to
+run.trajectory in three windows, and compares their reports, and the
+streamed runs' CSVs, with the bytes this script's own interpreter writes
+in process; and it checks that --version prints the package version and
+that an unknown command exits 2. Where the interpreter can import numpy,
+the concentration golden runs too. An interpreter that cannot start is reported as skipped. It is a
 check: the exit code is 1 on any mismatch and 0 when there is none.
 """
 import os
@@ -32,9 +32,9 @@ from seirs_delay import __version__, cli  # noqa: E402
 GOLDENS = {"equilibria": "equilibria", "stability": "stability",
            "delay-margin": "delay-margin",
            "delay-margin-coexistence": "delay-margin", "lyapunov": "lyapunov",
-           "simulate": "simulate", "simulate-ode": "simulate"}
-NUMPY_GOLDENS = {"simulate-sde": "simulate-sde",
-                 "concentration": "concentration"}
+           "simulate": "simulate", "simulate-ode": "simulate",
+           "simulate-sde": "simulate-sde"}
+NUMPY_GOLDENS = {"concentration": "concentration"}
 # s0 = 1: E, I and R stay +0.0, so the report's min_component is a zero
 DISEASE_FREE = ("params.beta = 0.1\nparams.mu = 0.2\nparams.gamma = 0.3\n"
                 "params.k_r = 2.0\nrun.horizon = 10.0\ninit.s0 = 1.0\n"
@@ -43,6 +43,8 @@ DISEASE_FREE = ("params.beta = 0.1\nparams.mu = 0.2\nparams.gamma = 0.3\n"
 STREAMED = ("params.beta = 0.4\nparams.mu = 0.2\nparams.gamma = 0.1\n"
             "params.k_r = 2.0\nparams.r = 0.5\nrun.horizon = 10.25\n"
             "run.step = 0.01\n")
+# the same grid with noise: replica 0 of seed 7 at eps = 0.1
+STREAMED_SDE = STREAMED + "params.epsilon = 0.1\nensemble.seed = 7\n"
 # the children see src/ and nothing of this interpreter's path, and write
 # no bytecode into src/
 ENV = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
@@ -53,11 +55,11 @@ def run(python: str, *args: str) -> subprocess.CompletedProcess:
                           cwd=ROOT, timeout=300)
 
 
-def check(python: str, local: dict, csv: tuple) -> int:
+def check(python: str, local: dict) -> int:
     """Print one line per check of python; return the number of mismatches,
     or 0 when python cannot start. local maps the name of each in-process
-    simulate run to its config path and report bytes; csv is the path and
-    the bytes of the streamed run's trajectory."""
+    run to its command, config path and report bytes, and the path and
+    bytes of its trajectory (None when it writes none)."""
     try:
         probe = run(python, "-c", "import sys; print(sys.version.split()[0])")
     except OSError as exc:
@@ -79,8 +81,8 @@ def check(python: str, local: dict, csv: tuple) -> int:
                                   str(GOLDEN / f"{name}.cfg")],
                0, (GOLDEN / f"{name}.report.txt").read_bytes())
               for name, command in goldens.items()]
-    checks += [(name, ["-m", "seirs_delay", "simulate", "--config", path], 0,
-                report) for name, (path, report) in local.items()]
+    checks += [(name, ["-m", "seirs_delay", command, "--config", path], 0,
+                report) for name, (command, path, report, _) in local.items()]
     checks += [("--version", ["-m", "seirs_delay", "--version"], 0,
                 f"{__version__}\n".encode()),
                ("unknown command", ["-m", "seirs_delay", "bogus", "--config",
@@ -91,7 +93,8 @@ def check(python: str, local: dict, csv: tuple) -> int:
         ok = out.returncode == code and out.stdout == stdout
         if code == 0:
             ok = ok and out.stderr == b""
-        if what == "streamed simulate":
+        csv = local.get(what, (None,) * 4)[3]
+        if csv is not None:
             with open(csv[0], "rb") as fh:
                 ok = ok and fh.read() == csv[1]
         if not ok:
@@ -107,19 +110,24 @@ def main(argv) -> int:
               file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as tmp:
-        csv = os.path.join(tmp, "streamed.csv")
         local = {}
-        for name, text in (("disease-free simulate", DISEASE_FREE),
-                           ("streamed simulate",
-                            f"{STREAMED}run.trajectory = {csv}\n")):
-            path = os.path.join(tmp, f"{name.replace(' ', '-')}.cfg")
-            with open(path, "w") as fh:
+        for name, command, text, streamed in (
+                ("disease-free simulate", "simulate", DISEASE_FREE, False),
+                ("streamed simulate", "simulate", STREAMED, True),
+                ("streamed simulate-sde", "simulate-sde", STREAMED_SDE,
+                 True)):
+            stem = os.path.join(tmp, name.replace(" ", "-"))
+            if streamed:
+                text += f"run.trajectory = {stem}.csv\n"
+            with open(f"{stem}.cfg", "w") as fh:
                 fh.write(text)
-            local[name] = path, cli.run("simulate", cli.parse_config(
-                text)).render().encode()
-        with open(csv, "rb") as fh:
-            streamed = csv, fh.read()
-        mismatches = sum(check(python, local, streamed) for python in argv)
+            report = cli.run(command, cli.parse_config(text)).render()
+            csv = None
+            if streamed:
+                with open(f"{stem}.csv", "rb") as fh:
+                    csv = f"{stem}.csv", fh.read()
+            local[name] = command, f"{stem}.cfg", report.encode(), csv
+        mismatches = sum(check(python, local) for python in argv)
     print(f"{mismatches} mismatches")
     return 1 if mismatches else 0
 
