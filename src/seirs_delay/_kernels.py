@@ -30,7 +30,7 @@ the smallest component, a zero being IEEE 754-2019 ``minimum``'s, under
 which -0.0 is below +0.0: the loops keep no signs, and when the minimum is
 +0.0 the stored node bytes are searched for a -0.0, so no step pays for the
 rule. A kernel's start node is never checked; it joins the reductions at
-the end. :func:`extremes` reduces any flat node buffer by the same rule.
+the end.
 
 Every right-hand side (S', E', I', R') with exposed source ed = E(t - r)
 forms the products bsi = beta*s*i, mi = mu*i, grc = gamma*rc and
@@ -55,30 +55,22 @@ _NEG_ZERO = (1 << 63).to_bytes(8, sys.byteorder)
 _SEARCH_PIECE = 512
 
 
-def _join(x, a, b, dhi, dlo, low):
-    """The running extremes (dhi, dlo, low) joined with the nodes at flat
-    offsets a, a + 4, .. < b of x."""
-    for j in range(a, b, 4):
-        s, e, i, rc = x[j], x[j + 1], x[j + 2], x[j + 3]
-        d = ((s + e) + i) + rc - 1.0
-        if not d <= dhi:
-            # a NaN, once held, stays
-            if dhi == dhi:
-                dhi = d
-        elif d < dlo:
-            dlo = d
-        for v in (s, e, i, rc):
-            if v < low:
-                low = v
-    return dhi, dlo, low
-
-
 def _settle(x, a, b, dhi, dlo, low):
     """(max_sum_defect, min_component) of the nodes at flat offsets a .. b - 1
     of x from the running extremes of all but the first, which joins here:
     dhi and dlo, the max and min of 0 and their defects, and low, their
     smallest component, a zero of either sign."""
-    dhi, dlo, low = _join(x, a, a + 4, dhi, dlo, low)
+    s, e, i, rc = x[a], x[a + 1], x[a + 2], x[a + 3]
+    d = ((s + e) + i) + rc - 1.0
+    if not d <= dhi:
+        # a NaN, once held, stays
+        if dhi == dhi:
+            dhi = d
+    elif d < dlo:
+        dlo = d
+    for v in (s, e, i, rc):
+        if v < low:
+            low = v
     if dhi != dhi:
         return dhi, dhi
     if low == 0.0 and math.copysign(1.0, low) > 0.0 and any(
@@ -95,12 +87,6 @@ def _holds_negative_zero(raw):
     while k > 0 and k % 8:
         k = raw.find(_NEG_ZERO, k + 1)
     return k >= 0
-
-
-def extremes(x):
-    """(max_sum_defect, min_component) of the nodes of the flat double view
-    x, by the rule of the module docstring."""
-    return _settle(x, 0, len(x), *_join(x, 4, len(x), 0.0, 0.0, math.inf))
 
 
 def _rk4_steps(x, a, b, edk, h, beta, mu, gamma, kr, sum_tol, neg_tol, dhi,

@@ -510,12 +510,11 @@ def _increments(stream: Optional[Stream], h: float, n: int):
 
 
 def _run_path(p: Params, ic: InitialCondition, h: float, n: int, m: int,
-              master: Optional[int], replica: int, consume=None):
+              master: int, replica: int, consume=None):
     """The n-step path of replica `replica` of master seed master, which
-    draws nothing at eps = 0 (master may then be None), as
-    det_integrator._run_windows returns it, m nodes before each window. A
-    node that leaves the band raises at once, with its step counted from
-    node 0.
+    draws nothing at eps = 0, as det_integrator._run_windows returns it, m
+    nodes before each window. A node that leaves the band raises at once,
+    with its step counted from node 0.
     """
     stream = None if p.epsilon == 0.0 else Stream(master, replica)
 

@@ -47,36 +47,25 @@ class IntegrationError(RuntimeError):
 
 
 class Trajectory:
-    """Node times, states (rows of S, E, I, R) and the step used.
+    """A whole-path run's nodes (rows of S, E, I, R), the step used and the
+    path's report reductions, as _run_windows returns them.
 
-    The nodes are held as one flat buffer of floats, four a node: the
-    given states array's own (a view when it is contiguous), or, for a
-    whole-path run (integrate_ode, integrate_dde, simulate_sde), the rows
-    of _run_windows' buffer from node 0 on, read-only, with the
-    max_sum_defect and min_component the kernel returned. That buffer also
-    keeps its lead rows before node 0: a whole-path integrate_dde holds
-    32(m + 3) bytes beside the 32(n + 1) of its path, and simulate_sde 32m.
-    Given states are reduced by the kernels' rule (_kernels.extremes) at
-    each call. len, last and final_state read the buffer, so they need no
-    array, and no path run loads numpy, simulate_sde's noisy one included;
-    states is an (n + 1, 4) numpy array over it, built on first read
-    without a copy, so a run's states cannot be written and its reductions
-    stay its own. A run on a grid (on_grid) stores no times: they are built
-    on first read, as floats k*step, and then kept.
+    The nodes are the rows of _run_windows' buffer from node 0 on,
+    read-only, with the max_sum_defect and min_component the kernel
+    returned. That buffer also keeps its lead rows before node 0: a
+    whole-path integrate_dde holds 32(m + 3) bytes beside the 32(n + 1) of
+    its path, and simulate_sde 32m. len, last and final_state read the
+    buffer, so no path run loads numpy, simulate_sde's noisy one included;
+    states, an (n + 1, 4) numpy array over the buffer without a copy, and
+    times, the floats k*step, are built on first read and then kept, so a
+    run's states cannot be written and its reductions stay its own.
     """
 
     __slots__ = ("_times", "_nodes", "_extremes", "_states", "step")
 
-    def __init__(self, times, states, step: float, extremes: tuple = ()):
-        self._times, self.step, self._extremes = times, step, extremes
-        self._nodes = (states if isinstance(states, memoryview)
-                       else states.reshape(-1))
-        self._states = None
-
-    @classmethod
-    def on_grid(cls, states, h: float) -> Trajectory:
-        """states at the nodes k*h, k = 0 .. len(states) - 1."""
-        return cls(None, states, h)
+    def __init__(self, nodes: memoryview, step: float, extremes: tuple):
+        self._nodes, self.step, self._extremes = nodes, step, extremes
+        self._states = self._times = None
 
     @property
     def states(self):
@@ -111,15 +100,10 @@ class Trajectory:
 
     def max_sum_defect(self) -> float:
         """max |S+E+I+R - 1| over the nodes (NaN if a node sum is NaN)."""
-        return self._reductions()[0]
+        return self._extremes[0]
 
     def min_component(self) -> float:
-        return self._reductions()[1]
-
-    def _reductions(self) -> tuple[float, float]:
-        # a path from given states is reduced at each call: the caller may
-        # write them
-        return self._extremes or _kernels.extremes(memoryview(self._nodes))
+        return self._extremes[1]
 
 
 def _run_windows(node0, lead: int, h: float, n: int, step, consume=None):
@@ -157,7 +141,7 @@ def _run_windows(node0, lead: int, h: float, n: int, step, consume=None):
         steps = min(w, n - start)
         defect, low = step(x, start, steps, defect, low)
         if consume is None:
-            return Trajectory(None, x[at:].toreadonly(), h, (defect, low))
+            return Trajectory(x[at:].toreadonly(), h, (defect, low))
         consume(start, x[at:at + 4 * steps])
         x[:at + 4] = x[4 * steps:4 * steps + at + 4]
     consume(n, x[at:at + 4])

@@ -275,8 +275,9 @@ def make_run_state(s: float, e: float, i: float, rcv: float) -> State:
 
 # relative tolerance within which a step divides the delay or the horizon
 GRID_RTOL = 1e-12
-# a run stores its nodes as one (n + 1, 4) float64 array, and numpy cannot
-# address an array of more than sys.maxsize bytes
+# a whole-path run steps into one bytearray of 32 bytes a node
+# (det_integrator._run_windows), and no Python object holds more than
+# sys.maxsize bytes; a streamed run holds a window, on the same grid rule
 MAX_NODES = sys.maxsize // 32
 
 
@@ -291,7 +292,8 @@ def step_grid(r: float, t_end: float, h: float) -> tuple[int, int, float]:
     because with r > 0 the step is pinned by the delay, so the horizon cannot
     always be a multiple of it; with r = 0 the step is free. "Divides" holds
     within GRID_RTOL, relative. A grid of more than MAX_NODES nodes, which
-    no array can hold, is rejected (to within the rounding of t_end/h).
+    no whole-path buffer can hold, is rejected (to within the rounding of
+    t_end/h).
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise ValidationError(f"h: must be a positive finite step, got {h!r}")

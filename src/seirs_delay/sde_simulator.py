@@ -10,10 +10,15 @@ _stream._run_path, which draws its noise in pure Python and needs no numpy;
 this module is the replica ensembles, which draw theirs from numpy
 Generators seeded from the same PCG64 states (Seed.rngs).
 
-On top of the single path: replica ensembles against the deterministic
-reference, an empirical check of the exp(-c*rho^2/eps^2) concentration tail,
-and the stochastic stability experiment, which reports lyapunov's
-noise-robust stability condition next to its terminal spread.
+One replica engine (_run_replicas) steps every ensemble: all replicas at
+once over a replica axis, each column bitwise equal to its simulate_sde
+path, reduced as they step to a sup deviation and a final node. The eps = 0
+path that the deviations are measured from is one more column of the same
+engine, so an ensemble holds no path and its memory does not grow with the
+step count. On top of it: replica ensembles against that path, an
+empirical check of the exp(-c*rho^2/eps^2) concentration tail, and the
+stochastic stability experiment, which reports lyapunov's noise-robust
+stability condition next to its terminal spread.
 """
 from __future__ import annotations
 
@@ -128,35 +133,37 @@ class InsufficientExceedances(RuntimeError):
 
 
 # Replicas step together over a replica axis, in blocks of at most
-# _REPLICA_BLOCK columns; each block draws its noise _NOISE_CHUNK steps at a
-# time, as a single path (_stream._increments) draws its own. Per column a block
-# holds _NOISE_CHUNK + m + 20 floats (noise chunk, E history, state, flows,
-# rates, deviations, sups), 1184 + 8 m bytes at the default chunk, and one
+# _REPLICA_BLOCK replicas, plus the eps = 0 column when deviations are
+# measured; each block draws its noise _NOISE_CHUNK steps at a time, as a
+# single path (_stream._increments) draws its own. Per column a block holds
+# _NOISE_CHUNK + m + 20 floats (noise chunk, E history, state, flows, rates,
+# deviations, sups), 1184 + 8 m bytes at the default chunk, and one
 # Generator, about 0.7 kB with its PCG64 and bound draw method (numpy 2.4);
-# sups and finals hold 5 floats per column. So memory grows with the total
+# sups and finals hold 5 floats per replica. So memory grows with the total
 # column count (both ensembles of a concentration check, about 3 MB for the
-# golden's 1600 columns) and not with n. The cap fits the 2 x 800 columns of
-# the concentration golden in one block.
+# golden's 1600 replicas) and with m, and not with n. The cap fits the
+# 2 x 800 replicas of the concentration golden in one block.
 _REPLICA_BLOCK = 2048
 
 
 def _run_replicas(p: Params, ic: InitialCondition, h: float, n: int, m: int,
-                  seed: Seed, base: int, eps: np.ndarray,
-                  ref: Optional[np.ndarray]
+                  seed: Seed, base: int, eps: np.ndarray, ref: bool
                   ) -> tuple[np.ndarray, np.ndarray, Optional[ExcursionError]]:
     """Replicas base .. base + len(eps) - 1, reduced as they step.
 
-    Column j is replica base + j at noise level eps[j] (the other parameters
-    are p's). Returns (sups, finals, first): sups[j] is the max over nodes
-    and components of |x_j - ref| against the (n + 1, 4) reference path ref
-    (all zero when ref is None), finals the (len(eps), 4) last nodes, and
-    first the ExcursionError of the lowest-index replica that left the band
-    (None if none did), which the caller raises. Column j draws its
-    increments from seed.rngs(base, ...)[j], the stream of replica base + j,
-    and follows the update of _kernels.euler_maruyama operation for
-    operation, so both agree bitwise with simulate_sde at eps[j]. When first
-    is set, replicas from first.replica on stop stepping and their entries
-    are meaningless.
+    Replica base + j steps at noise level eps[j] (the other parameters are
+    p's). Returns (sups, finals, first): sups[j] is the max over nodes and
+    components of |x_j - x_0|, x_0 the eps = 0 path, which every block
+    steps in a column of its own when ref is true (all zero when ref is
+    false), finals the (len(eps), 4) last nodes, and first the
+    ExcursionError that the caller raises, or None: the eps = 0 path's
+    (replica -1, untagged) if it leaves the band, else that of the
+    lowest-index replica that did. Replica base + j draws its increments
+    from seed.rngs(base, ...)[j] and follows the update of
+    _kernels.euler_maruyama operation for operation, so each column agrees
+    bitwise with simulate_sde at its noise level. When first is set, the
+    replicas from first.replica on stop stepping and their entries are
+    meaningless.
     """
     sups = np.empty(len(eps))
     finals = np.empty((len(eps), 4))
@@ -174,18 +181,21 @@ def _run_replicas(p: Params, ic: InitialCondition, h: float, n: int, m: int,
 
 def _step_views(x: np.ndarray, flow: np.ndarray) -> tuple[np.ndarray, ...]:
     """The row views a replica step reads and writes, bound once per block:
-    s, e, i, (e, i, rc), (i, rc) of the state x and a, b, d, (a, b, c),
-    (b, c, d), (c, d) of the flows."""
-    return (x[0], x[1], x[2], x[1:], x[2:], flow[0], flow[1], flow[3],
-            flow[:3], flow[1:], flow[2:])
+    s, e, i, (e, i, rc), (i, rc) and column 0 of the state x and a, b, d,
+    (a, b, c), (b, c, d), (c, d) of the flows."""
+    return (x[0], x[1], x[2], x[1:], x[2:], x[:, :1], flow[0], flow[1],
+            flow[3], flow[:3], flow[1:], flow[2:])
 
 
 def _replica_block(p: Params, ic: InitialCondition, h: float, n: int, m: int,
-                   seed: Seed, base: int, eps: np.ndarray,
-                   ref: Optional[np.ndarray]
+                   seed: Seed, base: int, eps: np.ndarray, ref: bool
                    ) -> tuple[np.ndarray, np.ndarray, Optional[ExcursionError]]:
     lo, hi = -EXCURSION_BAND, 1.0 + EXCURSION_BAND
     beta, kr = p.beta, p.k_r
+    # with ref, column 0 is the eps = 0 path and replica base + j column
+    # j + 1
+    off = int(ref)
+    eps = np.concatenate((np.zeros(off), eps))
     # column j fills row j of dw with a chunk of standard normals, which are
     # then scaled in place to the chunk's increments; a column at eps = 0
     # draws nothing, as simulate_sde draws nothing at eps = 0. The streams
@@ -193,9 +203,10 @@ def _replica_block(p: Params, ic: InitialCondition, h: float, n: int, m: int,
     # the memory that the derivation frees.
     dw = np.zeros((len(eps), _NOISE_CHUNK))
     draws = [(j, gen.standard_normal, dw[j]) for j, gen in
-             enumerate(seed.rngs(base, len(eps)) if eps.any() else ())
+             enumerate(seed.rngs(base, len(eps) - off) if eps.any() else (),
+                       off)
              if eps[j] != 0.0]
-    x = np.empty((4, len(eps)))     # rows S, E, I, R; one column per replica
+    x = np.empty((4, len(eps)))     # rows S, E, I, R; one column per path
     x.T[:] = (ic.s0, ic.e0, ic.i0, ic.r0)
     # the c and d coefficients, full width: a (2, 1) broadcast steps slower
     rates = np.empty((2, len(eps)))
@@ -204,13 +215,12 @@ def _replica_block(p: Params, ic: InitialCondition, h: float, n: int, m: int,
     w = np.empty(len(eps))
     dev = np.empty((4, len(eps)))
     sup = np.zeros((4, len(eps)))
-    refs = None if ref is None else ref[:, :, None]
     sd = math.sqrt(h)
     # E at nodes k - m .. k; node j sits in row j % (m + 1)
     hist = np.empty((m + 1, len(eps)))
     hist[0] = ic.e0
     first = None
-    s, e, i, e_i_r, i_r, a, b, d, a_b_c, b_c_d, c_d = _step_views(x, flow)
+    s, e, i, e_i_r, i_r, x0, a, b, d, a_b_c, b_c_d, c_d = _step_views(x, flow)
     for k in range(n):
         row = k % _NOISE_CHUNK
         if row == 0 and draws:
@@ -248,25 +258,28 @@ def _replica_block(p: Params, ic: InitialCondition, h: float, n: int, m: int,
             hist[(k + 1) % (m + 1)] = e
         if (np.minimum.reduce(x, axis=None) < lo
                 or np.maximum.reduce(x, axis=None) > hi):
-            # drop every replica from the first one out of the band on: only
-            # a lower-index excursion can change what is returned
+            # drop every column from the first one out of the band on: only
+            # a lower-index excursion can change what is returned. The
+            # eps = 0 path's wins over all, so once every replica is out
+            # it steps on alone
             out = (x < lo) | (x > hi)
             j = int(np.argmax(out.any(axis=0)))
             comp = int(np.argmax(out[:, j]))
-            first = _excursion_error(k + 1, comp, x[comp, j], base + j)
+            first = _excursion_error(k + 1, comp, x[comp, j],
+                                     base + j - off if j >= off else -1)
             if j == 0:
                 break
             x, flow, dev, sup, hist, rates = (
                 buf[:, :j] for buf in (x, flow, dev, sup, hist, rates))
             w, eps, dw = w[:j], eps[:j], dw[:j]
-            s, e, i, e_i_r, i_r, a, b, d, a_b_c, b_c_d, c_d = _step_views(
+            s, e, i, e_i_r, i_r, x0, a, b, d, a_b_c, b_c_d, c_d = _step_views(
                 x, flow)
             draws = [draw for draw in draws if draw[0] < j]
-        if refs is not None:
-            np.subtract(x, refs[k + 1], out=dev)
+        if ref:
+            np.subtract(x, x0, out=dev)
             np.abs(dev, out=dev)
             np.maximum(sup, dev, out=sup)
-    return sup.max(axis=0), x.T, first
+    return sup.max(axis=0)[off:], x.T[off:], first
 
 
 def simulate_sde(p: Params, ic: InitialCondition, t_end: float, h: float,
@@ -289,7 +302,7 @@ def simulate_sde(p: Params, ic: InitialCondition, t_end: float, h: float,
 
 
 class EnsembleSummary(NamedTuple):
-    """Replica statistics against the deterministic reference.
+    """Replica statistics against the eps = 0 path.
 
     sup_deviations[i] is the max over nodes and components of the absolute
     difference between replica i and the eps = 0 reference; tail holds
@@ -307,12 +320,6 @@ def _counts(sups: np.ndarray, rho_grid: Sequence[float]) -> tuple[int, ...]:
     return tuple(int(np.count_nonzero(sups > rho)) for rho in rho_grid)
 
 
-def _reference(p: Params, ic: InitialCondition, h: float, n: int,
-               m: int) -> np.ndarray:
-    """The (n + 1, 4) eps = 0 path that sup deviations are measured from."""
-    return _run_path(p._replace(epsilon=0.0), ic, h, n, m, None, -1).states
-
-
 def _default_rho_grid(sups: np.ndarray) -> np.ndarray:
     qs = np.quantile(sups, [0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98])
     return np.unique(qs[qs > 0.0])
@@ -321,21 +328,22 @@ def _default_rho_grid(sups: np.ndarray) -> np.ndarray:
 def ensemble(p: Params, ic: InitialCondition, t_end: float, h: float,
              n_rep: int, seed: Seed, rho_grid: Optional[Sequence[float]] = None,
              replica_base: int = 0) -> EnsembleSummary:
-    """Run n_rep replicas plus the deterministic reference.
+    """Run n_rep replicas against the eps = 0 path.
 
     rho_grid supplies the tail abscissas; when omitted a quantile-derived
     grid of the observed sup deviations is used. replica_base offsets the
     stream indices so disjoint ensembles can share one master seed. Replica
     failures propagate with the replica index attached; when several
-    replicas leave the band, the lowest index is reported.
+    replicas leave the band, the lowest index is reported. An excursion of
+    the eps = 0 path wins over them all and carries no index, as in a
+    scalar run of that path.
     """
     _check_int("n_rep", n_rep, 1)
     _check_int("replica_base", replica_base, 0)
     grid = None if rho_grid is None else _rho_grid(rho_grid)
     n, m, _ = step_grid(p.r, t_end, h)
     sups, finals, first = _run_replicas(p, ic, h, n, m, seed, replica_base,
-                                        np.full(n_rep, p.epsilon),
-                                        _reference(p, ic, h, n, m))
+                                        np.full(n_rep, p.epsilon), True)
     if first is not None:
         raise first
     grid = _default_rho_grid(sups) if grid is None else grid
@@ -402,9 +410,10 @@ def concentration_check(p: Params, ic: InitialCondition, t_end: float,
     The reference ensemble is replicas 0 .. n_rep - 1 and the transfer
     ensemble replicas n_rep .. 2*n_rep - 1 of seed, so each equals the
     matching ensemble(..., replica_base=...) call; both step in one replica
-    pass against one eps = 0 path. Errors come in the order two ensemble
-    calls would raise them: an excursion of a reference replica, then
-    InsufficientExceedances, then an excursion of a transfer replica.
+    pass beside one eps = 0 column. Errors come in the order two ensemble
+    calls would raise them: an excursion of the eps = 0 path, then one of a
+    reference replica, then InsufficientExceedances, then an excursion of a
+    transfer replica.
     """
     grid = () if rho_grid is None else _rho_grid(rho_grid)
     if p.epsilon == 0.0:
@@ -428,8 +437,7 @@ def concentration_check(p: Params, ic: InitialCondition, t_end: float,
             f"{p.epsilon!r} * {TRANSFER_FACTOR!r} overflows to {eps2!r}; "
             f"epsilon must be at most {sys.float_info.max / TRANSFER_FACTOR!r}")
     sups, _, first = _run_replicas(
-        p, ic, h, n, m, seed, 0, np.repeat([p.epsilon, eps2], n_rep),
-        _reference(p, ic, h, n, m))
+        p, ic, h, n, m, seed, 0, np.repeat([p.epsilon, eps2], n_rep), True)
     if first is not None and first.replica < n_rep:
         raise first
     if rho_grid is None:
@@ -490,7 +498,7 @@ def stochastic_stability_experiment(p: Params, ic: InitialCondition,
     _check_int("n_rep", n_rep, 1)
     n, _, _ = step_grid(0.0, t_end, h)
     _, finals, first = _run_replicas(p, ic, h, n, 0, seed, 0,
-                                     np.full(n_rep, p.epsilon), None)
+                                     np.full(n_rep, p.epsilon), False)
     if first is not None:
         raise first
     eir = finals[:, 1:].sum(axis=1)

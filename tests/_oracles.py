@@ -15,14 +15,26 @@ same thing:
 * path_reductions: a path's max_sum_defect and min_component by numpy's
   reductions, a zero minimum's sign by IEEE 754-2019 minimum.
 
-The callers pass admissible arguments, so no reference checks its own.
+The callers pass admissible arguments, so no reference checks its own. The
+two path references return a Path, not the library's Trajectory, which
+only a run builds.
 """
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from seirs_delay.det_integrator import Trajectory
 from seirs_delay.model_core import GRID_RTOL, NEGATIVITY_TOL, step_grid
+
+
+class Path(NamedTuple):
+    """A reference path: node times, states (rows of S, E, I, R) and the
+    step between nodes."""
+
+    times: np.ndarray
+    states: np.ndarray
+    step: float
+
 
 # the cascade conserves the simplex sum only to quadrature accuracy
 CASCADE_SUM_TOL = 1e-6
@@ -83,7 +95,7 @@ def deterministic_euler(p, ic, t_end, h):
         i = i + b - c
         rc = rc + c - d
         out[k + 1] = (s, e, i, rc)
-    return Trajectory.on_grid(out, h)
+    return Path(np.arange(n + 1) * h, out, h)
 
 
 def _cumulative_simpson(y, h):
@@ -153,7 +165,7 @@ def integrate_dde_cascade(p, ic, t_end, quad_n=64):
     t_all = np.concatenate(times)
     x_all = np.vstack(rows)
     keep = t_all <= t_end + 1e-9
-    return Trajectory(times=t_all[keep], states=x_all[keep], step=hq)
+    return Path(t_all[keep], x_all[keep], hq)
 
 
 def integrate_scalar_comparison(k, r, f0, t_end, h):

@@ -67,11 +67,10 @@ def _replicas(p, t_end, n_rep, seed, with_ref=True):
         n, m, _ = step_grid(p.r, t_end, h)
         if with_ref:
             eps = np.repeat([p.epsilon, 2.0 * p.epsilon], n_rep)
-            ref = sde_simulator._reference(p, IC, h, n, m)
         else:
-            eps, ref = np.full(n_rep, p.epsilon), None
+            eps = np.full(n_rep, p.epsilon)
         sups, finals, first = sde_simulator._run_replicas(
-            p, IC, h, n, m, Seed(seed), 0, eps, ref)
+            p, IC, h, n, m, Seed(seed), 0, eps, with_ref)
         assert first is None
         return np.concatenate((sups, finals.ravel()))
     return run

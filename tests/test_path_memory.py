@@ -1,11 +1,13 @@
 """A path run holds its (n + 1, 4) path, the lead rows of its buffer and a
 fixed slack, nothing else that grows with n; the command line's simulate
 and simulate-sde, which stream their paths, hold only the lead rows and
-the slack.
+the slack, and an ensemble holds nothing that grows with n.
 
 tracemalloc counts Python's objects and numpy's array buffers alike, in
 requested bytes. Each measurement starts tracing after a warm-up run, so
-module imports and first-call caches are not counted. Freelists that hold
+module imports and first-call caches are not counted; a library call warms
+up with the measured call itself, so the first reach of a branch is not
+counted either. Freelists that hold
 objects from before tracing started make the counts vary by a few kB from
 run to run; the bounds below leave room for that and no more. One more
 path-long float column costs 8 bytes a node.
@@ -15,8 +17,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from seirs_delay import (Params, Seed, integrate_dde, integrate_ode,
-                         make_initial_condition, simulate_sde)
+from seirs_delay import (Params, Seed, concentration_check, ensemble,
+                         integrate_dde, integrate_ode, make_initial_condition,
+                         simulate_sde)
 from seirs_delay.cli import (_CSV_HEADER, EXIT_NUMERICAL, EXIT_OK,
                              _destination, _write_nodes, main)
 
@@ -70,9 +73,36 @@ def test_a_path_run_holds_its_path_and_a_fixed_slack(name):
         traj.min_component()
         return traj
 
-    run(300)
+    run(N)
     lead = LEAD.get(name, 0)
     assert lead <= peak_beyond(lambda: run(N)) <= lead + SLACK
+
+
+ENSEMBLES = {
+    "ensemble-r0": lambda n: ensemble(P._replace(epsilon=0.05), IC, n * H, H,
+                                      4, Seed(1)),
+    "ensemble-r0.5": lambda n: ensemble(P._replace(r=0.5, epsilon=0.05), IC,
+                                        n * H, H, 4, Seed(1)),
+    "concentration_check-r0.5": lambda n: concentration_check(
+        P._replace(r=0.5, epsilon=0.05), IC, n * H, H, 12, None, Seed(1)),
+}
+
+
+@pytest.mark.parametrize("name", ENSEMBLES)
+def test_an_ensemble_holds_nothing_that_grows_with_n(name):
+    # replicas keep their state, the delay's E history and their sups: at
+    # n and 3n the traced peak differs by less than the slack, while an
+    # (n + 1, 4) path would add 32 bytes a node
+    def peak(n):
+        ENSEMBLES[name](n)
+        tracemalloc.start()
+        try:
+            ENSEMBLES[name](n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert abs(peak(3 * N) - peak(N)) <= SLACK < 32 * 2 * N
 
 
 # The CLI's slack is a writer chunk of 512 rows as floats, text and one

@@ -2,23 +2,26 @@
 
 Params, RunConfig, Seed and QuasiPolynomial check their fields in __new__,
 and _make and _replace go through it, so no route builds an invalid one.
-Trajectory holds arrays and is a plain class that compares by identity.
+Trajectory, a run's nodes, is a plain class that compares by identity.
 """
 import numpy as np
 import pytest
 
 from seirs_delay import (Params, ValidationError, cli, delay_margin,
-                         equilibria, linear_stability, lyapunov,
-                         make_initial_condition, model_core, sde_simulator)
+                         equilibria, integrate_ode, linear_stability,
+                         lyapunov, make_initial_condition, make_state,
+                         model_core, sde_simulator, simulate_sde)
 from seirs_delay.cli import RunConfig
-from seirs_delay.det_integrator import Trajectory
 from seirs_delay.linear_stability import QuasiPolynomial
 from seirs_delay.sde_simulator import Seed
+
+from _oracles import path_reductions
 
 P = Params(0.1, 0.2, 0.3, 2.0, r=0.5)
 CFG = RunConfig(P, make_initial_condition(0.05, 0.9, 0.05, 0.0),
                 horizon=20.0, step=0.01, rho_grid=(0.02, 0.01),
                 warnings=("unknown key 'x' ignored (line 9)",))
+X0 = make_state(0.9, 0.05, 0.05, 0.0)
 CHECKED = {"Params": P, "RunConfig": CFG, "Seed": Seed(3),
            "QuasiPolynomial": QuasiPolynomial((0.0, 0.2), (-0.05, 0.5), 0.5)}
 
@@ -97,38 +100,32 @@ def test_run_config_replace_sorts_rho_grid():
 
 
 def test_trajectory_compares_by_identity():
-    times, states = np.arange(3) * 0.5, np.full((3, 4), 0.25)
-    a = Trajectory(times, states, 0.5)
-    b = Trajectory(times=times, states=states, step=0.5)
+    a = integrate_ode(Params(0.1, 0.2, 0.3, 2.0), X0, 1.0, 0.5)
+    b = integrate_ode(Params(0.1, 0.2, 0.3, 2.0), X0, 1.0, 0.5)
     assert a == a and a != b and len({a, b}) == 2
-    assert len(a) == 3 and a.step == 0.5 and a.times is times
+    assert len(a) == 3 and a.step == 0.5 and a.times is a.times
     with pytest.raises(AttributeError):
         a.extra = 1
 
 
 def test_grid_times_are_built_once_as_node_index_times_step():
     h = 0.01
-    traj = Trajectory.on_grid(np.full((2501, 4), 0.25), h)
+    traj = integrate_ode(Params(0.1, 0.2, 0.3, 2.0), X0, 25.0, h)
     times = traj.times
     assert times.tobytes() == (np.arange(2501) * h).tobytes()
     assert traj.times is times
 
 
-@pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 3000])
-def test_max_sum_defect_is_the_whole_path_reduction(rows):
-    # given states are reduced to the floats numpy's reductions over the
-    # path give, and a NaN node anywhere makes both NaN
-    states = np.random.default_rng(rows).dirichlet(np.ones(4), size=rows)
-    states[rows // 3, 1] = -0.25
-    traj = Trajectory.on_grid(states, 0.1)
-    assert traj.max_sum_defect() == np.abs(states.sum(axis=1) - 1.0).max()
-    assert traj.min_component() == states.min() == -0.25
-    for at in {0, rows // 2, rows - 1}:
-        bad = states.copy()
-        bad[at, 2] = np.nan
-        traj = Trajectory.on_grid(bad, 0.1)
-        assert np.isnan(traj.max_sum_defect()) and np.isnan(
-            traj.min_component())
+@pytest.mark.parametrize("steps", [1, 1023, 1024, 1025, 3000])
+def test_max_sum_defect_is_the_whole_path_reduction(steps):
+    # a run's reductions are the floats numpy's reductions over its whole
+    # path give, a zero minimum's sign by IEEE 754-2019 minimum
+    traj = simulate_sde(Params(0.4, 0.2, 0.1, 2.0, epsilon=0.3),
+                        make_initial_condition(0.05, 0.9, 0.05, 0.0),
+                        steps * 0.01, 0.01, Seed(steps))
+    assert len(traj) == steps + 1
+    got = np.array([traj.max_sum_defect(), traj.min_component()])
+    assert got.tobytes() == np.array(path_reductions(traj.states)).tobytes()
 
 
 @pytest.mark.parametrize("command, r", [

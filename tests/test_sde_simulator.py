@@ -312,6 +312,33 @@ class TestEnsemble:
         assert batched.value.node == low.value.node
         assert str(batched.value) == str(low.value)
 
+    @pytest.mark.parametrize("run", ["ensemble", "concentration_check"])
+    def test_an_excursion_of_the_eps0_path_wins_over_earlier_ones(self, run):
+        # r = 0 and h/k_r = 2.05: the eps = 0 path's E flips sign every step
+        # and grows by 5 % a step until it leaves the band at step 33; all
+        # replicas at eps = 1 leave before it, yet the eps = 0 path's
+        # excursion is raised, untagged, as in any scalar run of it
+        p = Params(0.1, 0.2, 0.3, 0.01 / 2.05, epsilon=1.0)
+        ic = make_initial_condition(e0=0.01, s0=0.94, i0=0.05, r0=0.0)
+        with pytest.raises(ExcursionError) as scalar:
+            simulate_sde(p._replace(epsilon=0.0), ic, 2.0, 0.01, Seed(0))
+        for j in range(6):
+            with pytest.raises(ExcursionError) as replica:
+                simulate_sde(p, ic, 2.0, 0.01, Seed(0), replica=j)
+            assert replica.value.node < scalar.value.node
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ExcursionError) as batched:
+                if run == "ensemble":
+                    ensemble(p, ic, 2.0, 0.01, 6, Seed(0))
+                else:
+                    concentration_check(p, ic, 2.0, 0.01, 6, None, Seed(0))
+        err = batched.value
+        assert (err.replica, err.node, err.component) == (
+            -1, scalar.value.node, scalar.value.component)
+        assert str(err) == str(scalar.value).replace(" (replica 0)", "")
+        assert "(replica" not in str(err)
+
     def test_mean_final_is_a_state(self):
         out = ensemble(P_NOISY, IC, 10.0, 0.01, 10, Seed(3))
         assert isinstance(out.mean_final, State)
@@ -394,7 +421,7 @@ class TestBatchedParity:
         levels = np.resize([0.1, 0.25], 12)
         ref = deterministic_euler(p._replace(epsilon=0.0), IC, 5.0, 0.01)
         sups, finals, first = sde_simulator._run_replicas(
-            p, IC, 0.01, n, m, Seed(21), 3, levels, ref.states)
+            p, IC, 0.01, n, m, Seed(21), 3, levels, True)
         assert first is None
         for j, eps in enumerate(levels):
             path = simulate_sde(p._replace(epsilon=eps), IC, 5.0, 0.01,
@@ -411,7 +438,7 @@ class TestBatchedParity:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sups, _, first = sde_simulator._run_replicas(
-                P_NOISY, IC, 0.01, 1000, 0, Seed(0), 0, levels, ref.states)
+                P_NOISY, IC, 0.01, 1000, 0, Seed(0), 0, levels, True)
         assert first is not None and first.replica >= 6
         for j in range(6):
             path = simulate_sde(P_NOISY, IC, 10.0, 0.01, Seed(0), replica=j)
