@@ -1,7 +1,7 @@
 """Time-stepping kernels shared by the deterministic and stochastic integrators.
 
 Every kernel is a plain CPython loop over Python floats: the state and the
-last few derivative rows are locals, and node rows are read and written
+stage rates are locals, and node rows are read and written
 through a flat memoryview of doubles from the caller, four per node (S, E,
 I, R). So the kernels allocate no node buffer, need neither numpy nor any
 other extension module, and write each row in place. Only +, -, * and / are
@@ -11,12 +11,13 @@ node, counted from the start node (0 = ok, 1 = simplex-sum breach, 2 =
 negative component, 3 = excursion outside the allowed band).
 
 Before its start node a kernel's buffer holds the rows that its delayed
-values and its restart read: none for ode_rk4, m + 3 for dde_rk4_abm4 and m
-for euler_maruyama, copies of node 0 before t = 0, whose E is the constant
+values read: none for ode_rk4, 2m for dde_rk4_abm4 and m for
+euler_maruyama, copies of node 0 before t = 0, whose E is the constant
 history. The delay is an exact multiple m of the step, so E(t_k - r) is the
-node m rows back; no interpolation. A caller can therefore step a path in
-windows through a buffer of those rows and one window, carrying the last
-nodes over (det_integrator._run_windows).
+node m rows back; between nodes the one RK4 loop, _rk4_steps, takes the
+cubic Hermite interpolant of E, whose slopes reach m rows further back. A
+caller can therefore step a path in windows through a buffer of those rows
+and one window, carrying the last nodes over (det_integrator._run_windows).
 
 Every kernel also takes the report reductions of the path before its start
 node, as the previous window returned them, and returns those of the path
@@ -89,28 +90,50 @@ def _holds_negative_zero(raw):
     return k >= 0
 
 
-def _rk4_steps(x, a, b, edk, h, beta, mu, gamma, kr, sum_tol, neg_tol, dhi,
-               dlo):
-    """Classical RK4 from the node at flat offset a - 4 of x, storing the
-    nodes at flat offsets a, a + 4, .. < b.
+def _rk4_steps(x, m, beta, mu, gamma, kr, n_steps, h, sum_tol, neg_tol,
+               defect, low):
+    """Classical RK4 from the start node in row 2m of x; step k writes row
+    2m + 1 + k. Returns what ode_rk4 does.
 
-    The exposed source E(t - r) of every stage is the constant history when
-    edk, its ed / kr, is given (all stage times lie in [0, r]), else the
-    stage's own E (the nondelayed system, edk None). dhi and dlo are the
-    running max and min of the defects. Returns (status, flat offset of the
-    bad node, dhi, dlo, low), low the stepped nodes' smallest component.
+    With m = 0 every stage's exposed source E(t - r) is the stage's own E
+    (the nondelayed system). With m > 0 the step from node k reads it at
+    t_k and t_{k+1} from the stored nodes k - m and k - m + 1, and at the
+    half step from the cubic Hermite interpolant between them, whose slopes
+    E'_j = beta*S_j*I_j - E_{j-m}/kr need the nodes m further back: so the
+    2m rows before the start node. The slope and E/kr of node k - m + 1 are
+    carried over to the next step, and a window rebuilds them from the
+    stored nodes, bit for bit. Before t = 0 every row is node 0, so on
+    [0, r] every delayed value is its E, as for the constant history.
     """
-    s, e, i, rc = x[a - 4], x[a - 3], x[a - 2], x[a - 1]
+    a = 8 * m
+    b = a + 4 * n_steps + 4
+    s, e, i, rc = x[a], x[a + 1], x[a + 2], x[a + 3]
     h2 = 0.5 * h
     h6 = h / 6.0
-    low = math.inf
-    delayed = edk is not None
+    h8 = 0.125 * h
+    # the stepped nodes' running minimum, checked against neg_tol, joins the
+    # earlier nodes' minimum, held, at the end
+    dhi, dlo, held, low = defect, -defect, low, math.inf
+    status = OK
+    # flat offset from node k + 1 to node k - m + 1, and from that one to
+    # the node m before it
+    back = 4 * m
+    if m:
+        # node k - m of the first step: its E, E / kr and slope E'
+        ea = x[a - back + 1]
+        eak = ea / kr
+        dea = beta * x[a - back] * x[a - back + 2] - x[a - 2 * back + 1] / kr
     # j is the flat offset of the node being computed
-    for j in range(a, b, 4):
+    for j in range(a + 4, b, 4):
         bsi = beta * s * i
         mi = mu * i
         grc = gamma * rc
-        if not delayed:
+        if m:
+            o = j - back
+            eb = x[o + 1]
+            deb = beta * x[o] * x[o + 2] - x[o - back + 1] / kr
+            edk = eak
+        else:
             edk = e / kr
         a1s = grc - bsi
         a1e = bsi - edk
@@ -120,7 +143,9 @@ def _rk4_steps(x, a, b, edk, h, beta, mu, gamma, kr, sum_tol, neg_tol, dhi,
         ts = s + h2 * a1s
         ti = i + h2 * a1i
         tr = rc + h2 * a1r
-        if not delayed:
+        if m:
+            edk = (0.5 * (ea + eb) + h8 * (dea - deb)) / kr
+        else:
             edk = (e + h2 * a1e) / kr
         bsi = beta * ts * ti
         mi = mu * ti
@@ -133,7 +158,7 @@ def _rk4_steps(x, a, b, edk, h, beta, mu, gamma, kr, sum_tol, neg_tol, dhi,
         ts = s + h2 * a2s
         ti = i + h2 * a2i
         tr = rc + h2 * a2r
-        if not delayed:
+        if not m:
             edk = (e + h2 * a2e) / kr
         bsi = beta * ts * ti
         mi = mu * ti
@@ -146,7 +171,10 @@ def _rk4_steps(x, a, b, edk, h, beta, mu, gamma, kr, sum_tol, neg_tol, dhi,
         ts = s + h * a3s
         ti = i + h * a3i
         tr = rc + h * a3r
-        if not delayed:
+        if m:
+            ea, dea = eb, deb
+            edk = eak = eb / kr
+        else:
             edk = (e + h * a3e) / kr
         bsi = beta * ts * ti
         mi = mu * ti
@@ -160,106 +188,6 @@ def _rk4_steps(x, a, b, edk, h, beta, mu, gamma, kr, sum_tol, neg_tol, dhi,
         e = e + h6 * (a1e + 2.0 * (a2e + a3e) + a4e)
         i = i + h6 * (a1i + 2.0 * (a2i + a3i) + a4i)
         rc = rc + h6 * (a1r + 2.0 * (a2r + a3r) + a4r)
-
-        d = ((s + e) + i) + rc - 1.0
-        if not d <= dhi:
-            if not d <= sum_tol:
-                return SUM_BREACH, j, dhi, dlo, low
-            dhi = d
-        elif d < dlo:
-            if -d > sum_tol:
-                return SUM_BREACH, j, dhi, dlo, low
-            dlo = d
-        if s < low:
-            low = s
-        if e < low:
-            low = e
-        if i < low:
-            low = i
-        if rc < low:
-            low = rc
-        if low < neg_tol:
-            return NEGATIVE, j, dhi, dlo, low
-        x[j], x[j + 1], x[j + 2], x[j + 3] = s, e, i, rc
-    return OK, -1, dhi, dlo, low
-
-
-def ode_rk4(x, beta, mu, gamma, kr, n_steps, h, sum_tol, neg_tol,
-            defect=0.0, low=math.inf):
-    """Classical RK4 for the nondelayed system from the start node in row 0
-    of x; step k writes row k + 1. defect and low are the reductions of the
-    path before the start node. Returns (status, bad_node, max_sum_defect,
-    min_component): the first node that breaks sum_tol or neg_tol, not
-    stored, or -1, and the reductions of the path up to the last node
-    (meaningless after an exit)."""
-    b = 4 * n_steps + 4
-    status, j, dhi, dlo, stepped = _rk4_steps(
-        x, 4, b, None, h, beta, mu, gamma, kr, sum_tol, neg_tol, defect,
-        -defect)
-    return (status, j >> 2 if status else -1,
-            *_settle(x, 0, b, dhi, dlo, min(low, stepped)))
-
-
-def dde_rk4_abm4(x, m, beta, mu, gamma, kr, n_steps, h, start, sum_tol,
-                 neg_tol, defect=0.0, low=math.inf):
-    """Method of steps for the delayed system (m = r/h >= 3) from node start
-    of the path, in row m + 3 of x after the m + 3 nodes before it; step k
-    writes row m + 4 + k.
-
-    Up to t = r the delayed exposed value is the constant history, so
-    classical RK4 applies unchanged and keeps full order; it also supplies
-    the m + 1 >= 4 starting nodes of the order-4 Adams-Bashforth/Adams-
-    Moulton predictor-corrector (PECE) that runs past r over node
-    derivatives. The corrector is interpolation-free: the delayed value at
-    t_{k+1} is itself a stored node. Every PECE run starts by rebuilding its
-    four derivative rows from the stored nodes, so a window needs no state
-    but nodes. Takes and returns what ode_rk4 does.
-    """
-    a = 4 * m + 12
-    b = a + 4 * n_steps + 4
-    # RK4 steps up to node m; row 0 holds the constant history then
-    c = a + 4 * max(0, min(m - start, n_steps)) + 4
-    # the stepped nodes' running minimum, checked against neg_tol, joins the
-    # earlier nodes' minimum, held, at the end
-    held = low
-    status, j, dhi, dlo, low = _rk4_steps(
-        x, a + 4, c, x[1] / kr, h, beta, mu, gamma, kr, sum_tol, neg_tol,
-        defect, -defect)
-    if status != OK or c == b:
-        return (status, (j - a) >> 2 if status else -1,
-                *_settle(x, a, b, dhi, dlo, min(held, low)))
-
-    # derivatives at nodes k, k-1, k-2, k-3 as float locals (the corrector
-    # never reads E' at node k-3), node k being the last stored, at flat
-    # offset c - 4; the delayed value of a node is the stored node m back
-    back = 4 * m - 1
-    f = []
-    for j in range(c - 4, c - 20, -4):
-        i, rc = x[j + 2], x[j + 3]
-        bsi = beta * x[j] * i
-        mi = mu * i
-        grc = gamma * rc
-        edk = x[j - back] / kr
-        f.append((grc - bsi, bsi - edk, edk - mi, mi - grc))
-    ((f0s, f0e, f0i, f0r), (f1s, f1e, f1i, f1r), (f2s, f2e, f2i, f2r),
-     (f3s, _, f3i, f3r)) = f
-    s, e, i, rc = x[c - 4], x[c - 3], x[c - 2], x[c - 1]
-    h24 = h / 24.0
-    # j is the flat offset of node k + 1; E(t_{k+1} - r) is the stored node
-    # k + 1 - m, shared by the predicted and the corrected node's right-hand
-    # sides
-    for j in range(c, b, 4):
-        edk = x[j - back] / kr
-        ps = s + h24 * (55.0 * f0s - 59.0 * f1s + 37.0 * f2s - 9.0 * f3s)
-        pi = i + h24 * (55.0 * f0i - 59.0 * f1i + 37.0 * f2i - 9.0 * f3i)
-        pr = rc + h24 * (55.0 * f0r - 59.0 * f1r + 37.0 * f2r - 9.0 * f3r)
-        bsi = beta * ps * pi
-        mi = mu * pi
-        grc = gamma * pr
-        s = s + h24 * (9.0 * (grc - bsi) + 19.0 * f0s - 5.0 * f1s + f2s)
-        e = e + h24 * (9.0 * (bsi - edk) + 19.0 * f0e - 5.0 * f1e + f2e)
-        i = i + h24 * (9.0 * (edk - mi) + 19.0 * f0i - 5.0 * f1i + f2i)
-        rc = rc + h24 * (9.0 * (mi - grc) + 19.0 * f0r - 5.0 * f1r + f2r)
 
         d = ((s + e) + i) + rc - 1.0
         if not d <= dhi:
@@ -284,15 +212,32 @@ def dde_rk4_abm4(x, m, beta, mu, gamma, kr, n_steps, h, start, sum_tol,
             status = NEGATIVE
             break
         x[j], x[j + 1], x[j + 2], x[j + 3] = s, e, i, rc
-        bsi = beta * s * i
-        mi = mu * i
-        grc = gamma * rc
-        f3s, f2s, f1s, f0s = f2s, f1s, f0s, grc - bsi
-        f2e, f1e, f0e = f1e, f0e, bsi - edk
-        f3i, f2i, f1i, f0i = f2i, f1i, f0i, edk - mi
-        f3r, f2r, f1r, f0r = f2r, f1r, f0r, mi - grc
     return (status, (j - a) >> 2 if status else -1,
             *_settle(x, a, b, dhi, dlo, min(held, low)))
+
+
+def ode_rk4(x, beta, mu, gamma, kr, n_steps, h, sum_tol, neg_tol,
+            defect=0.0, low=math.inf):
+    """Classical RK4 for the nondelayed system from the start node in row 0
+    of x; step k writes row k + 1. defect and low are the reductions of the
+    path before the start node. Returns (status, bad_node, max_sum_defect,
+    min_component): the first node that breaks sum_tol or neg_tol, not
+    stored, or -1, and the reductions of the path up to the last node
+    (meaningless after an exit)."""
+    return _rk4_steps(x, 0, beta, mu, gamma, kr, n_steps, h, sum_tol,
+                      neg_tol, defect, low)
+
+
+def dde_rk4_abm4(x, m, beta, mu, gamma, kr, n_steps, h, sum_tol, neg_tol,
+                 defect=0.0, low=math.inf):
+    """Classical RK4 for the delayed system (m = r/h >= 3) from the start
+    node in row 2m of x, after the 2m nodes before it, with Hermite delayed
+    values at the half steps (_rk4_steps); step k writes row 2m + 1 + k.
+    Takes and returns what ode_rk4 does. The name, from the Adams-Bashforth-
+    Moulton corrector that once stepped this path past t = r, stays because
+    perfbench/tracer.py wraps the kernel by it, with n_steps at index 6."""
+    return _rk4_steps(x, m, beta, mu, gamma, kr, n_steps, h, sum_tol,
+                      neg_tol, defect, low)
 
 
 def euler_maruyama(x, m, beta, mu, gamma, kr, n_steps, h, eps, chunks, lo,

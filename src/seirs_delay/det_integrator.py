@@ -5,10 +5,10 @@ Two routes:
 * :func:`integrate_ode`: classical RK4 for the nondelayed system (r = 0).
 * :func:`integrate_dde`: method of steps for r > 0 on the grid of
   :func:`model_core.step_grid`, whose step divides the delay, so the delayed term is
-  always a stored node and no history interpolation happens. On [0, r] the
-  delayed value is the constant initial history and RK4 keeps full order;
-  afterwards an Adams-Bashforth/Adams-Moulton predictor-corrector of order 4
-  runs over stored node derivatives.
+  a stored node at every node time. Classical RK4 steps it throughout; the
+  delayed value at a half step is the cubic Hermite interpolant of the
+  stored nodes around it, so the breaking points at t = r, 2r, .., which
+  are nodes, cost no order and the path is fourth order.
 
 Every path of the package, these two and the stochastic one
 (_stream._run_path), is stepped by one window loop, :func:`_run_windows`,
@@ -53,12 +53,13 @@ class Trajectory:
     The nodes are the rows of _run_windows' buffer from node 0 on,
     read-only, with the max_sum_defect and min_component the kernel
     returned. That buffer also keeps its lead rows before node 0: a
-    whole-path integrate_dde holds 32(m + 3) bytes beside the 32(n + 1) of
-    its path, and simulate_sde 32m. len, last and final_state read the
-    buffer, so no path run loads numpy, simulate_sde's noisy one included;
-    states, an (n + 1, 4) numpy array over the buffer without a copy, and
-    times, the floats k*step, are built on first read and then kept, so a
-    run's states cannot be written and its reductions stay its own.
+    whole-path integrate_dde holds 2m of them, 64m bytes, beside the
+    32(n + 1) of its path, and simulate_sde m, 32m bytes. len, last and
+    final_state read the buffer, so no path run loads numpy, simulate_sde's
+    noisy one included; states, an (n + 1, 4) numpy array over the buffer
+    without a copy, and times, the floats k*step, are built on first read
+    and then kept, so a run's states cannot be written and its reductions
+    stay its own.
     """
 
     __slots__ = ("_times", "_nodes", "_extremes", "_states", "step")
@@ -149,8 +150,8 @@ def _run_windows(node0, lead: int, h: float, n: int, step, consume=None):
 
 
 def _integrate(p: Params, node0, t_end: float, h: float, consume):
-    """The path of integrate_ode (r = 0) or integrate_dde (m + 3 nodes
-    before each window); a failed node raises an IntegrationError."""
+    """The path of integrate_ode (r = 0) or integrate_dde (2m nodes before
+    each window); a failed node raises an IntegrationError."""
     n, m, _ = step_grid(p.r, t_end, h)
     rates = p.beta, p.mu, p.gamma, p.k_r
     tols = PROPAGATION_SUM_TOL, NEGATIVITY_TOL
@@ -158,7 +159,7 @@ def _integrate(p: Params, node0, t_end: float, h: float, consume):
     def step(x, start, steps, defect, low):
         if m:
             status, node, defect, low = _kernels.dde_rk4_abm4(
-                x, m, *rates, steps, h, start, *tols, defect, low)
+                x, m, *rates, steps, h, *tols, defect, low)
         else:
             status, node, defect, low = _kernels.ode_rk4(
                 x, *rates, steps, h, *tols, defect, low)
@@ -169,7 +170,7 @@ def _integrate(p: Params, node0, t_end: float, h: float, consume):
                 if status == _kernels.SUM_BREACH
                 else f"component below {tols[1]} at node {node}", node)
         return defect, low
-    return _run_windows(node0, m + 3 if m else 0, h, n, step, consume)
+    return _run_windows(node0, 2 * m, h, n, step, consume)
 
 
 def integrate_ode(p: Params, x0: State, t_end: float, h: float, consume=None):
@@ -187,11 +188,12 @@ def integrate_ode(p: Params, x0: State, t_end: float, h: float, consume=None):
 
 def integrate_dde(p: Params, ic: InitialCondition, t_end: float, h: float,
                   consume=None):
-    """Integrate the delayed system (p.r > 0) by the method of steps.
+    """Integrate the delayed system (p.r > 0) by classical RK4, to fourth
+    order.
 
     The grid is step_grid's: r/h is a whole number >= 3, so delayed lookups
-    hit stored nodes, and t_end >= r. Invariant breaches abort with the
-    node index. Returns what integrate_ode does.
+    at node times hit stored nodes, and t_end >= r. Invariant breaches abort
+    with the node index. Returns what integrate_ode does.
     """
     if not p.r > 0.0:
         raise ValidationError("integrate_dde requires r > 0; "

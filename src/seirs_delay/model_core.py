@@ -285,8 +285,10 @@ def step_grid(r: float, t_end: float, h: float) -> tuple[int, int, float]:
     """Step count n, delay offset m = r/h (0 when r = 0) and last node time
     n*h of a stepped run with delay r, horizon t_end and step h.
 
-    For r > 0, h must divide r into at least 3 steps (delayed values are then
-    stored nodes and the 4-step Adams methods have their starting values) and
+    For r > 0, h must divide r into at least 3 steps (delayed values at the
+    nodes are then stored nodes, and with k_r >= r*e every step has h/k_r <=
+    1/(3e), well inside the stability interval of RK4 and Euler-Maruyama on
+    the decay of E; the solvers themselves would step any whole r/h >= 1) and
     t_end >= r; the nodes cover [0, t_end], rounding up when t_end is not a
     whole number of steps. For r = 0, h must divide t_end. The rules differ
     because with r > 0 the step is pinned by the delay, so the horizon cannot

@@ -625,8 +625,8 @@ class TestMain:
     SIGNED_ZEROS = [
         (0.0, "0.0", "0.05", "-0.0", "4.4408920985006262e-16", "-0"),
         (0.0, "-0.0", "0.05", "0.0", "4.4408920985006262e-16", "-0"),
-        (0.05, "0.0", "0.05", "-0.0", "2.2204460492503131e-16", "-0"),
-        (0.05, "-0.0", "0.05", "0.0", "2.2204460492503131e-16", "-0"),
+        (0.05, "0.0", "0.05", "-0.0", "4.4408920985006262e-16", "-0"),
+        (0.05, "-0.0", "0.05", "0.0", "4.4408920985006262e-16", "-0"),
         (0.0, "0.0", "0.0", "0.05", "6.6613381477509392e-16", "0"),
         (0.0, "-0.0", "0.0", "0.05", "6.6613381477509392e-16", "-0"),
         (0.05, "-0.0", "0.0", "0.05", "6.6613381477509392e-16", "-0")]
@@ -971,8 +971,8 @@ class TestMain:
         assert "has 2e+300 nodes" in captured.err
 
     def test_grid_too_large_for_memory(self, tmp_path, capsys):
-        # a delay of m = 1e15 steps: the window buffer holds the m + 3 nodes
-        # before a window beside its 512, which fit the index type but no
+        # a delay of m = 1e15 steps: the window buffer holds the 2m nodes
+        # before a window beside its 513, which fit the index type but no
         # address space, so it fails to allocate before the first step
         text = ("params.beta = 0.4\nparams.mu = 0.2\nparams.gamma = 0.1\n"
                 "params.k_r = 1e14\nparams.r = 1e13\nrun.horizon = 1e13\n"
@@ -982,7 +982,7 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("validation error: out of memory: ")
-        assert "(1000000000000516, 4)" in captured.err
+        assert "(2000000000000513, 4)" in captured.err
 
     def test_lyapunov_epsilon_square_overflow_is_a_false_condition(
             self, tmp_path, capsys):

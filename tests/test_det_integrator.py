@@ -170,12 +170,31 @@ class TestIntegrateDde:
         tr = integrate_dde(p, ic, 300.0, 0.01)
         assert float(np.max(np.abs(tr.states[-1] - X0))) <= 1e-6
 
+    @pytest.mark.parametrize("rates, r", [((0.4, 0.2, 0.1, 2.0), 0.5),
+                                          ((0.8, 0.3, 0.5, 4.0), 1.0)])
+    def test_fourth_order_self_convergence(self, rates, r):
+        # over the whole path, across the breaking points t = r, 2r, .. at
+        # which E' and E'' jump: a multistep memory across them makes the
+        # path second order, with ratios near 4
+        p = Params(*rates, r=r)
+        ic = make_initial_condition(e0=0.05, s0=0.9, i0=0.05, r0=0.0)
+        ref = integrate_dde(p, ic, 20.0, r / 512)
+
+        def err(m):
+            tr = integrate_dde(p, ic, 20.0, r / m)
+            return float(np.max(np.abs(tr.states - ref.states[::512 // m])))
+
+        errs = [err(m) for m in (4, 8, 16, 32)]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 16.0 * 0.7 <= coarse / fine <= 16.0 * 1.3
+
     def test_agrees_with_integral_representation(self):
         p = Params(0.1, 0.2, 0.3, 2.0, r=0.5)
         ic = make_initial_condition(e0=0.1, s0=0.8, i0=0.1, r0=0.0)
         stepped = integrate_dde(p, ic, 300.0, 0.01)
         cascade = integrate_dde_cascade(p, ic, 300.0, quad_n=50)
-        assert max_matched_diff(cascade, stepped) <= 1e-6
+        # the gap measured 3.2e-12; a second-order path is off by about 3e-7
+        assert max_matched_diff(cascade, stepped) <= 1e-10
 
     def test_agreement_on_random_parameter_draws(self):
         rng = np.random.default_rng(20260814)
@@ -191,7 +210,8 @@ class TestIntegrateDde:
             stepped = integrate_dde(p, ic, 30.0, h)
             cascade = integrate_dde_cascade(p, ic, 30.0, quad_n=200)
             worst = max(worst, max_matched_diff(cascade, stepped))
-        assert worst <= 1e-6
+        # the worst gap measured 2.0e-12; a second-order path's, about 5e-7
+        assert worst <= 1e-10
 
     def test_conservation_and_positivity(self):
         rng = np.random.default_rng(73)
@@ -229,10 +249,10 @@ class TestIntegrateDde:
             integrate_dde(Params(0.1, 0.2, 0.3, 2.0, r=0.5), ic, 0.25, 0.01)
 
     @pytest.mark.parametrize("beta, mu, gamma, k_r, r, e0, i0, r0, node", [
-        # on [0, r], in the RK4 phase
+        # on [0, r], where the delayed values are the constant history
         (0.566, 0.937, 0.824, 23.302, 6.0, 0.01, 0.219, 0.053, 1),
-        # past r, in the Adams phase (r/h = 5)
-        (0.159, 0.742, 0.93, 27.383, 10.0, 0.259, 0.294, 0.287, 9),
+        # past r, where the delayed values are stored nodes (r/h = 3)
+        (0.104, 0.782, 0.924, 17.077, 6.0, 0.001, 0.088, 0.116, 4),
     ])
     def test_invariant_breach_aborts_with_node(self, beta, mu, gamma, k_r,
                                                r, e0, i0, r0, node):

@@ -9,7 +9,7 @@ only with r = 0); any other must exit 2 (malformed) or 3 (inadmissible)
 with one stderr line that names the offending key; none may raise.
 delay-margin is gated on the moderate and malformed families only: on the
 other two it still fails at extreme scales and refuses beta = mu (ROADMAP
-items 1 and 2). So are the run commands, whose documents add a horizon of
+item 6). So are the run commands, whose documents add a horizon of
 2r (1 at r = 0), about 100 steps at the default step, and a
 run.trajectory, which must hold the header and every node after exit 0 and
 not exist after any other exit. An admissible run may also exit 4 with the

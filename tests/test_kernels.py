@@ -8,7 +8,11 @@ CPython loops, and the replica-engine digests (the sups and finals of
 `sde_simulator._run_replicas`) before its step loop was fused. The
 seeded-draw digests (DRAW_DIGESTS: `ode_rk4` and `dde_rk4_abm4` at 20
 random parameter points) were captured at the parent of the rewrite that
-gave the RK4 and ABM4 loops shared products and float locals. The
+gave the RK4 loop shared products and float locals. The delayed digests
+were captured again when `dde_rk4_abm4` became RK4 with Hermite half-step
+delays throughout, in place of an Adams-Bashforth-Moulton corrector past
+t = r: each re-captured array is closer to the converged integral cascade
+than the one it replaced. The
 `scalar_dde` case pins the scalar comparison reference of
 tests/_oracles.py; its digest is the one the `_kernels.scalar_dde` loop
 had, so the reference keeps that loop's arithmetic. Print the current ones
@@ -96,9 +100,9 @@ CASES = {
 }
 
 DIGESTS = {
-    "dde_rk4_abm4-horizon20.005": "ad0195a3a4937dc3370093fda1e500e67e5d3976fb4cc4dddc6af609f1942534",
-    "dde_rk4_abm4-m3": "e3f31a9f3b559671703210cc622c3462f914c1de4532a8412b8f7d0639e8c8dc",
-    "dde_rk4_abm4-m50": "02ae2c32332bb9db7473ccdcc320128c1a40d2f17f608d68c71de3e5d15a91a5",
+    "dde_rk4_abm4-horizon20.005": "5be211650659f86b4c6b6bcff2c3111ef2eddc72b34c59100fc2836c6a9fc4b7",
+    "dde_rk4_abm4-m3": "30a3a29a4079c0ac33af9de4af59828c3ab7dc6ebc37f28468ab735fc0af16f6",
+    "dde_rk4_abm4-m50": "f2a56e745e09c389f1a015a904888b532ea5e4b367bd57b3ceb8a29b462e7593",
     "euler_maruyama-r0": "63291c0880d1b0354ce9a152fad2f843e77bfc9fb45d9f3a0d73c5020027715b",
     "euler_maruyama-r0.5": "c56ae70aee55abff8f6f19d0b6c60bd586ea567c8d5e6242a1d0a5912b2d7f0c",
     "ode_rk4": "d38a65004546520bfd4897797ea8c01c27f6918b32d38bcdb5b0902ef8efd47e",
@@ -136,18 +140,17 @@ def _draw(seed):
 
 def _kernel(kernel, x0, n, m, rates, h, tols, defect=0.0, low=math.inf):
     """An n-step call of the deterministic kernel from the start node x0,
-    stepped into a buffer whose rows before it (m + 3 for dde_rk4_abm4, the
+    stepped into a buffer whose rows before it (2m for dde_rk4_abm4, the
     constant history) hold x0 too: the rows from the start node on, then the
     kernel's status, exit node, max_sum_defect and min_component."""
-    lead = m + 3 if kernel == "dde_rk4_abm4" else 0
+    lead = 2 * m if kernel == "dde_rk4_abm4" else 0
     x = np.zeros((lead + 1 + n, 4))
     x[:lead + 1] = x0
     view = memoryview(x.reshape(-1))
     if kernel == "ode_rk4":
         out = _kernels.ode_rk4(view, *rates, n, h, *tols, defect, low)
     else:
-        out = _kernels.dde_rk4_abm4(view, m, *rates, n, h, 0, *tols, defect,
-                                    low)
+        out = _kernels.dde_rk4_abm4(view, m, *rates, n, h, *tols, defect, low)
     return (x[lead:], *out)
 
 
@@ -190,26 +193,26 @@ DRAW_DIGESTS = {
     "ode_rk4-17": "cc5d2a676b249f9f6c88cddf56f020f8751b5e98976e8aacbfaa8f04d98dd35b",
     "ode_rk4-18": "bdb9ebc87860a3faac8139861dd794efae3b0b357d1e863290710efcc55b1668",
     "ode_rk4-19": "e229ed566c9d5500172be9848942211c03c5422f6ad5529e362c77358af5b9fb",
-    "dde_rk4_abm4-0": "dc63b993110d4d26ad630c433cbd274a520ff4fda4f5061811f8a1c23b418f72",
-    "dde_rk4_abm4-1": "a97beff3fb8508cdb3156273c1de0e5e481f88a7883a1930eacc9b736533981e",
-    "dde_rk4_abm4-2": "26925b4ab176108cd164488394fe1853459b2a9f08915ef32e7046ebd47c2bdd",
-    "dde_rk4_abm4-3": "1a5af8358b3597dd1f8218125b3be51959a7a46cb2dd47f3f241c715e4dc6d66",
-    "dde_rk4_abm4-4": "acaaca0628bc348b98fbf16febb6fbcea88d905403c40a779c5730a1aa864804",
-    "dde_rk4_abm4-5": "7929b2235148e1659337e32042bbbd0e5277190f871aff8c0e32755f3086d155",
-    "dde_rk4_abm4-6": "3e747af1f2568779f87432b3201016c10f834a222c33ed54135597e5ccf29074",
-    "dde_rk4_abm4-7": "aaafd99e0a403bc612ab9c986fc0ce78045cd09584d5eabe1e36351f2f131ac8",
-    "dde_rk4_abm4-8": "628f19d5158cd71ac0d3db1469cd90186077ca10430f17579917ab2774d96aa9",
-    "dde_rk4_abm4-9": "e3848afa25e375737304b2d239abd9ac59378f2427875ebfb43346186885c7a8",
-    "dde_rk4_abm4-10": "b20fc8f4735f53c3dcb7d4bcd26e5f97159dfbe699f95104b538439444f36c98",
-    "dde_rk4_abm4-11": "238ffefbbc64f322d0905ad0a46d552ced50f351059c6374405aae6635a91c24",
-    "dde_rk4_abm4-12": "5e4c0b4f6112870633e73f5e12553361a7a7748b313d446d9db855ddf32681ef",
-    "dde_rk4_abm4-13": "9678b20ee4d02e78d0e9d25fdab8d0638cbb930c64c4392b9b0e3ea1989fae33",
-    "dde_rk4_abm4-14": "16337460777ce811d3c54cc8b444eb5249ed49d25413defea794fc2e890febd2",
-    "dde_rk4_abm4-15": "90596a37ef42fca4bcfe178793a6a0e4cd58007844d77d461a57af5bf4f78bd6",
-    "dde_rk4_abm4-16": "8d31285b40dc3f6c4f7399256a585f5d43f26f55aeee6835ed6c020ddea6a985",
-    "dde_rk4_abm4-17": "7cd0dc42c898b1390489fccac7b9bbd7fc939c11d24c1daccbda0584689471a0",
+    "dde_rk4_abm4-0": "32d4c4ace6bdf2eeb5d7c601a6719495e44f6c7bee7de1de40f41f4532cace2f",
+    "dde_rk4_abm4-1": "fef7ff968822db97fd9920f12c6af1ad581cc4de4e2cb66f6f1684fde7dd29f9",
+    "dde_rk4_abm4-2": "ae9c1450e98ac5a3459098bc424779f156fc8f93e2103d5f6df33ef402648af2",
+    "dde_rk4_abm4-3": "82eaf99672f966cb31fd8f328eb17099b72601f626926016cd055828df1d3b54",
+    "dde_rk4_abm4-4": "9bd50f1bbfcb6265bffbf1f223c6d3bae64909e78f9039142187a6e912ae1aa6",
+    "dde_rk4_abm4-5": "bbd4b8dad3246921cd4d657d7b0274b512f92ee9be3ef1f014d96a74ddd4bfff",
+    "dde_rk4_abm4-6": "33fe4f75551c3218254efcfd1fb06d40418ae33678ecb94034615d4e20f45baf",
+    "dde_rk4_abm4-7": "a1dd57120661dc43fbcc95f44525318dea8f28c767cdb6b159be60d84b29ef96",
+    "dde_rk4_abm4-8": "85d38898a4ed579547ab2b6a6700523f74d1ae967fb5e2c2207a613edb100def",
+    "dde_rk4_abm4-9": "fdeafe2204776f2e9d027901ba86b0240fb68b7b7cfd241d52e0b7b5609b34b7",
+    "dde_rk4_abm4-10": "d633c67cee679097c6682980fb5b853f0f6b1d0d65a68b1a1ff4963882eb2347",
+    "dde_rk4_abm4-11": "c4beb4448615dcc97f892c2e14d11a17c7d1b2cac8c046f0ebcd881bc5f722b3",
+    "dde_rk4_abm4-12": "8714a0aa1a9827e6eb6019a8a6752e1a5b9eacb1aa6a1d3c60b1dd0a9927c87e",
+    "dde_rk4_abm4-13": "41eb5c5ceee92601db20f2aba5ecdb21d47cf2bb2adec4b284744491365fcbc7",
+    "dde_rk4_abm4-14": "3277f5b4ab9b682d77f34fd03dd166ff276bfbd584445b78f0d9cd1611a24660",
+    "dde_rk4_abm4-15": "88e01b6e5104449fea3e80e5b815183ec44777bde9c7a57051ce780025e20ff2",
+    "dde_rk4_abm4-16": "040391263d8108399c2471196088525a3585b44b50128fc820743e9cb25595d8",
+    "dde_rk4_abm4-17": "86e60b3050f5030fbc0676cf3544ad9a7fe9998712f6991a098463ad9f7ba478",
     "dde_rk4_abm4-18": "af6ce8302f736fb2b4b1fb0da6b23dbb18507955e2b23d5d9f7e5acddf6c2890",
-    "dde_rk4_abm4-19": "22d267adbb661f2d5e80980cd88328b8ae92a57b2d75143d660790a128fe4609",
+    "dde_rk4_abm4-19": "ec5e762fd0781687288500f5408974b870783cef791a2960951e92a9da39f953",
 }
 
 
@@ -240,11 +243,11 @@ def _defects(x):
     return np.abs(((x[:, 0] + x[:, 1]) + x[:, 2]) + x[:, 3] - 1.0)
 
 
-# (kernel, exit node): dde nodes 1..M come from the RK4 start, later ones
-# from the ABM4 loop
+# (kernel, exit node): dde nodes 1..M read the constant history, later
+# ones stored nodes and their Hermite interpolants
 @pytest.mark.parametrize("kernel,node", [("ode_rk4", 864),
                                          ("dde_rk4_abm4", 42),
-                                         ("dde_rk4_abm4", 141)])
+                                         ("dde_rk4_abm4", 121)])
 def test_sum_breach_exit(kernel, node):
     free, status, _ = _det(kernel, IC_SUM, 1.0, -1.0)
     assert status == _kernels.OK
@@ -274,10 +277,10 @@ def test_negative_exit(kernel, node):
 # (kernel, gamma, k_r, node): with tolerances that no finite node trips,
 # each path runs to its first NaN node. k_r = 1e-300 makes E / k_r
 # overflow on the first step; gamma = 400 at h = 0.01 is outside RK4's
-# stability region, and gamma = 150 inside it but outside that of the ABM4
-# corrector, whose nodes grow past the float range after the RK4 start
+# stability region, and the delayed path, whose R is fed through the
+# delay, grows past the float range after t = r
 NAN_EXITS = [("ode_rk4", 0.1, 1e-300, 1), ("dde_rk4_abm4", 0.1, 1e-300, 1),
-             ("ode_rk4", 400.0, 2.0, 20), ("dde_rk4_abm4", 150.0, 2.0, 487)]
+             ("ode_rk4", 400.0, 2.0, 20), ("dde_rk4_abm4", 400.0, 2.0, 84)]
 
 
 @pytest.mark.parametrize("kernel,gamma,kr,node", NAN_EXITS)
@@ -397,9 +400,9 @@ def test_euler_maruyama_excursion_exit(x0, rates, comp, node):
 
 WINDOW_STEPS = 1100
 WINDOW_M = 50
-# the rates of each delay: at r = 6 (m = 600 steps) the delayed kernel's
-# RK4 start ends inside a 512-step window; at r = 0.03 (m = 3) a PECE start
-# reads rows of three windows before it
+# the rates of each delay: at r = 6 (m = 600 steps) t = r falls inside a
+# 512-step window; at r = 0.03 (m = 3) a window of one or three steps reads
+# the slopes of nodes up to 2m rows back, in the windows before it
 K_R = {0.0: 2.0, 0.03: 2.0, 0.5: 2.0, 6.0: 20.0}
 
 
@@ -507,7 +510,7 @@ def test_a_nan_carried_in_stays_and_the_band_still_holds():
 # test_negative_exit, each inside a later window of every size below
 WINDOW_EXITS = [("ode_rk4", _kernels.SUM_BREACH, 864),
                 ("dde_rk4_abm4", _kernels.SUM_BREACH, 42),
-                ("dde_rk4_abm4", _kernels.SUM_BREACH, 141),
+                ("dde_rk4_abm4", _kernels.SUM_BREACH, 121),
                 ("ode_rk4", _kernels.NEGATIVE, 200),
                 ("dde_rk4_abm4", _kernels.NEGATIVE, 30),
                 ("dde_rk4_abm4", _kernels.NEGATIVE, 120)]

@@ -57,10 +57,10 @@ RUNS = {
     "integrate_dde-m-near-n": lambda t: integrate_dde(
         P._replace(r=t - 60 * H, k_r=80.0), IC, t, H),
 }
-# a whole-path integrate_dde keeps the m + 3 lead rows of its buffer,
-# copies of node 0, beside its path, 32(m + 3) bytes; at r = 0.5 they are
-# 1.7 kB of the slack, with m near n they are pinned on their own
-LEAD = {"integrate_dde-m-near-n": 32 * (N - 60 + 3)}
+# a whole-path integrate_dde keeps the 2m lead rows of its buffer, copies
+# of node 0, beside its path, 64m bytes; at r = 0.5 they are 3.2 kB of the
+# slack, with m near n they are pinned on their own
+LEAD = {"integrate_dde-m-near-n": 64 * (N - 60)}
 assert LEAD["integrate_dde-m-near-n"] > SLACK
 
 
@@ -178,9 +178,9 @@ def test_writer_builds_each_chunks_times_without_the_time_column(tmp_path):
 
 
 def test_a_long_delay_holds_its_lead_rows_once(tmp_path):
-    # the m + 3 rows before a window hold copies of node 0, made in place:
-    # a simulate whose delay is m = 5000 steps holds its window buffer of
-    # m + 516 rows and no second copy of the lead rows beside it
+    # the 2m rows before a window hold copies of node 0, made in place: a
+    # simulate whose delay is m = 5000 steps holds its window buffer of
+    # 2m + 513 rows and no second copy of the lead rows beside it
     m = 5000
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"params.beta = 0.4\nparams.mu = 0.2\nparams.gamma = 0.1\n"
@@ -196,5 +196,5 @@ def test_a_long_delay_holds_its_lead_rows_once(tmp_path):
         finally:
             tracemalloc.stop()
     peak()
-    buffer = 32 * (m + 516)
+    buffer = 32 * (2 * m + 513)
     assert buffer < peak() < buffer + 8 * m
