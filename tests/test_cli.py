@@ -12,9 +12,10 @@ import pytest
 
 from seirs_delay import (Params, ValidationError, __version__, cli,
                          make_initial_condition)
+from seirs_delay._config import _ECHO, _RUN_KEYS, _parse_argv
 from seirs_delay.cli import (COMMANDS, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
                              EXIT_VALIDATION, ParseError, Report, RunConfig,
-                             main, parse_config, run, serialize_config)
+                             main, parse_config, run)
 
 MINIMAL = """\
 params.beta = 0.3
@@ -40,6 +41,26 @@ params.gamma = 0.3
 params.k_r = 2.0
 params.r = 0.5
 """
+
+
+def serialize_config(cfg: RunConfig) -> str:
+    """Canonical config document of cfg, without its warnings:
+    parse_config(serialize_config(c)) == c._replace(warnings=()).
+
+    A setting that is None (no step, trajectory or rho_grid) is left out."""
+    echo = [(key, value, float) for key, value in zip(_ECHO, cfg.params + cfg.initial)]
+    settings = [(key, getattr(cfg, name), kind)
+                for key, (name, kind) in _RUN_KEYS.items()]
+    lines = []
+    for key, value, kind in echo + settings:
+        if value is None:
+            continue
+        if kind is tuple:
+            value = ", ".join([repr(float(v)) for v in value])
+        elif kind is float:
+            value = repr(float(value))
+        lines.append(f"{key} = {value}\n")
+    return "".join(lines)
 
 
 def cli_subprocess(args, env=None):
@@ -262,16 +283,17 @@ class TestReport:
 
 
 def test_config_keys_are_the_fields_of_params_and_initial_condition():
-    from seirs_delay import InitialCondition, cli
+    from seirs_delay import InitialCondition
+    from seirs_delay._config import _DEFAULT_INITIAL
 
-    assert cli._ECHO == (
+    assert _ECHO == (
         "params.beta", "params.mu", "params.gamma", "params.k_r", "params.r",
         "params.epsilon", "init.e0", "init.s0", "init.i0", "init.r0")
-    assert cli._ECHO == (tuple(f"params.{name}" for name in Params._fields)
-                         + tuple(f"init.{name}" for name in InitialCondition._fields))
-    assert cli._DEFAULT_INITIAL == make_initial_condition(0.05, 0.9, 0.05, 0.0)
+    assert _ECHO == (tuple(f"params.{name}" for name in Params._fields)
+                     + tuple(f"init.{name}" for name in InitialCondition._fields))
+    assert _DEFAULT_INITIAL == make_initial_condition(0.05, 0.9, 0.05, 0.0)
     # the required keys are the Params fields without a default
-    for key in cli._ECHO:
+    for key in _ECHO:
         text = "".join(line for line in MINIMAL.splitlines(True)
                        if not line.startswith(key))
         if key in ("params.beta", "params.mu", "params.gamma", "params.k_r"):
@@ -282,21 +304,24 @@ def test_config_keys_are_the_fields_of_params_and_initial_condition():
 
 
 def test_report_keys_are_the_record_fields():
-    # the records load lazily, so cli spells their keys out
-    from seirs_delay import cli
+    # the records load lazily, so the analytic commands spell their keys out
+    from seirs_delay._analytic_commands import _ABC, _CERTIFICATE, _CROSSING
     from seirs_delay.delay_margin import CrossingReport, CubicABC
     from seirs_delay.lyapunov import LyapunovCertificate
 
-    assert cli._CROSSING == CrossingReport._fields
-    assert cli._ABC == tuple(f"abc.{name}" for name in CubicABC._fields)
-    assert cli._CERTIFICATE == tuple(f"certificate.{name}"
-                                     for name in LyapunovCertificate._fields)
+    assert _CROSSING == CrossingReport._fields
+    assert _ABC == tuple(f"abc.{name}" for name in CubicABC._fields)
+    assert _CERTIFICATE == tuple(f"certificate.{name}"
+                                 for name in LyapunovCertificate._fields)
 
 
 class TestRun:
     def test_unknown_command(self):
         with pytest.raises(ValidationError, match="unknown command"):
             run("bogus", parse_config(MINIMAL))
+
+    def test_run_dispatches_every_command_the_command_line_reads(self):
+        assert tuple(cli._DISPATCH) == COMMANDS
 
     def test_equilibria_report(self):
         rep = run("equilibria", parse_config(ENDEMIC))
@@ -1175,7 +1200,7 @@ def test_the_fast_path_agrees_with_argparse(capsys):
     parser = reference_parser()
     accepted = 0
     for argv in ARGV:
-        args = cli._parse_argv(argv)
+        args = _parse_argv(argv)
         if args is None:
             continue
         # so argparse exits on no argv the fast path accepts: an argv it
@@ -1202,7 +1227,7 @@ def test_a_deferred_argv_goes_to_argparse_as_it_came(monkeypatch, capsys):
             raise SystemExit(2)
 
     monkeypatch.setattr(cli, "_parser", Parser)
-    deferred = [argv for argv in ARGV if cli._parse_argv(argv) is None]
+    deferred = [argv for argv in ARGV if _parse_argv(argv) is None]
     for argv in deferred:
         with pytest.raises(SystemExit):
             main(argv)
@@ -1232,7 +1257,7 @@ def test_a_deferred_argv_gives_the_bytes_of_argparse(monkeypatch, tmp_path,
     parser = reference_parser()
     outcomes = set()
     for argv in SHORT_ARGV + LONG_ARGV:
-        if cli._parse_argv(argv) is not None:
+        if _parse_argv(argv) is not None:
             continue
         got = outcome(argv)
         with monkeypatch.context() as m:

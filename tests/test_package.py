@@ -11,6 +11,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,10 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ARRAY_MODULES = ("numpy", "seirs_delay.det_integrator", "seirs_delay._kernels",
                  "seirs_delay.sde_simulator")
+# the modules of the two command families; the run commands' module holds
+# the trajectory CSV writer
+ANALYTIC = "seirs_delay._analytic_commands"
+RUNS = "seirs_delay._run_commands"
 
 
 def loaded_after(code):
@@ -63,6 +68,22 @@ def after_analytic_goldens():
 def test_analytic_commands_load_no_array_module(after_analytic_goldens):
     assert [m for m in ARRAY_MODULES if m in after_analytic_goldens] == []
     assert "seirs_delay.linear_stability" in after_analytic_goldens
+
+
+def test_analytic_commands_load_no_run_command(after_analytic_goldens):
+    assert ANALYTIC in after_analytic_goldens
+    assert RUNS not in after_analytic_goldens
+
+
+def test_a_report_file_loads_no_run_command(tmp_path):
+    # --out writes the report through _report, not the run commands' module
+    out = tmp_path / "report.txt"
+    loaded = loaded_after(
+        "from seirs_delay.cli import main\n"
+        f"assert main(['equilibria', '--config', {str(GOLDEN / 'equilibria.cfg')!r},"
+        f" '--out', {str(out)!r}]) == 0\n")
+    assert RUNS not in loaded
+    assert out.read_text() == (GOLDEN / "equilibria.report.txt").read_text()
 
 
 def test_analytic_commands_load_neither_dataclasses_nor_inspect(
@@ -158,7 +179,7 @@ def test_only_the_stochastic_run_commands_load_numpy(after_analytic_goldens,
         ("simulate", GOLDEN / "simulate-ode.cfg"), ("simulate", with_csv)))
     assert (tmp_path / "traj.csv").read_text().count("\n") == 2002
     assert simulate - after_analytic_goldens == {
-        "seirs_delay._kernels", "seirs_delay.det_integrator"}
+        "seirs_delay._kernels", "seirs_delay.det_integrator", RUNS}
     assert [m for m in ("numpy", "array") if m in simulate] == []
     # simulate-sde draws its noise in pure Python: it loads the stream
     # module beyond what simulate loads, and neither numpy, array nor the
@@ -169,6 +190,14 @@ def test_only_the_stochastic_run_commands_load_numpy(after_analytic_goldens,
             if m in sde] == []
     # the ensembles keep numpy
     assert "numpy" in after_stochastic_runs["concentration"]
+
+
+def test_the_run_commands_load_no_analytic_command(after_stochastic_runs):
+    simulate = loaded_after(main_quietly(("simulate", GOLDEN / "simulate.cfg")))
+    assert RUNS in simulate
+    assert [command for command, loaded
+            in [("simulate", simulate), *after_stochastic_runs.items()]
+            if ANALYTIC in loaded] == []
 
 
 def test_a_zero_minimum_loads_no_numpy(tmp_path):
@@ -226,6 +255,33 @@ def test_no_golden_run_loads_argparse(after_every_golden):
 def test_importing_the_cli_loads_no_argparse():
     loaded = loaded_after("import seirs_delay.cli")
     assert [m for m in ARGPARSE_MODULES if m in loaded] == []
+
+
+def test_importing_the_cli_loads_no_command_family():
+    loaded = loaded_after("import seirs_delay.cli")
+    assert [m for m in (ANALYTIC, RUNS) if m in loaded] == []
+
+
+def tokens(module):
+    """The tokenize tokens of a seirs_delay module's source file."""
+    name = module.partition(".")[2] or "__init__"
+    with open(Path(SRC) / "seirs_delay" / f"{name}.py", "rb") as fh:
+        return sum(1 for _ in tokenize.tokenize(fh.readline))
+
+
+def test_no_module_a_numpy_free_golden_loads_outgrows_the_stream_module():
+    # without cached bytecode a CLI process compiles every module it loads,
+    # and the largest compile sets the process's peak RSS: simulate-sde
+    # needs the stream module, so no module of a numpy-free golden may be
+    # larger than it
+    runs = [(c, GOLDEN / f"{c}.cfg") for c in COMMANDS if c != "concentration"]
+    runs += [("simulate", GOLDEN / "simulate-ode.cfg"),
+             ("delay-margin", GOLDEN / "delay-margin-coexistence.cfg")]
+    loaded = loaded_after(main_quietly(*runs))
+    assert "numpy" not in loaded
+    limit = tokens("seirs_delay._stream")
+    assert {m: tokens(m) for m in loaded
+            if m.partition(".")[0] == "seirs_delay" and tokens(m) > limit} == {}
 
 
 @pytest.mark.parametrize("name", seirs_delay.__all__)

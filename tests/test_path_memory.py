@@ -20,8 +20,9 @@ import pytest
 from seirs_delay import (Params, Seed, concentration_check, ensemble,
                          integrate_dde, integrate_ode, make_initial_condition,
                          simulate_sde)
-from seirs_delay.cli import (_CSV_HEADER, EXIT_NUMERICAL, EXIT_OK,
-                             _destination, _write_nodes, main)
+from seirs_delay._report import _destination
+from seirs_delay._run_commands import _CSV_HEADER, _write_nodes
+from seirs_delay.cli import EXIT_NUMERICAL, EXIT_OK, main
 
 IC = make_initial_condition(e0=0.05, s0=0.9, i0=0.05, r0=0.0)
 P = Params(0.4, 0.2, 0.1, 2.0)
