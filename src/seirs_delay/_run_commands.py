@@ -39,9 +39,7 @@ def _cmd_simulate(cfg: RunConfig, stochastic: bool = False) -> Report:
     _echo(rep, cfg, with_run=True, with_ensemble=stochastic)
     p, h = cfg.params, cfg.resolved_step()
     n, m, _ = cfg.grid()
-    # the path is stepped in windows of det_integrator._WINDOW steps, and
-    # each window's nodes are written as it is stepped, then dropped; the
-    # kernels carry the report reductions over
+    # each window of det_integrator._run_windows is written, then dropped
     with _destination(cfg.trajectory, _CSV_HEADER) as fh:
         def consume(first, nodes):
             if fh is not None:

@@ -512,19 +512,20 @@ def _increments(stream: Optional[Stream], h: float, n: int):
 def _run_path(p: Params, ic: InitialCondition, h: float, n: int, m: int,
               master: int, replica: int, consume=None):
     """The n-step path of replica `replica` of master seed master, which
-    draws nothing at eps = 0, as det_integrator._run_windows returns it, m
-    nodes before each window. A node that leaves the band raises at once,
-    with its step counted from node 0.
+    draws nothing at eps = 0, as det_integrator._run_windows returns it. A
+    node that leaves the band raises at once, its step counted from node 0.
     """
     stream = None if p.epsilon == 0.0 else Stream(master, replica)
+    node0 = ic.s0, ic.e0, ic.i0, ic.r0
+    ring = _kernels.history(node0, m)
 
     def step(x, start, steps, defect, low):
         status, node, comp, defect, low = _kernels.euler_maruyama(
-            x, m, p.beta, p.mu, p.gamma, p.k_r, steps, h, p.epsilon,
+            x, ring, p.beta, p.mu, p.gamma, p.k_r, steps, h, p.epsilon,
             _increments(stream, h, steps), -EXCURSION_BAND,
-            1.0 + EXCURSION_BAND, defect, low)
+            1.0 + EXCURSION_BAND, defect, low, start)
         if status == _kernels.EXCURSION:
-            raise _excursion_error(start + node, comp,
-                                   x[4 * (m + node) + comp], replica)
+            raise _excursion_error(start + node, comp, x[4 * node + comp],
+                                   replica)
         return defect, low
-    return _run_windows((ic.s0, ic.e0, ic.i0, ic.r0), m, h, n, step, consume)
+    return _run_windows(node0, h, n, step, consume)

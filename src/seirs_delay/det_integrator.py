@@ -3,19 +3,19 @@
 Two routes:
 
 * :func:`integrate_ode`: classical RK4 for the nondelayed system (r = 0).
-* :func:`integrate_dde`: method of steps for r > 0 on the grid of
-  :func:`model_core.step_grid`, whose step divides the delay, so the delayed term is
-  a stored node at every node time. Classical RK4 steps it throughout; the
-  delayed value at a half step is the cubic Hermite interpolant of the
-  stored nodes around it, so the breaking points at t = r, 2r, .., which
-  are nodes, cost no order and the path is fourth order.
+* :func:`integrate_dde`: classical RK4 for r > 0, fourth order, on the
+  grid of :func:`model_core.step_grid`, whose step divides the delay, so
+  the delayed term at a node is a node's E; at a half step it is the cubic
+  Hermite interpolant of the nodes around it, so the breaking points
+  t = r, 2r, .., which are nodes, cost no order.
 
 Every path of the package, these two and the stochastic one
 (_stream._run_path), is stepped by one window loop, :func:`_run_windows`,
-a kernel call a window, into one buffer that holds the nodes the delay reaches back to and one window: a
-whole path as one window, kept in a Trajectory, or a streamed one passed
-on window by window. The module loads numpy only when a caller reads an
-array (states, times).
+a kernel call a window, into one buffer of one window's nodes: a whole
+path as one window, kept in a Trajectory, or a streamed one passed on
+window by window. A delayed path reads E(t - r) from the ring of its last
+m + 1 nodes (_kernels.history), so no buffer holds a node before t = 0.
+The module loads numpy only when a caller reads an array (states, times).
 """
 from __future__ import annotations
 
@@ -50,16 +50,12 @@ class Trajectory:
     """A whole-path run's nodes (rows of S, E, I, R), the step used and the
     path's report reductions, as _run_windows returns them.
 
-    The nodes are the rows of _run_windows' buffer from node 0 on,
+    The nodes are _run_windows' buffer, exactly the path's n + 1 rows,
     read-only, with the max_sum_defect and min_component the kernel
-    returned. That buffer also keeps its lead rows before node 0: a
-    whole-path integrate_dde holds 2m of them, 64m bytes, beside the
-    32(n + 1) of its path, and simulate_sde m, 32m bytes. len, last and
-    final_state read the buffer, so no path run loads numpy, simulate_sde's
-    noisy one included; states, an (n + 1, 4) numpy array over the buffer
-    without a copy, and times, the floats k*step, are built on first read
-    and then kept, so a run's states cannot be written and its reductions
-    stay its own.
+    returned. len, last and final_state read it without numpy; states, an
+    (n + 1, 4) numpy array over it without a copy, and times, the floats
+    k*step, are built on first read and then kept, so a run's states
+    cannot be written and its reductions stay its own.
     """
 
     __slots__ = ("_times", "_nodes", "_extremes", "_states", "step")
@@ -107,59 +103,63 @@ class Trajectory:
         return self._extremes[1]
 
 
-def _run_windows(node0, lead: int, h: float, n: int, step, consume=None):
-    """The n-step path from node0 (S, E, I, R), stepped in windows through
-    one flat double buffer whose first lead rows hold the nodes before the
-    window's start node, copies of node0 before t = 0.
+def _buffer(rows: int, row) -> memoryview:
+    """A flat double view of rows copies of the floats of row, made by
+    doubling copies in place; a MemoryError names the bytes and shape."""
+    k = len(row)
+    try:
+        x = memoryview(bytearray(8 * k * rows)).cast("d")
+    except MemoryError:
+        raise MemoryError(f"cannot allocate the {8 * k * rows} bytes of a "
+                          f"buffer of shape ({rows}, {k})") from None
+    for c, v in enumerate(row):
+        x[c] = v
+    while k < len(x):
+        x[k:2 * k] = x[:min(k, len(x) - k)]
+        k *= 2
+    return x
 
-    step(x, start, steps, defect, low) steps the window from node start, in
-    row lead of x, by one kernel call; it raises on a failed node, counted
-    from node 0, and returns the reductions of the path so far, given those
-    before start. Without consume the path is one window, returned as a
-    read-only Trajectory over the last n + 1 rows. With consume the path is
-    stepped _WINDOW steps at a time: each window's nodes but its last go,
-    flat, to consume(first index, nodes), a view that the next window
-    overwrites, and the last node alone at the end; (last node,
-    max_sum_defect, min_component) is returned.
+
+def _run_windows(node0, h: float, n: int, step, consume=None):
+    """The n-step path from node0 (S, E, I, R), stepped in windows through
+    one flat double buffer whose row 0 holds the window's start node.
+
+    step(x, start, steps, defect, low) steps the window from node start by
+    one kernel call; it raises on a failed node, counted from node 0, and
+    returns the reductions of the path so far, given those before start.
+    Without consume the path is one window, returned as a read-only
+    Trajectory. With consume each window of _WINDOW steps passes its nodes
+    but its last, flat, to consume(first index, nodes), a view that the
+    next window overwrites, and carries its last node into row 0; that node
+    goes alone at the end, and (last node, max_sum_defect, min_component)
+    is returned.
     """
     w = n if consume is None else min(_WINDOW, n)
-    rows = lead + 1 + w
-    try:
-        x = memoryview(bytearray(32 * rows)).cast("d")
-    except MemoryError:
-        # bytearray's own error names no size
-        raise MemoryError(f"cannot allocate the {32 * rows} bytes of a path "
-                          f"buffer of shape ({rows}, 4)") from None
-    at = 4 * lead
-    x[0], x[1], x[2], x[3] = node0
-    # copies of node 0 in the lead rows, doubling, with no lead-long copy
-    k = 4
-    while k <= at:
-        x[k:min(2 * k, at + 4)] = x[:min(k, at + 4 - k)]
-        k *= 2
+    x = _buffer(1 + w, node0)
     defect, low = 0.0, math.inf
     for start in range(0, n, w):
         steps = min(w, n - start)
         defect, low = step(x, start, steps, defect, low)
         if consume is None:
-            return Trajectory(x[at:].toreadonly(), h, (defect, low))
-        consume(start, x[at:at + 4 * steps])
-        x[:at + 4] = x[4 * steps:4 * steps + at + 4]
-    consume(n, x[at:at + 4])
-    return x[at:at + 4].tolist(), defect, low
+            return Trajectory(x.toreadonly(), h, (defect, low))
+        consume(start, x[:4 * steps])
+        x[:4] = x[4 * steps:4 * steps + 4]
+    consume(n, x[:4])
+    return x[:4].tolist(), defect, low
 
 
 def _integrate(p: Params, node0, t_end: float, h: float, consume):
-    """The path of integrate_ode (r = 0) or integrate_dde (2m nodes before
-    each window); a failed node raises an IntegrationError."""
+    """The path of integrate_ode (r = 0) or integrate_dde; a failed node
+    raises an IntegrationError."""
     n, m, _ = step_grid(p.r, t_end, h)
     rates = p.beta, p.mu, p.gamma, p.k_r
     tols = PROPAGATION_SUM_TOL, NEGATIVITY_TOL
+    ring = _kernels.history(node0, m, p.beta, p.k_r) if m else None
 
     def step(x, start, steps, defect, low):
         if m:
             status, node, defect, low = _kernels.dde_rk4_abm4(
-                x, m, *rates, steps, h, *tols, defect, low)
+                x, ring, *rates, steps, h, *tols, defect, low, start)
         else:
             status, node, defect, low = _kernels.ode_rk4(
                 x, *rates, steps, h, *tols, defect, low)
@@ -170,7 +170,7 @@ def _integrate(p: Params, node0, t_end: float, h: float, consume):
                 if status == _kernels.SUM_BREACH
                 else f"component below {tols[1]} at node {node}", node)
         return defect, low
-    return _run_windows(node0, 2 * m, h, n, step, consume)
+    return _run_windows(node0, h, n, step, consume)
 
 
 def integrate_ode(p: Params, x0: State, t_end: float, h: float, consume=None):
@@ -191,8 +191,8 @@ def integrate_dde(p: Params, ic: InitialCondition, t_end: float, h: float,
     """Integrate the delayed system (p.r > 0) by classical RK4, to fourth
     order.
 
-    The grid is step_grid's: r/h is a whole number >= 3, so delayed lookups
-    at node times hit stored nodes, and t_end >= r. Invariant breaches abort
+    The grid is step_grid's: r/h is a whole number >= 3, so the delayed
+    values at node times are nodes' E, and t_end >= r. Invariant breaches abort
     with the node index. Returns what integrate_ode does.
     """
     if not p.r > 0.0:

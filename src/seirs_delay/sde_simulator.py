@@ -216,9 +216,9 @@ def _replica_block(p: Params, ic: InitialCondition, h: float, n: int, m: int,
     dev = np.empty((4, len(eps)))
     sup = np.zeros((4, len(eps)))
     sd = math.sqrt(h)
-    # E at nodes k - m .. k; node j sits in row j % (m + 1)
+    # E at nodes k - m .. k, node j's in row j % (m + 1), all node 0's first
     hist = np.empty((m + 1, len(eps)))
-    hist[0] = ic.e0
+    hist[:] = ic.e0
     first = None
     s, e, i, e_i_r, i_r, x0, a, b, d, a_b_c, b_c_d, c_d = _step_views(x, flow)
     for k in range(n):
@@ -239,7 +239,7 @@ def _replica_block(p: Params, ic: InitialCondition, h: float, n: int, m: int,
         # w = (eps*(s*i))*dw; each row then takes its three terms in the
         # kernel's order, S: ((s - a) + d) - w, E: ((e + a) - b) + w,
         # I: (i + b) - c, R: (rc + c) - d
-        ed = e if m == 0 else ic.e0 if k < m else hist[(k - m) % (m + 1)]
+        ed = e if m == 0 else hist[(k - m) % (m + 1)]
         np.multiply(beta, s, out=a)
         np.multiply(a, i, out=a)
         np.divide(ed, kr, out=b)
@@ -287,13 +287,13 @@ def simulate_sde(p: Params, ic: InitialCondition, t_end: float, h: float,
     """One Euler-Maruyama path of the stochastic system.
 
     A single Gaussian increment per step enters S with sign - and E with
-    sign +; I and R are drift-only. The delayed exposed value is read from
-    stored nodes exactly as in the deterministic integrator, on the same
-    step_grid. Components leaving [-0.05, 1.05] abort with an excursion
-    diagnostic naming the step and component. The increments are
-    seed.rng(replica).normal(0.0, sqrt(h), k) bit for bit, drawn by
-    _stream.Stream without numpy; only reading the Trajectory's states or
-    times loads numpy. The whole path is one window; the command line
+    sign +; I and R are drift-only. The delayed exposed value is read as in
+    the deterministic integrator, on the same step_grid. Components leaving
+    [-0.05, 1.05] abort with an excursion diagnostic naming the step and
+    component. The increments are seed.rng(replica).normal(0.0, sqrt(h), k)
+    bit for bit, drawn by _stream.Stream without numpy, so the simulate-sde
+    command runs without numpy; this module, the ensembles', imports numpy,
+    so this call loads it. The whole path is one window; the command line
     streams the same nodes in windows (_stream._run_path).
     """
     _check_int("replica", replica, 0)

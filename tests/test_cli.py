@@ -996,9 +996,9 @@ class TestMain:
         assert "has 2e+300 nodes" in captured.err
 
     def test_grid_too_large_for_memory(self, tmp_path, capsys):
-        # a delay of m = 1e15 steps: the window buffer holds the 2m nodes
-        # before a window beside its 513, which fit the index type but no
-        # address space, so it fails to allocate before the first step
+        # a delay of m = 1e15 steps: the delay ring holds the (E, E') of
+        # m + 1 nodes, which fit the index type but no address space, so it
+        # fails to allocate before the first step
         text = ("params.beta = 0.4\nparams.mu = 0.2\nparams.gamma = 0.1\n"
                 "params.k_r = 1e14\nparams.r = 1e13\nrun.horizon = 1e13\n"
                 "run.step = 0.01\n")
@@ -1007,7 +1007,8 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("validation error: out of memory: ")
-        assert "(2000000000000513, 4)" in captured.err
+        assert ("16000000000000016 bytes of a buffer of shape "
+                "(1000000000000001, 2)") in captured.err
 
     def test_lyapunov_epsilon_square_overflow_is_a_false_condition(
             self, tmp_path, capsys):

@@ -140,18 +140,20 @@ def _draw(seed):
 
 def _kernel(kernel, x0, n, m, rates, h, tols, defect=0.0, low=math.inf):
     """An n-step call of the deterministic kernel from the start node x0,
-    stepped into a buffer whose rows before it (2m for dde_rk4_abm4, the
-    constant history) hold x0 too: the rows from the start node on, then the
-    kernel's status, exit node, max_sum_defect and min_component."""
-    lead = 2 * m if kernel == "dde_rk4_abm4" else 0
-    x = np.zeros((lead + 1 + n, 4))
-    x[:lead + 1] = x0
+    stepped into a buffer of n + 1 rows, with dde_rk4_abm4 reading the
+    constant history from the ring that _kernels.history builds: the rows,
+    then the kernel's status, exit node, max_sum_defect and
+    min_component."""
+    x = np.zeros((1 + n, 4))
+    x[0] = x0
     view = memoryview(x.reshape(-1))
     if kernel == "ode_rk4":
         out = _kernels.ode_rk4(view, *rates, n, h, *tols, defect, low)
     else:
-        out = _kernels.dde_rk4_abm4(view, m, *rates, n, h, *tols, defect, low)
-    return (x[lead:], *out)
+        ring = _kernels.history(x0, m, rates[0], rates[3])
+        out = _kernels.dde_rk4_abm4(view, ring, *rates, n, h, *tols, defect,
+                                    low)
+    return (x, *out)
 
 
 def _run_draw(kernel, seed):
@@ -372,13 +374,13 @@ def test_euler_maruyama_excursion_exit(x0, rates, comp, node):
 
     def run(lo, hi):
         chunks = (dw[k:k + chunk].tolist() for k in range(0, n, chunk))
-        # node 0 in row m, and x0 in the m rows before it: their E is the
-        # constant history
-        x = np.empty((m + 1 + n, 4))
-        x[:m + 1] = x0
+        # node 0 in row 0; the ring holds the constant history's E
+        x = np.empty((1 + n, 4))
+        x[0] = x0
         status, bad, c, _, _ = _kernels.euler_maruyama(
-            memoryview(x.reshape(-1)), m, *rates, n, h, 0.1, chunks, lo, hi)
-        return x[m:], status, bad, c
+            memoryview(x.reshape(-1)), _kernels.history(x0, m), *rates, n, h,
+            0.1, chunks, lo, hi)
+        return x, status, bad, c
     free, status, _, _ = run(-1.0, 2.0)
     assert status == _kernels.OK
     others = [c for c in range(4) if c != comp]
@@ -476,9 +478,10 @@ def test_a_window_settles_a_zero_minimum_with_the_path_before_it(start, held,
     n = 600
     x = np.empty((n + 1, 4))
     x[0] = start
-    out = _kernels.euler_maruyama(memoryview(x.reshape(-1)), 0, 0.4, 0.2,
-                                  0.1, 2.0, n, 0.01, 0.1, [[1.0] * n], -0.05,
-                                  1.05, 0.0, held)
+    out = _kernels.euler_maruyama(memoryview(x.reshape(-1)),
+                                  _kernels.history(start, 0), 0.4, 0.2, 0.1,
+                                  2.0, n, 0.01, 0.1, [[1.0] * n], -0.05, 1.05,
+                                  0.0, held)
     assert out[:4] == (_kernels.OK, -1, -1, 0.0)
     assert repr(out[4]) == low and not np.signbit(x[1:]).any()
     for kernel in ("ode_rk4", "dde_rk4_abm4"):
@@ -496,7 +499,8 @@ def test_a_nan_carried_in_stays_and_the_band_still_holds():
         x = np.empty((n + 1, 4))
         x[0] = IC.s0, IC.e0, IC.i0, IC.r0
         out = _kernels.euler_maruyama(
-            memoryview(x.reshape(-1)), 0, 0.4, 0.2, 0.1, 2.0, n, 0.01, 1.5,
+            memoryview(x.reshape(-1)), _kernels.history(x[0], 0), 0.4, 0.2,
+            0.1, 2.0, n, 0.01, 1.5,
             _stream._increments(_stream.Stream(0, 0), 0.01, n), lo, 1.05,
             math.nan, math.nan)
         if lo == -1.0:

@@ -1,7 +1,8 @@
-"""A path run holds its (n + 1, 4) path, the lead rows of its buffer and a
-fixed slack, nothing else that grows with n; the command line's simulate
-and simulate-sde, which stream their paths, hold only the lead rows and
-the slack, and an ensemble holds nothing that grows with n.
+"""A path run holds its (n + 1, 4) path, the ring of a delayed run's last
+m + 1 nodes (at most 16(m + 1) bytes) and a fixed slack, nothing else that
+grows with n; the command line's simulate and simulate-sde, which stream
+their paths, hold only the ring and the slack, and an ensemble holds
+nothing that grows with n.
 
 tracemalloc counts Python's objects and numpy's array buffers alike, in
 requested bytes. Each measurement starts tracing after a warm-up run, so
@@ -58,11 +59,11 @@ RUNS = {
     "integrate_dde-m-near-n": lambda t: integrate_dde(
         P._replace(r=t - 60 * H, k_r=80.0), IC, t, H),
 }
-# a whole-path integrate_dde keeps the 2m lead rows of its buffer, copies
-# of node 0, beside its path, 64m bytes; at r = 0.5 they are 3.2 kB of the
+# a whole-path integrate_dde holds the ring of its last m + 1 nodes' (E, E')
+# beside its path, 16(m + 1) bytes; at r = 0.5 they are 0.8 kB of the
 # slack, with m near n they are pinned on their own
-LEAD = {"integrate_dde-m-near-n": 64 * (N - 60)}
-assert LEAD["integrate_dde-m-near-n"] > SLACK
+RING = {"integrate_dde-m-near-n": 16 * (N - 59)}
+assert RING["integrate_dde-m-near-n"] > SLACK
 
 
 @pytest.mark.parametrize("name", RUNS)
@@ -75,8 +76,8 @@ def test_a_path_run_holds_its_path_and_a_fixed_slack(name):
         return traj
 
     run(N)
-    lead = LEAD.get(name, 0)
-    assert lead <= peak_beyond(lambda: run(N)) <= lead + SLACK
+    ring = RING.get(name, 0)
+    assert ring <= peak_beyond(lambda: run(N)) <= ring + SLACK
 
 
 ENSEMBLES = {
@@ -178,15 +179,15 @@ def test_writer_builds_each_chunks_times_without_the_time_column(tmp_path):
     assert rows == [[t, *x] for t, x in zip(times.tolist(), states.tolist())]
 
 
-def test_a_long_delay_holds_its_lead_rows_once(tmp_path):
-    # the 2m rows before a window hold copies of node 0, made in place: a
-    # simulate whose delay is m = 5000 steps holds its window buffer of
-    # 2m + 513 rows and no second copy of the lead rows beside it
-    m = 5000
+def _simulate_peak(tmp_path, m, k_r, horizon, trajectory=False):
+    """The traced peak of a simulate with a delay of m steps, after a
+    warm-up run."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"params.beta = 0.4\nparams.mu = 0.2\nparams.gamma = 0.1\n"
-                   f"params.k_r = 600.0\nparams.r = {m * H!r}\n"
-                   f"run.horizon = {m * H!r}\nrun.step = {H!r}\n")
+                   f"params.k_r = {k_r!r}\nparams.r = {m * H!r}\n"
+                   f"run.horizon = {horizon!r}\nrun.step = {H!r}\n"
+                   + (f"run.trajectory = {tmp_path / 'traj.csv'}\n"
+                      if trajectory else ""))
 
     def peak():
         tracemalloc.start()
@@ -197,5 +198,24 @@ def test_a_long_delay_holds_its_lead_rows_once(tmp_path):
         finally:
             tracemalloc.stop()
     peak()
-    buffer = 32 * (2 * m + 513)
-    assert buffer < peak() < buffer + 8 * m
+    return peak()
+
+
+def test_a_long_delay_holds_its_ring_once(tmp_path):
+    # the ring of the last m + 1 nodes' (E, E') is filled in place: a
+    # simulate whose delay is m = 5000 steps holds that ring, 16(m + 1)
+    # bytes, and its window buffer of 513 rows, about 15 kB besides, and no
+    # second copy of the ring
+    m = 5000
+    held = 16 * (m + 1) + 32 * 513
+    assert held < _simulate_peak(tmp_path, m, 600.0, m * H) < held + 5 * m
+
+
+def test_memory_grows_with_the_delay_by_the_ring_alone(tmp_path):
+    # streamed over the same 6000 steps, a simulate at m = 6000 peaks 16
+    # bytes a delay step above one at m = 600 (k_r >= r*e in both), within
+    # the slack, where 2m rows of copies of node 0 would make it 64
+    def peak(m):
+        return _simulate_peak(tmp_path, m, 200.0, 60.0, trajectory=True)
+
+    assert abs(peak(6000) - peak(600) - 16 * (6000 - 600)) <= SLACK

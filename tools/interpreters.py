@@ -8,12 +8,14 @@ both delay-margin, lyapunov, both simulate and simulate-sde) and compares
 each report with its golden byte for byte. It also runs `simulate` from a
 disease-free start, whose minimum is a zero, and a delayed `simulate` and
 a delayed `simulate-sde` over 1025 steps, which stream their paths to
-run.trajectory in three windows, and compares their reports, and the
-streamed runs' CSVs, with the bytes this script's own interpreter writes
-in process; and it checks that --version prints the package version and
-that an unknown command exits 2. Where the interpreter can import numpy,
-the concentration golden runs too. An interpreter that cannot start is reported as skipped. It is a
-check: the exit code is 1 on any mismatch and 0 when there is none.
+run.trajectory in three windows, and both commands again with a delay of
+600 steps, longer than a window, so that the delay ring wraps across
+windows; it compares their reports, and the streamed runs' CSVs, with the
+bytes this script's own interpreter writes in process; and it checks that
+--version prints the package version and that an unknown command exits 2.
+Where the interpreter can import numpy, the concentration golden runs too.
+An interpreter that cannot start is reported as skipped. It is a check:
+the exit code is 1 on any mismatch and 0 when there is none.
 """
 import os
 import pathlib
@@ -44,7 +46,13 @@ STREAMED = ("params.beta = 0.4\nparams.mu = 0.2\nparams.gamma = 0.1\n"
             "params.k_r = 2.0\nparams.r = 0.5\nrun.horizon = 10.25\n"
             "run.step = 0.01\n")
 # the same grid with noise: replica 0 of seed 7 at eps = 0.1
-STREAMED_SDE = STREAMED + "params.epsilon = 0.1\nensemble.seed = 7\n"
+NOISE = "params.epsilon = 0.1\nensemble.seed = 7\n"
+STREAMED_SDE = STREAMED + NOISE
+# r = 6 over 1100 steps of 0.01 (k_r >= r*e): the 601-slot ring outlasts
+# a 512-step window and wraps inside the second
+LONG_DELAY = ("params.beta = 0.4\nparams.mu = 0.2\nparams.gamma = 0.1\n"
+              "params.k_r = 20.0\nparams.r = 6.0\nrun.horizon = 11.0\n"
+              "run.step = 0.01\n")
 # the children see src/ and nothing of this interpreter's path, and write
 # no bytecode into src/
 ENV = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
@@ -115,7 +123,10 @@ def main(argv) -> int:
                 ("disease-free simulate", "simulate", DISEASE_FREE, False),
                 ("streamed simulate", "simulate", STREAMED, True),
                 ("streamed simulate-sde", "simulate-sde", STREAMED_SDE,
-                 True)):
+                 True),
+                ("long-delay simulate", "simulate", LONG_DELAY, True),
+                ("long-delay simulate-sde", "simulate-sde",
+                 LONG_DELAY + NOISE, True)):
             stem = os.path.join(tmp, name.replace(" ", "-"))
             if streamed:
                 text += f"run.trajectory = {stem}.csv\n"
